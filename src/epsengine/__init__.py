@@ -49,7 +49,6 @@ from .process import (
     Outcome,
     ProcessInvariantError,
     analyze,
-    choose,
     extract_witness,
     h_step,
     is_solving,

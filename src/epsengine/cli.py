@@ -14,8 +14,8 @@ from .process import (
     HStep,
     Outcome,
     ProcessInvariantError,
-    compute_plan,
     extract_witness,
+    h_step,
     run,
 )
 from .substitution import Substitution, models, serialize
@@ -30,13 +30,13 @@ DEFAULT_MAX_STEPS = 10**6
 
 @dataclass
 class RunConfig:
-    max_steps: int = DEFAULT_MAX_STEPS
+    max_steps: int | None = None  # None: the problem's max-steps option
     check: bool = False
     trace: str | None = None
     fmt: str = "text"
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
+        if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max-steps must be at least 1")
 
 
@@ -68,6 +68,15 @@ def step_record(step: HStep) -> dict:
     }
 
 
+def summary_record(outcome: Outcome) -> dict:
+    return {
+        "type": "summary",
+        "status": outcome.status,
+        "steps": len(outcome.steps),
+        "final": serialize(outcome.hs.sub),
+    }
+
+
 def trace_lines(problem_text: str, problem: Problem, outcome: Outcome) -> list[str]:
     lines = [
         _encode(
@@ -75,17 +84,34 @@ def trace_lines(problem_text: str, problem: Problem, outcome: Outcome) -> list[s
         )
     ]
     lines += [_encode(step_record(s)) for s in outcome.steps]
-    lines.append(
-        _encode(
-            {
-                "type": "summary",
-                "status": outcome.status,
-                "steps": len(outcome.steps),
-                "final": serialize(outcome.hs.sub),
-            }
-        )
-    )
+    lines.append(_encode(summary_record(outcome)))
     return lines
+
+
+def _read(path: str, err) -> str | None:
+    """The file's text, or None after a one-line error on err."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        print(f"error: {e}", file=err)
+    except UnicodeDecodeError as e:
+        print(f"error: {path}: not UTF-8 (byte {e.start})", file=err)
+    return None
+
+
+def _load(path: str, err) -> tuple[str, Problem] | None:
+    """A problem file's text and parse, or None after a one-line error."""
+    text = _read(path, err)
+    if text is None:
+        return None
+    try:
+        return text, parse_problem(text)
+    except ParseError as e:
+        print(f"error: {path}:{e}", file=err)
+    except RecursionError:
+        print(f"error: {path}: nesting too deep", file=err)
+    return None
 
 
 def _report_witnesses(problem: Problem, outcome: Outcome, out) -> None:
@@ -107,17 +133,12 @@ def _report_witnesses(problem: Problem, outcome: Outcome, out) -> None:
 def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    try:
-        text = open(path, encoding="utf-8").read()
-        problem = parse_problem(text)
-    except OSError as e:
-        print(f"error: {e}", file=err)
+    loaded = _load(path, err)
+    if loaded is None:
         return EXIT_INPUT
-    except ParseError as e:
-        print(f"error: {path}:{e}", file=err)
-        return EXIT_INPUT
+    text, problem = loaded
     max_steps = cfg.max_steps
-    if max_steps == DEFAULT_MAX_STEPS:
+    if max_steps is None:
         max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
     outcome = run(problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check)
     lines = trace_lines(text, problem, outcome)
@@ -152,19 +173,24 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     """Replay a trace: re-derive every step and compare record for record."""
     out = out or sys.stdout
     err = err or sys.stderr
+    trace = _read(trace_path, err)
+    if trace is None:
+        return EXIT_INPUT
     try:
-        recorded = [
-            json.loads(line)
-            for line in open(trace_path, encoding="utf-8")
-            if line.strip()
-        ]
-        text = open(problem_path, encoding="utf-8").read()
-        problem = parse_problem(text)
-    except OSError as e:
+        recorded = [json.loads(line) for line in trace.split("\n") if line.strip()]
+    except ValueError as e:
         print(f"error: {e}", file=err)
         return EXIT_INPUT
-    except (ParseError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=err)
+    except RecursionError:
+        print(f"error: {trace_path}: nesting too deep", file=err)
+        return EXIT_INPUT
+    loaded = _load(problem_path, err)
+    if loaded is None:
+        return EXIT_INPUT
+    text, problem = loaded
+    bad = [i for i, r in enumerate(recorded) if not isinstance(r, dict)]
+    if bad:
+        print(f"trace: record {bad[0]} is not a JSON object", file=err)
         return EXIT_INPUT
     if not recorded or recorded[0].get("type") != "header":
         print("trace: missing header record", file=err)
@@ -204,58 +230,54 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
             file=err,
         )
         return EXIT_INPUT
-    if rec_summary:
-        want = {
-            "type": "summary",
-            "status": outcome.status,
-            "steps": len(outcome.steps),
-            "final": serialize(outcome.hs.sub),
-        }
-        if rec_summary[0] != want:
-            print("divergence in summary record", file=err)
-            return EXIT_INPUT
+    if rec_summary and rec_summary[0] != summary_record(outcome):
+        print("divergence in summary record", file=err)
+        return EXIT_INPUT
     print(f"trace verified: {len(rec_steps)} steps", file=out)
     return EXIT_SOLVED
 
 
-
 def cmd_explain(path: str, step_index: int, out=None, err=None) -> int:
+    """Describe step K: run up to it, then take that one step."""
     out = out or sys.stdout
     err = err or sys.stderr
-    try:
-        text = open(path, encoding="utf-8").read()
-        problem = parse_problem(text)
-    except OSError as e:
-        print(f"error: {e}", file=err)
+    loaded = _load(path, err)
+    if loaded is None:
         return EXIT_INPUT
-    except ParseError as e:
-        print(f"error: {path}:{e}", file=err)
-        return EXIT_INPUT
+    problem = loaded[1]
     max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
-    outcome = run(problem.crits, problem.ctx, max_steps=max_steps)
+    # outside 0..max_steps-1 there is no step K; the whole run then tells
+    # the error message how many steps there are
+    in_range = 0 <= step_index < max_steps
+    outcome = run(
+        problem.crits,
+        problem.ctx,
+        max_steps=step_index if in_range else max_steps,
+    )
     if step_index == len(outcome.steps) and outcome.solved:
         print("already solving", file=out)
         return EXIT_SOLVED
-    if step_index >= len(outcome.steps) or step_index < 0:
+    record = None
+    if in_range and outcome.status == "step-limit":
+        try:
+            after, record = h_step(outcome.hs, problem.crits, problem.ctx, step_index)
+        except (ProcessInvariantError, RecursionError):
+            pass  # the process fails at step K: it ran only K steps
+    if record is None:
         print(
             f"error: step {step_index} out of range "
             f"(process ran {len(outcome.steps)} steps)",
             file=err,
         )
         return EXIT_INPUT
-    before = run(problem.crits, problem.ctx, max_steps=step_index)
-    plan = compute_plan(before.hs, problem.crits, problem.ctx)
-    assert plan is not None
-    cf = problem.crits[plan.cr_index]
-    record = outcome.steps[step_index]
+    cf = problem.crits[record.cr_index]
     print(f"step {step_index}", file=out)
-    print(f"  chosen Cr[{plan.cr_index}]: {cf.kind} {to_sexpr(cf.formula)}", file=out)
+    print(f"  chosen Cr[{record.cr_index}]: {cf.kind} {to_sexpr(cf.formula)}", file=out)
     print(f"  analysis: {cf.kind} names {record.e} with value {record.v}", file=out)
     print(f"  rank {record.rank}, case {record.case}", file=out)
-    print(f"  before: {serialize(before.hs.sub)}", file=out)
-    after = run(problem.crits, problem.ctx, max_steps=step_index + 1)
-    print(f"  after:  {serialize(after.hs.sub)}", file=out)
-    print(f"  P: {list(before.hs.p)} -> {list(after.hs.p)}", file=out)
+    print(f"  before: {serialize(outcome.hs.sub)}", file=out)
+    print(f"  after:  {serialize(after.sub)}", file=out)
+    print(f"  P: {list(outcome.hs.p)} -> {list(after.p)}", file=out)
     return EXIT_SOLVED
 
 
@@ -268,7 +290,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a problem to a solving substitution")
     p_run.add_argument("problem")
-    p_run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p_run.add_argument(
+        "--max-steps",
+        type=int,
+        help="stop after N steps (default: the problem's max-steps option)",
+    )
     p_run.add_argument(
         "--check",
         action="store_true",
@@ -277,13 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--trace", help="write the structured trace to a file")
     p_run.add_argument(
         "--format", choices=("text", "structured"), default="text", dest="fmt"
-    )
-    p_run.add_argument(
-        "--explain",
-        type=int,
-        default=None,
-        metavar="K",
-        help="describe step K of the run instead of running it",
     )
 
     p_check = sub.add_parser("check", help="replay and verify a recorded trace")
@@ -296,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
     if args.cmd == "run":
-        if args.explain is not None:
-            return cmd_explain(args.problem, args.explain)
         try:
             cfg = RunConfig(
                 max_steps=args.max_steps,

@@ -150,10 +150,6 @@ def plus(a: Expr, b: Expr) -> Expr:
     return fn("+", a, b)
 
 
-def times(a: Expr, b: Expr) -> Expr:
-    return fn("*", a, b)
-
-
 def skolem(sym: "SkolemSymbol", args: tuple[Expr, ...] | list[Expr]) -> SkolemApp:
     args = tuple(args)
     if len(args) != sym.arity:
@@ -386,10 +382,6 @@ class Rank:
     @staticmethod
     def omega_plus(n: int) -> "Rank":
         return Rank(2, n)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
 
     @property
     def is_omega(self) -> bool:

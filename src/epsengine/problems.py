@@ -139,7 +139,10 @@ def _read(toks: list[_Tok], at: int):
         raise ParseError("unexpected ')'", (tok.line, tok.col))
     text = tok.text
     if text.lstrip("-").isdigit():
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:  # past int's digit limit, or a non-ASCII digit
+            raise ParseError("malformed numeral", (tok.line, tok.col)) from None
         if value < 0:
             raise ParseError("negative numeral", (tok.line, tok.col))
         return value, at + 1

@@ -347,17 +347,6 @@ def compute_plan(
     return StepPlan(cr_index=i, e=e, v=v, rank=r, case=case)
 
 
-def choose(
-    hs: HistoricalSubstitution,
-    crs: Sequence[CriticalFormula],
-    ctx: InductiveContext | None,
-) -> int:
-    plan = compute_plan(hs, crs, ctx)
-    if plan is None:
-        raise ProcessInvariantError("no unsatisfied critical formula to choose")
-    return plan.cr_index
-
-
 # ---------------------------------------------------------------------------
 # The four step cases
 
@@ -556,6 +545,9 @@ def run(
 ) -> Outcome:
     """Iterate the step from the empty substitution until solving.
 
+    Satisfaction is tested once per state: here for the initial state, and
+    by the step that produced it (`HStep.solving`) for every later one.
+
     With check set, every produced state is verified against the invariants
     the process is supposed to preserve: correctness of each entry and
     validity (including admissibility) of the history.
@@ -563,9 +555,8 @@ def run(
     omega = ctx.omega_sym if ctx is not None else None
     hs = HistoricalSubstitution.initial(omega)
     steps: list[HStep] = []
-    while True:
-        if is_solving(hs.sub, crs):
-            return Outcome("solved", hs, steps)
+    solving = is_solving(hs.sub, crs)
+    while not solving:
         if len(steps) >= max_steps:
             return Outcome(
                 "step-limit", hs, steps, f"no solution within {max_steps} steps"
@@ -595,6 +586,8 @@ def run(
                     steps,
                     f"step {record.index}: {'; '.join(issues)}",
                 )
+        solving = record.solving
+    return Outcome("solved", hs, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .language import (
 from .process import (
     CriticalFormula,
     ProcessInvariantError,
-    StepPlan,
     apply_plan,
     compute_plan,
     is_solving,
@@ -205,14 +204,6 @@ def h_step_applies(
             if ctx.c_n(e.n) not in sub:
                 return False
     return True
-
-
-def pending_plan(
-    theta: Sequent,
-    crs: Sequence[CriticalFormula],
-    ctx: InductiveContext | None,
-) -> StepPlan | None:
-    return compute_plan(theta.hs, crs, ctx)
 
 
 def active_expressions(

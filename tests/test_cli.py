@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
+from epsengine import cli, process
 from epsengine.cli import (
+    DEFAULT_MAX_STEPS,
     EXIT_INPUT,
     EXIT_SOLVED,
     EXIT_STEP_LIMIT,
@@ -11,6 +14,14 @@ from epsengine.cli import (
     cmd_explain,
     cmd_run,
     main,
+)
+from epsengine.language import to_sexpr
+from epsengine.problems import parse_problem
+from epsengine.process import ProcessInvariantError, compute_plan, run
+from epsengine.substitution import serialize
+
+PROBLEMS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.eps")
 )
 
 EPSILON = "(crit eps (s 0) (exists (x) (= x (s 0))))\n(goal (exists (x) (= x (s 0))) (candidates (s 0)))\n"
@@ -74,6 +85,14 @@ def test_option_max_steps_from_file(write, capsys):
         write("p2.eps", "(option max-steps 1)\n" + TWO_STEP), RunConfig(max_steps=5)
     )
     assert code == EXIT_SOLVED
+
+
+def test_explicit_max_steps_overrides_file_option(write, capsys):
+    # the flag wins even when it equals the default step limit
+    path = write("p.eps", "(option max-steps 1)\n" + TWO_STEP)
+    assert cmd_run(path, RunConfig(max_steps=DEFAULT_MAX_STEPS)) == EXIT_SOLVED
+    assert main(["run", path, "--max-steps", str(DEFAULT_MAX_STEPS)]) == EXIT_SOLVED
+    assert main(["run", path]) == EXIT_STEP_LIMIT
 
 
 def test_structured_output_and_trace(write, tmp_path, capsys):
@@ -174,3 +193,118 @@ def test_main_entrypoint(write, capsys):
     assert main(["explain", path, "0"]) == EXIT_SOLVED
     capsys.readouterr()
     assert main(["run", path, "--max-steps", "0"]) == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 1 with one line on stderr, never a traceback
+
+BAD_PROBLEMS = {
+    "not-utf8": b"(crit eps 1 (exists (x) (= x \xff)))\n",
+    "deep-nesting": b"(crit formula " + b"(not " * 3000 + b"true" + b")" * 3001,
+    "huge-numeral": b"(crit pred " + b"7" * 5000 + b")\n",
+}
+BAD_TRACES = {
+    "not-utf8": b"\xff\n",
+    "array-record": b"[1, 2]\n",
+    "deep-nesting": b"[" * 3000 + b"]" * 3000 + b"\n",
+}
+BAD_INPUTS = [(cmd, "problem", k) for cmd in ("run", "explain", "check") for k in BAD_PROBLEMS]
+BAD_INPUTS += [("check", "trace", k) for k in BAD_TRACES]
+
+
+@pytest.mark.parametrize("command,which,kind", BAD_INPUTS)
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, command, which, kind):
+    problem = tmp_path / "p.eps"
+    problem.write_bytes(BAD_PROBLEMS[kind] if which == "problem" else EPSILON.encode())
+    trace = tmp_path / "t.jsonl"
+    if which == "trace":
+        trace.write_bytes(BAD_TRACES[kind])
+    else:
+        trace.write_text('{"type": "header"}\n')
+    argv = {
+        "run": ["run", str(problem)],
+        "explain": ["explain", str(problem), "0"],
+        "check": ["check", str(trace), str(problem)],
+    }[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# explain against the slow path: a whole run, then runs to K and K + 1
+
+def explain_reference(path: str, k: int) -> tuple[int, str, str]:
+    problem = parse_problem(open(path, encoding="utf-8").read())
+    crs, ctx = problem.crits, problem.ctx
+    full = run(crs, ctx, max_steps=problem.option("max-steps", DEFAULT_MAX_STEPS))
+    if k == len(full.steps) and full.solved:
+        return EXIT_SOLVED, "already solving\n", ""
+    if not 0 <= k < len(full.steps):
+        err = f"error: step {k} out of range (process ran {len(full.steps)} steps)\n"
+        return EXIT_INPUT, "", err
+    before = run(crs, ctx, max_steps=k)
+    after = run(crs, ctx, max_steps=k + 1)
+    plan = compute_plan(before.hs, crs, ctx)
+    cf = crs[plan.cr_index]
+    record = full.steps[k]
+    lines = [
+        f"step {k}",
+        f"  chosen Cr[{plan.cr_index}]: {cf.kind} {to_sexpr(cf.formula)}",
+        f"  analysis: {cf.kind} names {record.e} with value {record.v}",
+        f"  rank {record.rank}, case {record.case}",
+        f"  before: {serialize(before.hs.sub)}",
+        f"  after:  {serialize(after.hs.sub)}",
+        f"  P: {list(before.hs.p)} -> {list(after.hs.p)}",
+    ]
+    return EXIT_SOLVED, "\n".join(lines) + "\n", ""
+
+
+def explain_cases(tmp_path):
+    paths = [str(p) for p in PROBLEMS]
+    limited = tmp_path / "limited.eps"
+    limited.write_text("(option max-steps 2)\n" + ROLLBACK)
+    return paths + [str(limited)]
+
+
+def check_explain_matches_reference(path, monkeypatch, capsys):
+    runs = []
+    real_run = cli.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(kwargs)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    problem = parse_problem(open(path, encoding="utf-8").read())
+    n = len(real_run(problem.crits, problem.ctx).steps)
+    for k in range(-1, n + 2):
+        want = explain_reference(path, k)
+        runs.clear()
+        code = cmd_explain(path, k)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want, (path, k)
+        assert len(runs) == 1
+
+
+def test_explain_matches_slow_path(tmp_path, monkeypatch, capsys):
+    for path in explain_cases(tmp_path):
+        check_explain_matches_reference(path, monkeypatch, capsys)
+
+
+def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, capsys):
+    # a process that fails at step 2 ran only two steps
+    real_step = process.h_step
+
+    def failing(hs, crs, ctx, step_index=0):
+        if step_index == 2:
+            raise ProcessInvariantError("injected failure")
+        return real_step(hs, crs, ctx, step_index)
+
+    monkeypatch.setattr(process, "h_step", failing)
+    monkeypatch.setattr(cli, "h_step", failing)
+    path = tmp_path / "p.eps"
+    path.write_text(ROLLBACK)
+    check_explain_matches_reference(str(path), monkeypatch, capsys)

@@ -20,7 +20,6 @@ from epsengine.process import (
     ProcessInvariantError,
     analyze,
     apply_omega_neg,
-    choose,
     compute_plan,
     extract_witness,
     h_step,
@@ -119,7 +118,7 @@ def test_choose_prefers_least_rank(ctx):
     eps = make_epsilon(num(1), eq(Var(0), num(1)))
     idf = make_inductive_def(num(0), ctx)
     hs = HistoricalSubstitution.initial(ctx.omega_sym)
-    assert choose(hs, [idf, eps], ctx) == 1
+    assert compute_plan(hs, [idf, eps], ctx).cr_index == 1
     plan = compute_plan(hs, [idf, eps], ctx)
     assert plan.rank == Rank.fin(1) and plan.case == "low"
 
@@ -127,8 +126,8 @@ def test_choose_prefers_least_rank(ctx):
 def test_choose_breaks_ties_by_index():
     a = make_epsilon(num(1), eq(Var(0), num(1)))
     b = make_epsilon(num(2), eq(Var(0), num(2)))
-    assert choose(HS0, [a, b], None) == 0
-    assert choose(HS0, [b, a], None) == 0
+    assert compute_plan(HS0, [a, b], None).cr_index == 0
+    assert compute_plan(HS0, [b, a], None).cr_index == 0
 
 
 def test_is_solving_examples():
@@ -365,3 +364,28 @@ def test_deep_minimality_conjunction_stays_tractable():
     assert out.solved and len(out.steps) == 1
     e = CanonTerm(cf.sym, (3000,))
     assert out.hs.sub.raw(e) == num_val(2999)
+
+
+def test_run_tests_satisfaction_once_per_state(monkeypatch):
+    # the initial state once, then each step's own `solving` field
+    import pathlib
+
+    from epsengine import process
+    from epsengine.problems import parse_problem
+
+    calls = []
+    real = process.is_solving
+
+    def counting(sub, crs):
+        calls.append(sub)
+        return real(sub, crs)
+
+    monkeypatch.setattr(process, "is_solving", counting)
+    root = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    for path in sorted(root.glob("*.eps")):
+        problem = parse_problem(path.read_text())
+        for check in (False, True):
+            calls.clear()
+            outcome = run(problem.crits, problem.ctx, check=check)
+            assert outcome.solved
+            assert len(calls) == len(outcome.steps) + 1, path.name
