@@ -508,9 +508,13 @@ def rank_sort_key(c: Canon, omega_sym: SkolemSymbol | None = None) -> tuple:
 
 
 def canon_sexpr(c: Canon) -> str:
+    """to_sexpr of the expression c denotes, from the symbol's stored text."""
     if isinstance(c, CanonForm):
-        return to_sexpr(c.to_formula())
-    return to_sexpr(c.to_term())
+        return f"(in {c.n} I)"
+    head = f"(c {c.sym._key[0]})"
+    if not c.args:
+        return head
+    return "(" + " ".join([head, *map(str, c.args)]) + ")"
 
 
 # ---------------------------------------------------------------------------

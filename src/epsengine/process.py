@@ -36,6 +36,7 @@ from .language import (
     num,
     or_,
     rank_of,
+    rank_of_symbol,
     skolem,
     skolemize_exists,
     substitute,
@@ -50,9 +51,11 @@ from .substitution import (
     digest,
     is_ci,
     is_correct,
+    member_conflict,
     models,
     num_val,
     reduce_term,
+    refutes,
     serialize,
 )
 
@@ -318,24 +321,46 @@ def is_solving(sub: Substitution, crs: Sequence[CriticalFormula]) -> bool:
     return all(models(ext, cf.formula) for cf in crs)
 
 
+def repair_rank_bound(cf: CriticalFormula, omega: SkolemSymbol | None) -> Rank:
+    """A lower bound, known without analysis, on the rank of cf's repair.
+
+    Exact for every kind but closure, whose repair is either the rank-Omega
+    witness term or a premise witness.
+    """
+    if isinstance(cf, InductiveDefCF):
+        return OMEGA
+    if isinstance(cf, ClosureCF):
+        return min(OMEGA, rank_of_symbol(cf.premise_sym, omega))
+    return rank_of_symbol(cf.sym, omega)
+
+
 def compute_plan(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
     ext=None,
 ) -> StepPlan | None:
-    """The pending step: least-rank unsatisfied formula, ties by index."""
+    """The pending step: least-rank unsatisfied formula, ties by index.
+
+    Formulas are analyzed in the order of their rank bound, and the search
+    stops at the first whose bound cannot beat the best repair found, so
+    only formulas that can still win are tested and searched.
+    """
     if ext is None:
         ext = hs.sub.extended()
     omega = hs.sub.omega_sym
+    order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
     best: tuple[Rank, int, Canon, Value] | None = None
-    for i, cf in enumerate(crs):
-        pair = analyze(cf, hs, ctx, ext)
+    for key in order:
+        if best is not None and key > best[:2]:
+            break
+        i = key[1]
+        pair = analyze(crs[i], hs, ctx, ext)
         if pair is None:
             continue
         e, v = pair
         r = rank_of(e, omega)
-        if best is None or (r, i) < (best[0], best[1]):
+        if best is None or (r, i) < best[:2]:
             best = (r, i, e, v)
     if best is None:
         return None
@@ -484,6 +509,28 @@ def _diff(before: Substitution, after: Substitution):
     return tuple(added), tuple(removed)
 
 
+def _step_ci(
+    before: Substitution, after: Substitution, ctx: InductiveContext | None
+) -> bool:
+    """Computational inconsistency of a step's result from a consistent input.
+
+    A finite-rank or above-Omega entry's correctness formula reads only
+    entries of strictly lower rank, and the step keeps all of those
+    verbatim, so every entry it kept keeps its verdict.  Only the entries it
+    added or revalued, the rank-Omega layer (whose entries read each other)
+    when one of those sits there, and the member-witness conflict need a
+    recheck.  Removing an entry only leaves what reads it undecided, which
+    refutes nothing.
+    """
+    changed = {e for e, u in after.items() if before.raw(e) != u}
+    omega_moved = any(after.rank_of(e).is_omega for e in changed)
+    return member_conflict(after, ctx) or any(
+        refutes(after, e, u, ctx)
+        for e, u in after.items()
+        if e in changed or (omega_moved and after.rank_of(e).is_omega)
+    )
+
+
 def h_step(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
@@ -491,7 +538,8 @@ def h_step(
     step_index: int = 0,
 ) -> tuple[HistoricalSubstitution, HStep]:
     """One step of the process; refuses computationally inconsistent input."""
-    if is_ci(hs.sub, ctx):
+    inconsistent = is_ci(hs.sub, ctx) if hs.ci is None else hs.ci
+    if inconsistent:
         raise ProcessInvariantError(
             "refusing to step a computationally inconsistent substitution"
         )
@@ -499,6 +547,7 @@ def h_step(
     if plan is None:
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
+    object.__setattr__(hs2, "ci", _step_ci(hs.sub, hs2.sub, ctx))
     added, removed = _diff(hs.sub, hs2.sub)
     v_added = {
         m: serialize(hs2.v[m])

@@ -427,7 +427,8 @@ def is_correct(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
     )
 
 
-def _cc_member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
+def member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
+    """Some member n in I has its rank-Omega witness term c_n valued."""
     if ctx is None:
         return False
     members = {
@@ -443,14 +444,18 @@ def _cc_member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool
     return False
 
 
+def refutes(
+    sub: Substitution, e: Canon, u: Value, ctx: InductiveContext | None = None
+) -> bool:
+    """Whether the stored entries of sub decide the pair (e, u) incorrect."""
+    return models(sub, not_(correctness_formula(e, u, ctx)))
+
+
 def is_cc(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
     """Computational consistency: no refuted entry, no witness conflict."""
-    if _cc_member_conflict(sub, ctx):
+    if member_conflict(sub, ctx):
         return False
-    return not any(
-        models(sub, not_(correctness_formula(e, u, ctx)))
-        for e, u in sub.items()
-    )
+    return not any(refutes(sub, e, u, ctx) for e, u in sub.items())
 
 
 def is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:

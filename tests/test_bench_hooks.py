@@ -7,33 +7,6 @@ imported engine modules and checks that every one comes off again.
 """
 
 import io
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _engine_and_bench_modules() -> dict:
-    names = {"run", "tracer", "arith", "workloads"}
-    return {k: v for k, v in sys.modules.items() if k in names or k.split(".")[0] == "epsengine"}
-
-
-@pytest.fixture
-def bench_modules(monkeypatch):
-    """bench/run.py and bench/tracer.py; the engine modules are put back after."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    saved = _engine_and_bench_modules()
-    try:
-        import run as bench_run
-        import tracer
-
-        yield bench_run, tracer
-    finally:
-        for k in _engine_and_bench_modules():
-            del sys.modules[k]
-        sys.modules.update(saved)
 
 
 def test_bench_wraps_existing_engine_attributes(bench_modules, tmp_path):

@@ -1,0 +1,246 @@
+"""Fast paths against their slow references.
+
+`compute_plan` analyzes the critical formulas in the order of their rank
+bound and stops at the first that cannot win; `h_step` rechecks only what a
+step changed; `canon_sexpr` prints a canonical expression from its symbol's
+stored text.  Each is compared with the full computation on every state
+reached by the sample problems, the acceptance corpus and the tiny
+benchmark families.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import bench_imports
+from corpusgen import build_corpus
+from epsengine.history import HistoricalSubstitution
+from epsengine.language import (
+    OMEGA,
+    CanonForm,
+    CanonTerm,
+    canon_sexpr,
+    num,
+    rank_of,
+    to_sexpr,
+)
+from epsengine.problems import parse_problem
+from epsengine import process
+from epsengine.process import (
+    CASE_HIGH,
+    CASE_LOW,
+    CASE_OMEGA_NEG,
+    CASE_OMEGA_POS,
+    ProcessInvariantError,
+    StepPlan,
+    _step_ci,
+    analyze,
+    compute_plan,
+    h_step,
+    make_inductive_def,
+    repair_rank_bound,
+)
+from epsengine.substitution import TOP_VAL, Substitution, is_ci, num_val, refutes
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def all_formula_plan(hs, crs, ctx):
+    """The planner before rank-first ordering: analyze every formula."""
+    ext = hs.sub.extended()
+    omega = hs.sub.omega_sym
+    best = None
+    for i, cf in enumerate(crs):
+        pair = analyze(cf, hs, ctx, ext)
+        if pair is None:
+            continue
+        e, v = pair
+        r = rank_of(e, omega)
+        if best is None or (r, i) < (best[0], best[1]):
+            best = (r, i, e, v)
+    if best is None:
+        return None
+    r, i, e, v = best
+    if r.is_omega:
+        case = CASE_OMEGA_POS if isinstance(e, CanonForm) else CASE_OMEGA_NEG
+    else:
+        case = CASE_LOW if r < OMEGA else CASE_HIGH
+    return StepPlan(cr_index=i, e=e, v=v, rank=r, case=case)
+
+
+def _tiny_bench_texts():
+    with bench_imports():
+        import workloads
+
+        return [
+            (f"{w}/{p.name}", p.text)
+            for w in sorted(workloads.FAMILIES)
+            for p in workloads.generate(w, 1, "tiny")
+        ]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """(name, problem, states) per problem; states[k + 1] is step k's result."""
+    texts = [(p.name, p.read_text()) for p in sorted((ROOT / "problems").glob("*.eps"))]
+    texts += [(cp.name, cp.text) for cp in build_corpus()]
+    texts += _tiny_bench_texts()
+    out = []
+    for name, text in texts:
+        problem = parse_problem(text)
+        hs = HistoricalSubstitution.initial(problem.omega_sym)
+        states = [hs]
+        while compute_plan(hs, problem.crits, problem.ctx) is not None:
+            hs, _ = h_step(hs, problem.crits, problem.ctx, len(states) - 1)
+            states.append(hs)
+            assert len(states) < 10**4, name
+        out.append((name, problem, states))
+    return out
+
+
+def test_canon_sexpr_matches_the_serialized_expression(runs):
+    seen = 0
+    for _, _, states in runs:
+        for hs in states:
+            for sub in (hs.sub, *hs.v.values()):
+                for c in sub.domain():
+                    expr = c.to_formula() if isinstance(c, CanonForm) else c.to_term()
+                    assert canon_sexpr(c) == to_sexpr(expr)
+                    seen += 1
+    assert seen > 1000
+
+
+def test_states_cover_every_step_case(runs):
+    cases = {
+        compute_plan(hs, p.crits, p.ctx).case
+        for _, p, states in runs
+        for hs in states[:-1]
+    }
+    assert cases == {CASE_LOW, CASE_HIGH, CASE_OMEGA_POS, CASE_OMEGA_NEG}
+
+
+def test_rank_first_plan_matches_all_formula_plan(runs):
+    """Also with the formulas reversed, which turns the tie rule around."""
+    for name, p, states in runs:
+        for crs in (p.crits, p.crits[::-1]):
+            for k, hs in enumerate(states):
+                assert compute_plan(hs, crs, p.ctx) == all_formula_plan(
+                    hs, crs, p.ctx
+                ), f"{name} state {k}"
+
+
+def test_closure_witness_repair_loses_the_tie_to_a_lower_index(runs):
+    """A closure's bound lies below its rank-Omega repair, so the search
+    must go on to formulas bounded at Omega with a lower index."""
+    _, p, states = next(r for r in runs if r[0] == "closure_rollback.eps")
+    hs = states[4]  # the closure repairs the witness term of member 3
+    assert compute_plan(hs, p.crits, p.ctx).case == CASE_OMEGA_NEG
+    crs = [make_inductive_def(num(1), p.ctx), *p.crits]  # unsatisfied at hs
+    plan = compute_plan(hs, crs, p.ctx)
+    assert plan == all_formula_plan(hs, crs, p.ctx)
+    assert (plan.cr_index, plan.case) == (0, CASE_OMEGA_POS)
+
+
+def test_rank_bound_is_a_lower_bound_and_exact_but_for_closure(runs):
+    strict = 0
+    for name, p, states in runs:
+        omega = p.omega_sym
+        for hs in states:
+            for cf in p.crits:
+                pair = analyze(cf, hs, p.ctx)
+                if pair is None:
+                    continue
+                bound, r = repair_rank_bound(cf, omega), rank_of(pair[0], omega)
+                assert bound <= r, name
+                if cf.kind != "closure":
+                    assert bound == r, name
+                strict += bound < r
+    assert strict > 0  # some closure repairs its rank-Omega witness term
+
+
+def test_step_local_verdict_matches_full_guard(runs):
+    for name, p, states in runs:
+        assert states[0].ci is None
+        for k, hs in enumerate(states[1:]):
+            assert hs.ci == is_ci(hs.sub, p.ctx), f"{name} step {k}"
+
+
+def _mutations(sub: Substitution, ctx):
+    """One-entry changes that keep every entry below the changed one.
+
+    As in a step, nothing of higher rank than the changed entry may stay,
+    so terms are bumped only in the top rank layer, and membership changes
+    are made only when nothing sits above Omega.  Yields the kind of change,
+    the changed entry and the changed substitution.
+    """
+    if not len(sub):
+        return
+    top = max(sub.rank_of(e) for e in sub.domain())
+    for e, u in sub.items():
+        if isinstance(e, CanonTerm) and u.kind == "num" and sub.rank_of(e) == top:
+            kind = "bump-omega" if top.is_omega else "bump-finite"
+            yield kind, e, sub.with_entry(e, num_val(u.n + 1))
+    if ctx is None or top > OMEGA:
+        return
+    members = sub.positive_omega_forms()
+    for n in members:
+        yield "drop-member", CanonForm(n), sub.without(CanonForm(n))
+        yield "member-witness", ctx.c_n(n), sub.with_entry(ctx.c_n(n), num_val(1))
+    # a member at the value of a valued rank-Omega witness term refutes
+    # that term's negated clause instance, an entry the change left alone
+    for e, u in sub.items():
+        if isinstance(e, CanonTerm) and u.kind == "num" and sub.rank_of(e).is_omega:
+            if u.n not in members:
+                yield "add-member", CanonForm(u.n), sub.with_entry(CanonForm(u.n), TOP_VAL)
+
+
+def test_step_local_verdict_on_mutations(runs):
+    """Dropping a member only undecides entries, so it never yields an
+    inconsistent state; adding one is what reaches the rank-Omega layer."""
+    tried: dict[str, int] = {}
+    inconsistent: dict[str, int] = {}
+    for name, p, states in runs:
+        for hs in states[1:]:
+            if hs.ci:
+                continue
+            for kind, changed, mutated in _mutations(hs.sub, p.ctx):
+                verdict = is_ci(mutated, p.ctx)
+                assert _step_ci(hs.sub, mutated, p.ctx) == verdict, (name, kind)
+                tried[kind] = tried.get(kind, 0) + 1
+                inconsistent[kind] = inconsistent.get(kind, 0) + verdict
+                if kind == "add-member" and verdict:
+                    assert not refutes(mutated, changed, TOP_VAL, p.ctx)
+    assert set(tried) == {
+        "bump-finite", "bump-omega", "drop-member", "member-witness", "add-member"
+    }
+    assert inconsistent["bump-finite"] > 0
+    assert inconsistent["drop-member"] == 0
+    assert inconsistent["add-member"] > 0
+    assert inconsistent["member-witness"] == tried["member-witness"]
+
+
+def test_h_step_carries_the_verdict_to_the_next_step(monkeypatch):
+    problem = parse_problem(
+        "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in (1, 2, 3))
+    )
+    guarded = []
+    full_guard = process.is_ci
+    monkeypatch.setattr(
+        process, "is_ci", lambda sub, ctx=None: guarded.append(len(sub)) or full_guard(sub, ctx)
+    )
+    hs, _ = h_step(HistoricalSubstitution.initial(), problem.crits, None)
+    assert hs.ci is False and guarded == [0]  # the hand-built initial state
+    monkeypatch.setattr(process, "_step_ci", lambda before, after, ctx: True)
+    hs, _ = h_step(hs, problem.crits, None)
+    assert hs.ci is True and guarded == [0]
+    with pytest.raises(ProcessInvariantError, match="inconsistent"):
+        h_step(hs, problem.crits, None)
+    assert guarded == [0]
+
+
+def test_verdict_stays_out_of_construction_equality_and_repr(runs):
+    _, _, states = next(r for r in runs if len(r[2]) > 1)
+    made = states[-1]
+    built = HistoricalSubstitution(made.sub, made.p, dict(made.v))
+    assert made.ci is False and built.ci is None
+    assert built == made and repr(built) == repr(made)
