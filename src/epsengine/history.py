@@ -47,17 +47,24 @@ class HistoricalSubstitution:
 
 
 def is_admissible(
-    p: tuple[int, ...], ctx: InductiveContext | None
+    p: tuple[int, ...],
+    ctx: InductiveContext | None,
+    admitted: tuple[int, ...] = (),
 ) -> bool:
     """Each member of p is justified by the clause over its predecessors.
 
     The justification evaluates the clause at bound value 0 — the default a
     fresh witness term reduces to — under the standard extension of the
-    membership facts added so far.
+    membership facts added so far.  A member's verdict depends only on it
+    and its predecessors, so the members of the prefix p shares with
+    ``admitted``, a sequence already found admissible, are not tested again.
     """
     if ctx is None:
         return not p
-    for i, n in enumerate(p):
+    start = 0
+    while start < min(len(p), len(admitted)) and p[start] == admitted[start]:
+        start += 1
+    for i, n in enumerate(p[start:], start):
         prefix = Substitution(
             {CanonForm(m): TOP_VAL for m in p[:i]},
             omega_sym=ctx.omega_sym,
@@ -68,9 +75,15 @@ def is_admissible(
 
 
 def validate(
-    hs: HistoricalSubstitution, ctx: InductiveContext | None = None
+    hs: HistoricalSubstitution,
+    ctx: InductiveContext | None = None,
+    admitted: tuple[int, ...] = (),
 ) -> list[str]:
-    """Invariant violations of a historical substitution; empty when valid."""
+    """Invariant violations of a historical substitution; empty when valid.
+
+    ``admitted`` is a membership order already found admissible, as in
+    `is_admissible`.
+    """
     problems: list[str] = []
     if len(set(hs.p)) != len(hs.p):
         problems.append("P contains duplicate members")
@@ -89,6 +102,6 @@ def validate(
                     f"V({n}) holds a non-negative-Omega entry {serialize(snap)}"
                 )
                 break
-    if not is_admissible(hs.p, ctx):
+    if not is_admissible(hs.p, ctx, admitted):
         problems.append("P is not admissible for the inductive clause")
     return problems

@@ -48,11 +48,13 @@ from .substitution import (
     Substitution,
     TOP_VAL,
     Value,
+    Verdicts,
     digest,
     is_ci,
     is_correct,
     member_conflict,
     models,
+    models_with,
     num_val,
     reduce_term,
     refutes,
@@ -246,11 +248,17 @@ def analyze(
     hs: HistoricalSubstitution,
     ctx: InductiveContext | None,
     ext=None,
+    holds: bool | None = None,
 ) -> tuple[Canon, Value] | None:
-    """Repair pair for an unsatisfied critical formula, None when satisfied."""
+    """Repair pair for an unsatisfied critical formula, None when satisfied.
+
+    holds is the caller's satisfaction verdict for cf, when it has one.
+    """
     if ext is None:
         ext = hs.sub.extended()
-    if models(ext, cf.formula):
+    if holds is None:
+        holds = models(ext, cf.formula)
+    if holds:
         return None
 
     if isinstance(cf, PredCF):
@@ -316,9 +324,17 @@ def analyze(
     raise ProcessInvariantError(f"unknown critical formula {cf!r}")
 
 
-def is_solving(sub: Substitution, crs: Sequence[CriticalFormula]) -> bool:
+def is_solving(
+    sub: Substitution,
+    crs: Sequence[CriticalFormula],
+    verdicts: Verdicts | None = None,
+) -> bool:
+    """Every critical formula holds; with a table, keyed by its index."""
     ext = sub.extended()
-    return all(models(ext, cf.formula) for cf in crs)
+    return all(
+        models_with(verdicts, i, ext, lambda: cf.formula)
+        for i, cf in enumerate(crs)
+    )
 
 
 def repair_rank_bound(cf: CriticalFormula, omega: SkolemSymbol | None) -> Rank:
@@ -339,12 +355,14 @@ def compute_plan(
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
     ext=None,
+    verdicts: Verdicts | None = None,
 ) -> StepPlan | None:
     """The pending step: least-rank unsatisfied formula, ties by index.
 
     Formulas are analyzed in the order of their rank bound, and the search
     stops at the first whose bound cannot beat the best repair found, so
-    only formulas that can still win are tested and searched.
+    only formulas that can still win are tested and searched.  A table
+    answers the satisfaction tests under the keys `is_solving` uses.
     """
     if ext is None:
         ext = hs.sub.extended()
@@ -355,7 +373,9 @@ def compute_plan(
         if best is not None and key > best[:2]:
             break
         i = key[1]
-        pair = analyze(crs[i], hs, ctx, ext)
+        cf = crs[i]
+        holds = models_with(verdicts, i, ext, lambda: cf.formula)
+        pair = analyze(cf, hs, ctx, ext, holds)
         if pair is None:
             continue
         e, v = pair
@@ -510,7 +530,10 @@ def _diff(before: Substitution, after: Substitution):
 
 
 def _step_ci(
-    before: Substitution, after: Substitution, ctx: InductiveContext | None
+    before: Substitution,
+    after: Substitution,
+    ctx: InductiveContext | None,
+    verdicts: Verdicts | None = None,
 ) -> bool:
     """Computational inconsistency of a step's result from a consistent input.
 
@@ -525,7 +548,7 @@ def _step_ci(
     changed = {e for e, u in after.items() if before.raw(e) != u}
     omega_moved = any(after.rank_of(e).is_omega for e in changed)
     return member_conflict(after, ctx) or any(
-        refutes(after, e, u, ctx)
+        refutes(after, e, u, ctx, verdicts)
         for e, u in after.items()
         if e in changed or (omega_moved and after.rank_of(e).is_omega)
     )
@@ -536,18 +559,23 @@ def h_step(
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
     step_index: int = 0,
+    verdicts: Verdicts | None = None,
 ) -> tuple[HistoricalSubstitution, HStep]:
-    """One step of the process; refuses computationally inconsistent input."""
+    """One step of the process; refuses computationally inconsistent input.
+
+    A table carried from step to step (one per list of critical formulas)
+    spares the evaluations whose reads the previous step left unchanged.
+    """
     inconsistent = is_ci(hs.sub, ctx) if hs.ci is None else hs.ci
     if inconsistent:
         raise ProcessInvariantError(
             "refusing to step a computationally inconsistent substitution"
         )
-    plan = compute_plan(hs, crs, ctx)
+    plan = compute_plan(hs, crs, ctx, verdicts=verdicts)
     if plan is None:
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
-    object.__setattr__(hs2, "ci", _step_ci(hs.sub, hs2.sub, ctx))
+    object.__setattr__(hs2, "ci", _step_ci(hs.sub, hs2.sub, ctx, verdicts))
     added, removed = _diff(hs.sub, hs2.sub)
     v_added = {
         m: serialize(hs2.v[m])
@@ -569,7 +597,7 @@ def h_step(
         p_after=hs2.p,
         v_added=v_added,
         v_removed=v_removed,
-        solving=is_solving(hs2.sub, crs),
+        solving=is_solving(hs2.sub, crs, verdicts),
     )
     return hs2, record
 
@@ -595,23 +623,32 @@ def run(
     """Iterate the step from the empty substitution until solving.
 
     Satisfaction is tested once per state: here for the initial state, and
-    by the step that produced it (`HStep.solving`) for every later one.
+    by the step that produced it (`HStep.solving`) for every later one.  One
+    table of verdicts serves the whole run, so a formula is evaluated again
+    only when an entry it read has changed.
 
     With check set, every produced state is verified against the invariants
     the process is supposed to preserve: correctness of each entry and
-    validity (including admissibility) of the history.
+    validity (including admissibility) of the history.  An entry's verdict
+    is reused only while every entry its correctness formula read is
+    unchanged, and only the members past the longest prefix shared with the
+    last admissible P are tested again.
     """
     omega = ctx.omega_sym if ctx is not None else None
     hs = HistoricalSubstitution.initial(omega)
     steps: list[HStep] = []
-    solving = is_solving(hs.sub, crs)
+    verdicts = Verdicts()
+    admitted: tuple[int, ...] = ()
+    solving = is_solving(hs.sub, crs, verdicts)
     while not solving:
         if len(steps) >= max_steps:
             return Outcome(
                 "step-limit", hs, steps, f"no solution within {max_steps} steps"
             )
         try:
-            hs, record = h_step(hs, crs, ctx, step_index=len(steps))
+            hs, record = h_step(
+                hs, crs, ctx, step_index=len(steps), verdicts=verdicts
+            )
         except ProcessInvariantError as err:
             return Outcome("internal-error", hs, steps, str(err))
         except RecursionError:
@@ -620,14 +657,14 @@ def run(
             )
         steps.append(record)
         if check:
-            if not is_correct(hs.sub, ctx):
+            if not is_correct(hs.sub, ctx, verdicts):
                 return Outcome(
                     "internal-error",
                     hs,
                     steps,
                     f"step {record.index}: substitution is not correct",
                 )
-            issues = validate(hs, ctx)
+            issues = validate(hs, ctx, admitted)
             if issues:
                 return Outcome(
                     "internal-error",
@@ -635,6 +672,7 @@ def run(
                     steps,
                     f"step {record.index}: {'; '.join(issues)}",
                 )
+            admitted = hs.p
         solving = record.solving
     return Outcome("solved", hs, steps)
 

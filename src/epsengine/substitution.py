@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .language import (
     And,
@@ -106,10 +106,11 @@ class Substitution:
     When ``lazy`` is set the map behaves as its standard extension: lookups
     outside the stored domain answer ? instead of reporting absence.  The
     optional ``omega_sym`` identifies the rank-Omega witness symbol of the
-    ambient problem and is carried through updates.
+    ambient problem and is carried through updates.  ``serialize`` keeps its
+    text in ``_text``, which the standard extension shares.
     """
 
-    __slots__ = ("_entries", "lazy", "omega_sym")
+    __slots__ = ("_entries", "lazy", "omega_sym", "_text")
 
     def __init__(
         self,
@@ -120,6 +121,7 @@ class Substitution:
         self._entries = dict(entries) if entries else {}
         self.lazy = lazy
         self.omega_sym = omega_sym
+        self._text: str | None = None
         for e, u in self._entries.items():
             _check_entry(e, u)
 
@@ -151,6 +153,7 @@ class Substitution:
         s._entries = self._entries
         s.lazy = True
         s.omega_sym = self.omega_sym
+        s._text = self._text
         return s
 
     # -- lookup -------------------------------------------------------------
@@ -235,10 +238,10 @@ class Substitution:
 
 def serialize(sub: Substitution) -> str:
     """Canonical one-line form: entries ordered by rank then expression."""
-    parts = [
-        f"({canon_sexpr(e)} {u})" for e, u in sub.sorted_items()
-    ]
-    return "{" + " ".join(parts) + "}"
+    if sub._text is None:
+        parts = [f"({canon_sexpr(e)} {u})" for e, u in sub.sorted_items()]
+        sub._text = "{" + " ".join(parts) + "}"
+    return sub._text
 
 
 def digest(sub: Substitution) -> str:
@@ -246,35 +249,79 @@ def digest(sub: Substitution) -> str:
 
 
 class RecordingSubstitution:
-    """Standard-extension view that records every canonical lookup.
+    """A view of a substitution that records every canonical lookup.
 
-    Used to decide whether a computation stayed inside the stored domain:
-    ``consulted`` collects every canonical expression looked up, ``leaked``
-    those that were absent from the underlying map.
+    ``reads`` maps each canonical expression looked up to its stored value,
+    None when absent.  Lookups answer as the standard extension does, or,
+    with ``lazy`` off, as the stored map does (None when absent).
+    ``consulted`` and ``leaked`` are the expressions looked up and those of
+    them absent from the underlying map.
     """
 
-    __slots__ = ("base", "consulted", "leaked")
+    __slots__ = ("base", "lazy", "reads")
 
-    def __init__(self, base: Substitution):
+    def __init__(self, base: Substitution, lazy: bool = True):
         self.base = base
-        self.consulted: set[Canon] = set()
-        self.leaked: set[Canon] = set()
-
-    @property
-    def lazy(self) -> bool:
-        return True
+        self.lazy = lazy
+        self.reads: dict[Canon, Value | None] = {}
 
     @property
     def omega_sym(self) -> SkolemSymbol | None:
         return self.base.omega_sym
 
-    def get(self, e: Canon) -> Value:
-        self.consulted.add(e)
-        u = self.base.raw(e)
-        if u is None:
-            self.leaked.add(e)
+    @property
+    def consulted(self) -> set[Canon]:
+        return set(self.reads)
+
+    @property
+    def leaked(self) -> set[Canon]:
+        return {e for e, u in self.reads.items() if u is None}
+
+    def get(self, e: Canon) -> Value | None:
+        u = self.reads[e] = self.base.raw(e)
+        if u is None and self.lazy:
             return UNKNOWN
         return u
+
+
+class Verdicts:
+    """Verdicts of `models`, each kept with the reads it rests on.
+
+    An evaluation is a deterministic function of the values its lookups
+    return, so a stored verdict is returned again only while every
+    canonical expression it looked up still holds the same stored value
+    (None for one that was absent).  A key names one formula on one kind of
+    view, stored map or standard extension; the caller keeps keys apart.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        self._memo: dict[object, tuple[bool, tuple, tuple]] = {}
+
+    def models(
+        self, key: object, view: Substitution, formula: Callable[[], Expr]
+    ) -> bool:
+        """models(view, formula()); formula is called only on a miss."""
+        memo = self._memo.get(key)
+        if memo is not None and tuple(map(view._entries.get, memo[1])) == memo[2]:
+            return memo[0]
+        rec = RecordingSubstitution(view, view.lazy)
+        verdict = models(rec, formula())
+        self._memo[key] = (verdict, tuple(rec.reads), tuple(rec.reads.values()))
+        return verdict
+
+
+def models_with(
+    verdicts: Verdicts | None,
+    key: object,
+    view,
+    formula: Callable[[], Expr],
+) -> bool:
+    """models(view, formula()), through the table when there is one."""
+    if verdicts is None:
+        return models(view, formula())
+    return verdicts.models(key, view, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +467,21 @@ def correctness_formula(
     return ctx.a_formula(e.n)
 
 
-def is_correct(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
+def is_correct(
+    sub: Substitution,
+    ctx: InductiveContext | None = None,
+    verdicts: Verdicts | None = None,
+) -> bool:
+    """Every entry satisfies its correctness formula in the standard extension.
+
+    With a table, each entry's verdict is kept under ("correct", e, u).
+    """
     ext = sub.extended()
     return all(
-        models(ext, correctness_formula(e, u, ctx)) for e, u in sub.items()
+        models_with(
+            verdicts, ("correct", e, u), ext, lambda: correctness_formula(e, u, ctx)
+        )
+        for e, u in sub.items()
     )
 
 
@@ -445,10 +503,19 @@ def member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
 
 
 def refutes(
-    sub: Substitution, e: Canon, u: Value, ctx: InductiveContext | None = None
+    sub: Substitution,
+    e: Canon,
+    u: Value,
+    ctx: InductiveContext | None = None,
+    verdicts: Verdicts | None = None,
 ) -> bool:
-    """Whether the stored entries of sub decide the pair (e, u) incorrect."""
-    return models(sub, not_(correctness_formula(e, u, ctx)))
+    """Whether the stored entries of sub decide the pair (e, u) incorrect.
+
+    With a table, the verdict is kept under ("refutes", e, u).
+    """
+    return models_with(
+        verdicts, ("refutes", e, u), sub, lambda: not_(correctness_formula(e, u, ctx))
+    )
 
 
 def is_cc(sub: Substitution, ctx: InductiveContext | None = None) -> bool:

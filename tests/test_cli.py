@@ -1,12 +1,17 @@
+import functools
+import io
 import json
 import pathlib
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epsengine import cli, process
 from epsengine.cli import (
     DEFAULT_MAX_STEPS,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_SOLVED,
     EXIT_STEP_LIMIT,
     RunConfig,
@@ -298,13 +303,110 @@ def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, caps
     # a process that fails at step 2 ran only two steps
     real_step = process.h_step
 
-    def failing(hs, crs, ctx, step_index=0):
+    def failing(hs, crs, ctx, step_index=0, verdicts=None):
         if step_index == 2:
             raise ProcessInvariantError("injected failure")
-        return real_step(hs, crs, ctx, step_index)
+        return real_step(hs, crs, ctx, step_index, verdicts)
 
     monkeypatch.setattr(process, "h_step", failing)
     monkeypatch.setattr(cli, "h_step", failing)
     path = tmp_path / "p.eps"
     path.write_text(ROLLBACK)
     check_explain_matches_reference(str(path), monkeypatch, capsys)
+
+
+# ---------------------------------------------------------------------------
+# check on mutated traces
+
+@functools.cache
+def _valid_trace(path: pathlib.Path) -> list[str]:
+    text = path.read_text()
+    problem = parse_problem(text)
+    max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    outcome = run(problem.crits, problem.ctx, max_steps=max_steps)
+    return cli.trace_lines(text, problem, outcome)
+
+
+FIELDS = [
+    "type", "step", "I", "rankCase", "e", "v", "before", "added", "P",
+    "Vadded", "solving", "status", "steps", "final", "problem",
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+RAW_LINES = st.sampled_from([
+    "[1, 2]", '"step"', "3", "null", "true", "{", "}{",
+    "[" * 20000 + "]" * 20000,
+    '{"a":' * 20000 + "0" + "}" * 20000,
+    "9" * 5000,
+    '{"type": "step", "step": ' + "9" * 5000 + "}",
+    '{"type": "step", "step": 1e999}',
+])
+MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), st.integers(0, 99)),
+        st.tuples(st.just("dup"), st.integers(0, 99)),
+        st.tuples(
+            st.just("flip"), st.integers(0, 99), st.sampled_from(FIELDS), JSON_VALUES
+        ),
+        st.tuples(st.just("unset"), st.integers(0, 99), st.sampled_from(FIELDS)),
+        st.tuples(st.just("raw"), st.integers(0, 99), RAW_LINES),
+    ),
+    max_size=3,
+)
+
+
+def _mutate(lines: list[str], ops) -> list[str]:
+    lines = list(lines)
+    for op, at, *rest in ops:
+        if not lines:
+            break
+        k = at % len(lines)
+        if op == "drop":
+            del lines[k]
+        elif op == "dup":
+            lines.insert(k, lines[k])
+        elif op == "raw":
+            lines[k] = rest[0]
+        else:
+            try:
+                record = json.loads(lines[k])
+            except (ValueError, RecursionError):
+                continue
+            if not isinstance(record, dict):
+                continue
+            if op == "flip":
+                record[rest[0]] = rest[1]
+            else:
+                record.pop(rest[0], None)
+            lines[k] = json.dumps(record)
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROBLEMS), MUTATIONS)
+def test_check_on_mutated_traces_exits_cleanly(tmp_path_factory, path, ops):
+    trace = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    trace.write_text("\n".join(_mutate(_valid_trace(path), ops)) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = cmd_check(str(trace), str(path), out=out, err=err)
+    assert time.perf_counter() - start < 10
+    assert code in (EXIT_SOLVED, EXIT_INPUT, EXIT_INTERNAL)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != EXIT_SOLVED), lines
+    assert "Traceback" not in err.getvalue()
+    if not ops:
+        assert code == EXIT_SOLVED and out.getvalue().startswith("trace verified")
+
+
+for _path in PROBLEMS:  # every unmutated trace, besides the drawn cases
+    test_check_on_mutated_traces_exits_cleanly = example(_path, [])(
+        test_check_on_mutated_traces_exits_cleanly
+    )

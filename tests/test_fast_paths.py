@@ -3,11 +3,13 @@
 `compute_plan` analyzes the critical formulas in the order of their rank
 bound and stops at the first that cannot win; `h_step` rechecks only what a
 step changed; `canon_sexpr` prints a canonical expression from its symbol's
-stored text.  Each is compared with the full computation on every state
+stored text; a `Verdicts` table reuses a verdict while its reads are
+unchanged.  Each is compared with the full computation on every state
 reached by the sample problems, the acceptance corpus and the tiny
 benchmark families.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from epsengine.language import (
     CanonForm,
     CanonTerm,
     canon_sexpr,
+    not_,
     num,
     rank_of,
     to_sexpr,
@@ -37,10 +40,23 @@ from epsengine.process import (
     analyze,
     compute_plan,
     h_step,
+    is_solving,
     make_inductive_def,
     repair_rank_bound,
 )
-from epsengine.substitution import TOP_VAL, Substitution, is_ci, num_val, refutes
+from epsengine.substitution import (
+    TOP_VAL,
+    UNKNOWN,
+    RecordingSubstitution,
+    Substitution,
+    Verdicts,
+    correctness_formula,
+    is_ci,
+    is_correct,
+    models,
+    num_val,
+    refutes,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,7 +246,9 @@ def test_h_step_carries_the_verdict_to_the_next_step(monkeypatch):
     )
     hs, _ = h_step(HistoricalSubstitution.initial(), problem.crits, None)
     assert hs.ci is False and guarded == [0]  # the hand-built initial state
-    monkeypatch.setattr(process, "_step_ci", lambda before, after, ctx: True)
+    monkeypatch.setattr(
+        process, "_step_ci", lambda before, after, ctx, verdicts=None: True
+    )
     hs, _ = h_step(hs, problem.crits, None)
     assert hs.ci is True and guarded == [0]
     with pytest.raises(ProcessInvariantError, match="inconsistent"):
@@ -244,3 +262,107 @@ def test_verdict_stays_out_of_construction_equality_and_repr(runs):
     built = HistoricalSubstitution(made.sub, made.p, dict(made.v))
     assert made.ci is False and built.ci is None
     assert built == made and repr(built) == repr(made)
+
+
+# ---------------------------------------------------------------------------
+# The verdict table
+
+
+def _evaluations(name, p, sub):
+    """(key, view, formula) for each evaluation a run makes of a state:
+    satisfaction and correctness on the standard extension, refutation on
+    the stored map.  Keys carry the problem's name, so one table can serve
+    states of unrelated problems."""
+    ext = sub.extended()
+    for i, cf in enumerate(p.crits):
+        yield (name, i), ext, lambda cf=cf: cf.formula
+    for e, u in sub.items():
+        yield (name, "correct", e, u), ext, (
+            lambda e=e, u=u: correctness_formula(e, u, p.ctx)
+        )
+        yield (name, "refutes", e, u), sub, (
+            lambda e=e, u=u: not_(correctness_formula(e, u, p.ctx))
+        )
+
+
+def test_verdict_table_in_run_order_matches_plain_evaluation(runs):
+    outcomes = set()
+    for name, p, states in runs:
+        verdicts = Verdicts()
+        for k, hs in enumerate(states):
+            sub, where = hs.sub, (name, k)
+            for key, view, formula in _evaluations(name, p, sub):
+                verdict = verdicts.models(key, view, formula)
+                assert verdict == models(view, formula()), (where, key[1:])
+                outcomes.add((key[1] if len(key) > 2 else "sat", verdict))
+            assert compute_plan(hs, p.crits, p.ctx, verdicts=verdicts) == (
+                compute_plan(hs, p.crits, p.ctx)
+            ), where
+            assert is_solving(sub, p.crits, verdicts) == is_solving(sub, p.crits)
+            assert is_correct(sub, p.ctx, verdicts) == is_correct(sub, p.ctx)
+            for e, u in sub.items():
+                assert refutes(sub, e, u, p.ctx, verdicts) == refutes(
+                    sub, e, u, p.ctx
+                ), where
+    # reached states are correct and consistent; falsity comes from mutations
+    assert outcomes == {
+        ("sat", True), ("sat", False), ("correct", True), ("refutes", False)
+    }
+
+
+def test_one_verdict_table_across_shuffled_unrelated_states(runs):
+    pairs = [(name, p, hs.sub) for name, p, states in runs for hs in states]
+    random.Random(5).shuffle(pairs)
+    verdicts = Verdicts()
+    for name, p, sub in pairs:
+        for key, view, formula in _evaluations(name, p, sub):
+            assert verdicts.models(key, view, formula) == models(
+                view, formula()
+            ), key
+
+
+def _read_mutations(view, reads):
+    """Views that differ from view in one entry the evaluation read: the
+    first stored one revalued, and removed, and the first absent one added
+    with a value.  A mutated view is lazy when view is."""
+    stored = [(e, u) for e, u in reads.items() if u is not None]
+    absent = [e for e, u in reads.items() if u is None]
+    if absent:
+        e = absent[0]
+        yield "add", view.with_entry(
+            e, num_val(1) if isinstance(e, CanonTerm) else TOP_VAL
+        )
+    if stored:
+        e, u = stored[0]
+        if isinstance(e, CanonTerm):
+            v = num_val(u.n + 1) if u.kind == "num" else num_val(1)
+        else:
+            v = UNKNOWN if u.kind == "top" else TOP_VAL
+        yield "revalue", view.with_entry(e, v)
+        yield "remove", view.without(e)
+
+
+def test_a_changed_read_forces_a_new_evaluation(runs):
+    built = {"add": 0, "revalue": 0, "remove": 0}
+    for name, p, states in runs:
+        for hs in states[1:]:
+            for key, view, formula in _evaluations(name, p, hs.sub):
+                phi = formula()
+                recorder = RecordingSubstitution(view, view.lazy)
+                models(recorder, phi)
+                for kind, mutated in _read_mutations(view, recorder.reads):
+                    calls = []
+
+                    def counted():
+                        calls.append(1)
+                        return phi
+
+                    verdicts = Verdicts()
+                    verdicts.models(key, view, counted)
+                    verdicts.models(key, view, counted)  # same reads: kept
+                    assert len(calls) == 1, (name, key[1:])
+                    verdict = verdicts.models(key, mutated, counted)
+                    assert len(calls) == 2, (name, kind, key[1:])
+                    assert verdict == models(mutated, phi), (name, kind)
+                    built[kind] += 1
+    assert min(built.values()) > 100

@@ -43,6 +43,20 @@ def test_prefix_of_admissible_is_admissible(ctx):
                 assert is_admissible(p[:cut], ctx)
 
 
+def test_admissibility_past_an_admitted_prefix_matches_the_full_check(ctx):
+    rng = random.Random(13)
+    admitted = [(), (0,), (0, 3), (0, 1, 2), (0, 4, 1)]
+    assert all(is_admissible(a, ctx) for a in admitted)
+    verdicts = set()
+    for _ in range(300):
+        p = tuple(rng.sample(range(0, 6), rng.randint(0, 4)))
+        for a in admitted:
+            full = is_admissible(p, ctx)
+            assert is_admissible(p, ctx, a) == full, (p, a)
+            verdicts.add(full)
+    assert verdicts == {True, False}
+
+
 def test_adding_members_never_falsifies_admissibility(ctx):
     # the clause mentions the set only positively, so enlarging the prefix
     # substitution keeps each justification true

@@ -366,26 +366,64 @@ def test_deep_minimality_conjunction_stays_tractable():
     assert out.hs.sub.raw(e) == num_val(2999)
 
 
-def test_run_tests_satisfaction_once_per_state(monkeypatch):
-    # the initial state once, then each step's own `solving` field
+def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
+    monkeypatch,
+):
+    # counted at the evaluator: every evaluation of a critical formula, on
+    # whichever path, with the state it read and the reads it made
     import pathlib
 
-    from epsengine import process
+    from epsengine import process, substitution
     from epsengine.problems import parse_problem
 
-    calls = []
-    real = process.is_solving
+    evaluations = []
+    real_models = substitution.models
 
-    def counting(sub, crs):
-        calls.append(sub)
-        return real(sub, crs)
+    def counting(view, phi):
+        reads = getattr(view, "reads", None)
+        verdict = real_models(view, phi)
+        base = getattr(view, "base", view)
+        evaluations.append((id(phi), base._entries, reads and dict(reads)))
+        return verdict
 
-    monkeypatch.setattr(process, "is_solving", counting)
+    states = []
+    real_step = process.h_step
+
+    def recording(*args, **kwargs):
+        if not states:
+            states.append(args[0].sub._entries)  # the initial state
+        hs, record = real_step(*args, **kwargs)
+        states.append(hs.sub._entries)
+        return hs, record
+
+    monkeypatch.setattr(substitution, "models", counting)
+    monkeypatch.setattr(process, "models", counting)
+    monkeypatch.setattr(process, "h_step", recording)
     root = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    spared = 0
     for path in sorted(root.glob("*.eps")):
         problem = parse_problem(path.read_text())
+        index = {id(cf.formula): i for i, cf in enumerate(problem.crits)}
         for check in (False, True):
-            calls.clear()
+            evaluations.clear()
+            states.clear()
             outcome = run(problem.crits, problem.ctx, check=check)
-            assert outcome.solved
-            assert len(calls) == len(outcome.steps) + 1, path.name
+            assert outcome.solved and len(states) == len(outcome.steps) + 1
+            seen = {}  # formula -> (state, reads) of its last evaluation
+            for phi, entries, reads in evaluations:
+                if phi not in index:
+                    continue
+                k = next(k for k, s in enumerate(states) if s is entries)
+                assert reads is not None, (path.name, "evaluated off the table")
+                i = index[phi]
+                if i in seen:
+                    last, last_reads = seen[i]
+                    assert last < k, (path.name, i, "evaluated twice on a state")
+                    assert any(
+                        entries.get(e) != u for e, u in last_reads.items()
+                    ), (path.name, i, k, "evaluated with its reads unchanged")
+                seen[i] = (k, reads)
+            spared += len(states) * len(problem.crits) - sum(
+                phi in index for phi, _, _ in evaluations
+            )
+    assert spared > 0
