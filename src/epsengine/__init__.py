@@ -31,16 +31,14 @@ from .substitution import (
     UNKNOWN,
     Value,
     correctness_formula,
-    decides,
     is_cc,
     is_ci,
-    is_computing,
     is_correct,
     models,
     num_val,
-    reduce_formula,
-    reduce_term,
     serialize,
+    truth,
+    value,
 )
 from .history import HistoricalSubstitution, is_admissible, validate
 from .process import (
@@ -61,6 +59,5 @@ from .process import (
     run,
 )
 from .problems import ParseError, Problem, parse_problem, serialize_problem, shape_check
-from .sequents import MeasureValue, Sequent, classify_axiom, h_step_applies, nu
 
 __version__ = "0.1.0"

@@ -143,8 +143,12 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     outcome = run(problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check)
     lines = trace_lines(text, problem, outcome)
     if cfg.trace:
-        with open(cfg.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(cfg.trace, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=err)
+            return EXIT_INPUT
     if cfg.fmt == "structured":
         for line in lines:
             print(line, file=out)

@@ -126,10 +126,6 @@ def num(n: int) -> Numeral:
     return Numeral(n)
 
 
-def var(i: int) -> Var:
-    return Var(i)
-
-
 def fn(name: str, *args: Expr) -> Expr:
     if name not in PA_FUNCTIONS:
         raise LanguageError(f"unknown function symbol {name!r}")
@@ -249,26 +245,27 @@ def to_sexpr(e: Expr, set_name: str = "I") -> str:
 # ---------------------------------------------------------------------------
 # Skolem symbols
 
-def _closed(e: Expr) -> bool:
+def is_closed(e: Expr) -> bool:
+    """No variable occurs in e."""
     if isinstance(e, Var):
         return False
     if isinstance(e, Numeral):
         return True
     if isinstance(e, (FnApp, SkolemApp, RelAtom)):
-        return all(_closed(a) for a in e.args)
+        return all(is_closed(a) for a in e.args)
     if isinstance(e, InSet):
-        return _closed(e.arg)
+        return is_closed(e.arg)
     if isinstance(e, Not):
-        return _closed(e.body)
+        return is_closed(e.body)
     if isinstance(e, (And, Or)):
-        return _closed(e.left) and _closed(e.right)
+        return is_closed(e.left) and is_closed(e.right)
     return True
 
 
 def has_closed_subterm(e: Expr) -> bool:
     """True when any term position of e holds a closed term."""
     if is_term(e):
-        return _closed(e) or any(
+        return is_closed(e) or any(
             has_closed_subterm(a) for a in getattr(e, "args", ())
         )
     if isinstance(e, (RelAtom,)):
@@ -357,10 +354,6 @@ def free_vars(e: Expr) -> set[int]:
     return set()
 
 
-def is_closed(e: Expr) -> bool:
-    return not free_vars(e)
-
-
 # ---------------------------------------------------------------------------
 # Ranks
 
@@ -398,12 +391,8 @@ class Rank:
 OMEGA = Rank(1)
 
 
-def _sym_simple_rank(sym: SkolemSymbol) -> int:
-    return _cached_sym_simple_rank(sym)
-
-
 @lru_cache(maxsize=None)
-def _cached_sym_simple_rank(sym: SkolemSymbol) -> int:
+def _sym_simple_rank(sym: SkolemSymbol) -> int:
     return 1 + simple_rank(sym.index_formula)
 
 
@@ -450,6 +439,7 @@ def mentions_inductive(e: Expr) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> Rank:
     """Rank of a Skolem symbol.
 
@@ -542,7 +532,7 @@ def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...]]:
             if t.index == 0:
                 return t
             return param(("var", t.index), t)
-        if _closed(t):
+        if is_closed(t):
             return param(("closed", to_sexpr(t)), t)
         if isinstance(t, FnApp):
             return FnApp(t.fn, tuple(walk_term(a) for a in t.args))

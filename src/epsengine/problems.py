@@ -35,11 +35,14 @@ from .language import (
     TOP,
     Var,
     eq,
+    expand_exists,
+    expand_forall,
     fn,
     free_vars,
     in_set,
     is_closed,
     lt,
+    mentions_inductive,
     not_,
     num,
     or_,
@@ -247,8 +250,6 @@ class _Parser:
             if not self.quantifiers:
                 raise ParseError("quantifiers are not allowed here", _pos(sx))
             matrix = self.binder_matrix(sx, env)
-            from .language import expand_exists, expand_forall
-
             return (
                 expand_exists(matrix) if head == "exists" else expand_forall(matrix)
             )
@@ -271,11 +272,7 @@ def _check_positive(e: Expr, positive: bool = True) -> bool:
         return positive
     if isinstance(e, Not):
         return _check_positive(e.body, not positive)
-    if isinstance(e, And):
-        return _check_positive(e.left, positive) and _check_positive(
-            e.right, positive
-        )
-    if isinstance(e, Or):
+    if isinstance(e, (And, Or)):
         return _check_positive(e.left, positive) and _check_positive(
             e.right, positive
         )
@@ -437,9 +434,7 @@ def _parse_crit(form, ctx: InductiveContext | None) -> CriticalFormula:
             if len(form) != 3:
                 raise ParseError("(crit formula F)", _pos(form))
             return shape_check(form[2], ctx)
-    except ProcessInvariantError as err:
-        raise ParseError(str(err), _pos(form)) from err
-    except LanguageError as err:
+    except (ProcessInvariantError, LanguageError) as err:
         raise ParseError(str(err), _pos(form)) from err
     raise ParseError(f"unknown critical formula kind {kind!r}", _pos(form))
 
@@ -452,7 +447,7 @@ def _parse_goal(form) -> GoalSpec:
     if not (isinstance(ex, list) and ex and ex[0] == "exists"):
         raise ParseError("goal needs (exists (x) F)", _pos(form))
     phi = parser.binder_matrix(ex, {})
-    if _mentions_set(phi):
+    if mentions_inductive(phi):
         raise ParseError("goals must be arithmetic (no membership atoms)", _pos(form))
     if not free_vars(phi) <= {0}:
         raise ParseError("goal matrix may only use its bound variable", _pos(form))
@@ -467,20 +462,6 @@ def _parse_goal(form) -> GoalSpec:
                 raise ParseError("candidates must be closed terms", _pos(form))
     text = f"(exists (v0) {to_sexpr(phi)})"
     return GoalSpec(goal=make_goal(phi, text), candidates=candidates)
-
-
-def _mentions_set(e: Expr) -> bool:
-    if isinstance(e, InSet):
-        return True
-    if isinstance(e, Not):
-        return _mentions_set(e.body)
-    if isinstance(e, (And, Or)):
-        return _mentions_set(e.left) or _mentions_set(e.right)
-    from .language import SkolemApp, FnApp, RelAtom
-
-    if isinstance(e, (SkolemApp, FnApp, RelAtom)):
-        return any(_mentions_set(a) for a in e.args)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +528,21 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
     expands to exactly the given formula.  Shapes are tried in the order
     pred, induction, epsilon, inductive definition, closure.
     """
-    parser = _Parser()
-    target = parser.formula(sx, {})
+    target = _Parser().formula(sx, {})
 
-    def accept(cf: CriticalFormula | None) -> CriticalFormula | None:
-        if cf is not None and cf.formula == target:
-            return cf
-        return None
+    def accept(build) -> CriticalFormula | None:
+        """build()'s axiom when it builds and expands to the target."""
+        try:
+            cf = build()
+        except (ParseError, ProcessInvariantError, LanguageError):
+            return None
+        return cf if cf.formula == target else None
+
+    def term(t_sx) -> Expr:
+        return _Parser().term(t_sx, {})
+
+    def matrix(x: str, body) -> Expr:
+        return _Parser().binder_matrix(["q", [x], body], {})
 
     if _is(sx, "->", 3):
         prem, concl = sx[1], sx[2]
@@ -568,12 +557,8 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
                 and _sx_eq(inner[2], ["s", x])
                 and _sx_eq(inner[1], prem[1][1])
             ):
-                try:
-                    got = accept(make_pred(_Parser().term(prem[1][1], {})))
-                    if got:
-                        return got
-                except (ParseError, ProcessInvariantError, LanguageError):
-                    pass
+                if got := accept(lambda: make_pred(term(prem[1][1]))):
+                    return got
 
         # induction: (-> (and F0 (not FT)) (exists (x) (and F (not F[Sx]))))
         if (
@@ -588,42 +573,26 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
                     _subst_sx(fx, x, 0), prem[1]
                 ):
                     t_sx = _match_instance(fx, x, prem[2][1])
-                    if t_sx is not None:
-                        try:
-                            p = _Parser()
-                            phi = p.binder_matrix(["q", [x], fx], {})
-                            got = accept(
-                                make_induction(p.term(t_sx, {}), phi)
-                            )
-                            if got:
-                                return got
-                        except (ParseError, ProcessInvariantError, LanguageError):
-                            pass
+                    if t_sx is not None and (
+                        got := accept(
+                            lambda: make_induction(term(t_sx), matrix(x, fx))
+                        )
+                    ):
+                        return got
 
         # epsilon: (-> F[t] (exists (x) F))
         if ex is not None:
             x, inner = ex
             t_sx = _match_instance(inner, x, prem)
-            if t_sx is not None:
-                try:
-                    p = _Parser()
-                    phi = p.binder_matrix(["q", [x], inner], {})
-                    got = accept(make_epsilon(p.term(t_sx, {}), phi))
-                    if got:
-                        return got
-                except (ParseError, ProcessInvariantError, LanguageError):
-                    pass
+            if t_sx is not None and (
+                got := accept(lambda: make_epsilon(term(t_sx), matrix(x, inner)))
+            ):
+                return got
 
         # inductive definition: (-> A (in T I))
         if _is(concl, "in", 3) and str(concl[2]) == "I" and ctx is not None:
-            try:
-                got = accept(
-                    make_inductive_def(_Parser().term(concl[1], {}), ctx)
-                )
-                if got:
-                    return got
-            except (ParseError, ProcessInvariantError, LanguageError):
-                pass
+            if got := accept(lambda: make_inductive_def(term(concl[1]), ctx)):
+                return got
 
         # closure: (-> PREM (forall (x) (-> (in x I) F)))
         fa = _binder_of(concl, "forall")
@@ -635,14 +604,8 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
                 and _sx_eq(inner[1][1], x)
                 and str(inner[1][2]) == "I"
             ):
-                try:
-                    p = _Parser()
-                    phi = p.binder_matrix(["q", [x], inner[2]], {})
-                    got = accept(make_closure(phi, ctx))
-                    if got:
-                        return got
-                except (ParseError, ProcessInvariantError, LanguageError):
-                    pass
+                if got := accept(lambda: make_closure(matrix(x, inner[2]), ctx)):
+                    return got
 
     raise ParseError("not a critical formula", _pos(sx))
 

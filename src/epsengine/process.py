@@ -19,7 +19,6 @@ from .language import (
     CanonTerm,
     Expr,
     InductiveContext,
-    Numeral,
     OMEGA,
     Rank,
     SkolemSymbol,
@@ -54,11 +53,12 @@ from .substitution import (
     is_correct,
     member_conflict,
     models,
-    models_with,
     num_val,
-    reduce_term,
     refutes,
     serialize,
+    truth,
+    truth_with,
+    value,
 )
 
 
@@ -205,12 +205,12 @@ class StepPlan:
 
 
 def _reduce_numeral(t: Expr, ext) -> int:
-    r = reduce_term(t, ext)
-    if not isinstance(r, Numeral):
+    n = value(t, ext)
+    if n is None:
         raise ProcessInvariantError(
-            f"term did not reduce to a numeral: {to_sexpr(r)}"
+            f"term did not reduce to a numeral: {to_sexpr(t)}"
         )
-    return r.value
+    return n
 
 
 def _reduce_args(args: Sequence[Expr], ext) -> tuple[int, ...]:
@@ -227,7 +227,7 @@ def _least_witness(
     minimality half of the correctness condition true after the step.
     """
     for w in range(upper + 1):
-        if models(ext, instantiate_index(sym, w, args)):
+        if truth(instantiate_index(sym, w, args), ext) is True:
             return w
     raise ProcessInvariantError(
         "no witness up to the reduced bound; evaluation is inconsistent"
@@ -257,7 +257,7 @@ def analyze(
     if ext is None:
         ext = hs.sub.extended()
     if holds is None:
-        holds = models(ext, cf.formula)
+        holds = truth(cf.formula, ext) is True
     if holds:
         return None
 
@@ -279,8 +279,9 @@ def analyze(
     if isinstance(cf, InductionCF):
         tv = _reduce_numeral(cf.t, ext)
         for m in range(tv):
-            if models(ext, substitute(cf.phi, {0: num(m)})) and models(
-                ext, not_(substitute(cf.phi, {0: num(m + 1)}))
+            if (
+                truth(substitute(cf.phi, {0: num(m)}), ext) is True
+                and truth(substitute(cf.phi, {0: num(m + 1)}), ext) is False
             ):
                 e = CanonTerm(cf.sym, _reduce_args(cf.args, ext))
                 return e, _guard_term_value(m, "induction analysis")
@@ -297,7 +298,7 @@ def analyze(
             raise ProcessInvariantError("closure axiom without inductive clause")
         target = None
         for n in hs.p:
-            if models(ext, not_(substitute(cf.phi, {0: num(n)}))):
+            if truth(substitute(cf.phi, {0: num(n)}), ext) is False:
                 target = n
                 break
         if target is None:
@@ -305,7 +306,7 @@ def analyze(
                 "closure axiom unsatisfied but every recorded member "
                 "satisfies the target formula"
             )
-        if models(ext, not_(substitute(cf.a_phi, {0: num(target)}))):
+        if truth(substitute(cf.a_phi, {0: num(target)}), ext) is False:
             # the membership condition itself fails at target: repair the
             # rank-Omega witness term with the value its condition consulted
             wit = CanonTerm(
@@ -332,7 +333,7 @@ def is_solving(
     """Every critical formula holds; with a table, keyed by its index."""
     ext = sub.extended()
     return all(
-        models_with(verdicts, i, ext, lambda: cf.formula)
+        truth_with(verdicts, i, ext, lambda: cf.formula) is True
         for i, cf in enumerate(crs)
     )
 
@@ -374,7 +375,7 @@ def compute_plan(
             break
         i = key[1]
         cf = crs[i]
-        holds = models_with(verdicts, i, ext, lambda: cf.formula)
+        holds = truth_with(verdicts, i, ext, lambda: cf.formula) is True
         pair = analyze(cf, hs, ctx, ext, holds)
         if pair is None:
             continue

@@ -1,10 +1,10 @@
-"""Substitutions over canonical expressions and the reduction semantics.
+"""Substitutions over canonical expressions and their three-valued semantics.
 
 A substitution is a finite map from canonical expressions to values.  Its
 standard extension treats every unassigned canonical expression as
-indeterminate; reduction collapses assigned Skolem terms and membership
-atoms, and truth of a reduced sentence is decided by a direct evaluator
-over closed arithmetic.
+indeterminate.  One evaluator walks a term or formula once and answers its
+value, or None when a lookup left it undecided: on the standard extension
+every closed formula is decided, on the stored map an absent entry is not.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Callable, Iterator
 from .language import (
     And,
     Bottom,
-    BOTTOM,
     Canon,
     CanonForm,
     CanonTerm,
@@ -35,17 +34,12 @@ from .language import (
     TOP,
     Var,
     _apply_fn,
-    as_canonical,
     canon_sexpr,
     conjoin,
     instantiate_index,
-    is_formula,
-    is_term,
     not_,
-    num,
     rank_of,
     rank_sort_key,
-    skolem,
 )
 
 
@@ -266,10 +260,6 @@ class RecordingSubstitution:
         self.reads: dict[Canon, Value | None] = {}
 
     @property
-    def omega_sym(self) -> SkolemSymbol | None:
-        return self.base.omega_sym
-
-    @property
     def consulted(self) -> set[Canon]:
         return set(self.reads)
 
@@ -285,7 +275,7 @@ class RecordingSubstitution:
 
 
 class Verdicts:
-    """Verdicts of `models`, each kept with the reads it rests on.
+    """Verdicts of `truth`, each kept with the reads it rests on.
 
     An evaluation is a deterministic function of the values its lookups
     return, so a stored verdict is returned again only while every
@@ -297,139 +287,85 @@ class Verdicts:
     __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        self._memo: dict[object, tuple[bool, tuple, tuple]] = {}
+        self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
 
-    def models(
+    def truth(
         self, key: object, view: Substitution, formula: Callable[[], Expr]
-    ) -> bool:
-        """models(view, formula()); formula is called only on a miss."""
+    ) -> bool | None:
+        """truth(formula(), view); formula is called only on a miss."""
         memo = self._memo.get(key)
         if memo is not None and tuple(map(view._entries.get, memo[1])) == memo[2]:
             return memo[0]
         rec = RecordingSubstitution(view, view.lazy)
-        verdict = models(rec, formula())
+        verdict = truth(formula(), rec)
         self._memo[key] = (verdict, tuple(rec.reads), tuple(rec.reads.values()))
         return verdict
 
 
-def models_with(
+def truth_with(
     verdicts: Verdicts | None,
     key: object,
     view,
     formula: Callable[[], Expr],
-) -> bool:
-    """models(view, formula()), through the table when there is one."""
+) -> bool | None:
+    """truth(formula(), view), through the table when there is one."""
     if verdicts is None:
-        return models(view, formula())
-    return verdicts.models(key, view, formula)
+        return truth(formula(), view)
+    return verdicts.truth(key, view, formula)
 
 
 # ---------------------------------------------------------------------------
-# Reduction
+# Evaluation: one walk over every argument and both sides of every
+# connective, so the lookups never depend on the values read; None means a
+# lookup left the expression undecided, and then so is all that contains it.
 
-def reduce_term(t: Expr, sub) -> Expr:
-    """Evaluate a term as far as the substitution decides it.
-
-    Canonical Skolem terms read their value (? counts as 0); non-canonical
-    ones reduce their arguments first and retry; arithmetic applications
-    compute once their arguments are numerals.  The result is a fixed point
-    of reduction.
-    """
-    if not is_term(t):
-        raise SubstitutionError("reduce_term needs a term")
-    if isinstance(t, (Numeral, Var)):
-        return t
+def value(t: Expr, view) -> int | None:
+    """The numeral a term denotes under view; ? counts as 0."""
+    if isinstance(t, Numeral):
+        return t.value
     if isinstance(t, SkolemApp):
-        c = as_canonical(t)
-        if c is not None:
-            u = sub.get(c)
-            if u is None:
-                return t
-            if u.kind == "unknown":
-                return num(0)
-            return num(u.n)
-        red = [reduce_term(a, sub) for a in t.args]
-        out = skolem(t.sym, red)
-        if all(isinstance(a, Numeral) for a in red):
-            return reduce_term(out, sub)
-        return out
-    # arithmetic application; eager folding keeps all-numeral cases away,
-    # but reduce explicitly for trees built around variables or Skolem terms
-    red = [reduce_term(a, sub) for a in t.args]
-    if all(isinstance(a, Numeral) for a in red):
-        return num(_apply_fn(t.fn, [a.value for a in red]))
-    return FnApp(t.fn, tuple(red))
+        args = [value(a, view) for a in t.args]
+        if None in args:
+            return None
+        u = view.get(CanonTerm(t.sym, tuple(args)))
+        if u is None:
+            return None
+        return 0 if u.kind == "unknown" else u.n
+    if isinstance(t, FnApp):
+        args = [value(a, view) for a in t.args]
+        return None if None in args else _apply_fn(t.fn, args)
+    if isinstance(t, Var):
+        return None
+    raise SubstitutionError(f"value needs a term, got {t!r}")
 
 
-def reduce_formula(phi: Expr, sub) -> Expr:
-    """Homomorphic reduction; membership atoms collapse when decided."""
-    if not is_formula(phi):
-        raise SubstitutionError("reduce_formula needs a formula")
-    if isinstance(phi, (Top, Bottom)):
-        return phi
+def truth(phi: Expr, view) -> bool | None:
+    """True, False, or None when the view leaves phi undecided."""
     if isinstance(phi, RelAtom):
-        return RelAtom(phi.rel, tuple(reduce_term(a, sub) for a in phi.args))
+        a, b = value(phi.args[0], view), value(phi.args[1], view)
+        if a is None or b is None:
+            return None
+        return a == b if phi.rel == "=" else a < b
+    if isinstance(phi, Not):
+        body = truth(phi.body, view)
+        return None if body is None else not body
+    if isinstance(phi, (And, Or)):
+        left, right = truth(phi.left, view), truth(phi.right, view)
+        if left is None or right is None:
+            return None
+        return left and right if isinstance(phi, And) else left or right
     if isinstance(phi, InSet):
-        t = reduce_term(phi.arg, sub)
-        if isinstance(t, Numeral):
-            u = sub.get(CanonForm(t.value))
-            if u is not None:
-                return TOP if u.kind == "top" else BOTTOM
-        return InSet(t)
-    if isinstance(phi, Not):
-        return Not(reduce_formula(phi.body, sub))
-    if isinstance(phi, And):
-        return And(reduce_formula(phi.left, sub), reduce_formula(phi.right, sub))
-    if isinstance(phi, Or):
-        return Or(reduce_formula(phi.left, sub), reduce_formula(phi.right, sub))
-    raise SubstitutionError(f"cannot reduce {phi!r}")
-
-
-class NotGround(Exception):
-    pass
-
-
-def evaluate_sentence(phi: Expr) -> bool:
-    """Truth of a closed arithmetic sentence with top/bottom constants.
-
-    Raises NotGround when Skolem terms, membership atoms or variables
-    remain, i.e. when the sentence is not yet decided.
-    """
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bottom):
-        return False
-    if isinstance(phi, RelAtom):
-        vals = []
-        for a in phi.args:
-            if not isinstance(a, Numeral):
-                raise NotGround(phi)
-            vals.append(a.value)
-        return vals[0] == vals[1] if phi.rel == "=" else vals[0] < vals[1]
-    if isinstance(phi, Not):
-        return not evaluate_sentence(phi.body)
-    if isinstance(phi, And):
-        # no short-circuit: a verdict needs the whole sentence to be ground
-        left = evaluate_sentence(phi.left)
-        right = evaluate_sentence(phi.right)
-        return left and right
-    if isinstance(phi, Or):
-        left = evaluate_sentence(phi.left)
-        right = evaluate_sentence(phi.right)
-        return left or right
-    raise NotGround(phi)
+        n = value(phi.arg, view)
+        u = None if n is None else view.get(CanonForm(n))
+        return None if u is None else u.kind == "top"
+    if isinstance(phi, (Top, Bottom)):
+        return isinstance(phi, Top)
+    raise SubstitutionError(f"truth needs a formula, got {phi!r}")
 
 
 def models(sub, phi: Expr) -> bool:
-    """True when the reduction of phi is a true arithmetic sentence."""
-    try:
-        return evaluate_sentence(reduce_formula(phi, sub))
-    except NotGround:
-        return False
-
-
-def decides(sub, phi: Expr) -> bool:
-    return models(sub, phi) or models(sub, not_(phi))
+    """Whether sub decides phi true."""
+    return truth(phi, sub) is True
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +414,10 @@ def is_correct(
     """
     ext = sub.extended()
     return all(
-        models_with(
+        truth_with(
             verdicts, ("correct", e, u), ext, lambda: correctness_formula(e, u, ctx)
         )
+        is True
         for e, u in sub.items()
     )
 
@@ -489,17 +426,11 @@ def member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
     """Some member n in I has its rank-Omega witness term c_n valued."""
     if ctx is None:
         return False
-    members = {
-        e.n for e, u in sub.items() if isinstance(e, CanonForm) and u.kind == "top"
-    }
-    if not members:
-        return False
-    for e, u in sub.items():
-        if isinstance(e, CanonTerm) and u.kind == "num":
-            n = ctx.member_of(e)
-            if n is not None and n in members:
-                return True
-    return False
+    members = set(sub.positive_omega_forms())
+    return bool(members) and any(
+        isinstance(e, CanonTerm) and u.kind == "num" and ctx.member_of(e) in members
+        for e, u in sub.items()
+    )
 
 
 def refutes(
@@ -513,8 +444,11 @@ def refutes(
 
     With a table, the verdict is kept under ("refutes", e, u).
     """
-    return models_with(
-        verdicts, ("refutes", e, u), sub, lambda: not_(correctness_formula(e, u, ctx))
+    return (
+        truth_with(
+            verdicts, ("refutes", e, u), sub, lambda: correctness_formula(e, u, ctx)
+        )
+        is False
     )
 
 
@@ -528,8 +462,3 @@ def is_cc(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
 def is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
     return not is_cc(sub, ctx)
 
-
-def is_computing(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
-    return all(
-        decides(sub, correctness_formula(e, u, ctx)) for e, u in sub.items()
-    )

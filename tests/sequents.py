@@ -4,7 +4,8 @@ A sequent decorates a historical substitution with a fixed/temporary flag
 on every indeterminate or rank-Omega entry.  This module provides the
 axiom classification, the footprint-based applicability of the step, the
 expressions a step would disturb, and the termination measures over a
-formula family.
+formula family.  Only the proofs' tests use it, so it lives beside them;
+the measures read formulas reduced by the reference evaluator.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .history import HistoricalSubstitution, is_admissible
-from .language import (
+from epsengine.history import HistoricalSubstitution, is_admissible
+from epsengine.language import (
     And,
     Canon,
     CanonForm,
@@ -30,21 +31,21 @@ from .language import (
     simple_rank,
     to_sexpr as _to_sexpr,
 )
-from .process import (
+from epsengine.process import (
     CriticalFormula,
     ProcessInvariantError,
     apply_plan,
     compute_plan,
     is_solving,
 )
-from .substitution import (
+from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     correctness_formula,
     entry_is_positive,
     is_ci,
-    reduce_formula,
 )
+from reference import reduce_formula
 
 
 class SequentError(Exception):

@@ -45,7 +45,6 @@ from epsengine.process import (
     apply_omega_neg,
     run,
 )
-from epsengine.sequents import Sequent, nu
 from epsengine.substitution import (
     Substitution,
     TOP_VAL,
@@ -54,8 +53,6 @@ from epsengine.substitution import (
     entry_is_positive,
     models,
     num_val,
-    reduce_formula,
-    reduce_term,
     serialize,
 )
 from genexpr import (
@@ -67,6 +64,8 @@ from genexpr import (
     random_substitution,
     random_term,
 )
+from reference import reduce_formula, reduce_term
+from sequents import Sequent, nu
 
 MAX_STEPS = 10**4
 
@@ -491,7 +490,7 @@ def _canon_forms_in(e: Expr) -> set[CanonForm]:
 
 
 def test_criterion_7_measure_decrease(ctx):
-    from epsengine.sequents import formula_family, rho as rho_of
+    from sequents import formula_family, rho as rho_of
 
     rng = random.Random(77)
     strict_checked = 0

@@ -213,8 +213,10 @@ BAD_TRACES = {
     "array-record": b"[1, 2]\n",
     "deep-nesting": b"[" * 3000 + b"]" * 3000 + b"\n",
 }
+BAD_TRACE_PATHS = {"missing-dir": "no/such/dir/t.jsonl", "directory": "."}
 BAD_INPUTS = [(cmd, "problem", k) for cmd in ("run", "explain", "check") for k in BAD_PROBLEMS]
 BAD_INPUTS += [("check", "trace", k) for k in BAD_TRACES]
+BAD_INPUTS += [("run", "trace-path", k) for k in BAD_TRACE_PATHS]
 
 
 @pytest.mark.parametrize("command,which,kind", BAD_INPUTS)
@@ -231,6 +233,8 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, command, which,
         "explain": ["explain", str(problem), "0"],
         "check": ["check", str(trace), str(problem)],
     }[command]
+    if which == "trace-path":
+        argv += ["--trace", str(tmp_path / BAD_TRACE_PATHS[kind])]
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,8 @@
 bound and stops at the first that cannot win; `h_step` rechecks only what a
 step changed; `canon_sexpr` prints a canonical expression from its symbol's
 stored text; a `Verdicts` table reuses a verdict while its reads are
-unchanged.  Each is compared with the full computation on every state
+unchanged; `truth` evaluates in one walk what the reference reduces and
+then evaluates.  Each is compared with the full computation on every state
 reached by the sample problems, the acceptance corpus and the tiny
 benchmark families.
 """
@@ -21,9 +22,13 @@ from epsengine.language import (
     OMEGA,
     CanonForm,
     CanonTerm,
+    Var,
+    and_,
     canon_sexpr,
+    eq,
     not_,
     num,
+    or_,
     rank_of,
     to_sexpr,
 )
@@ -56,7 +61,11 @@ from epsengine.substitution import (
     models,
     num_val,
     refutes,
+    truth,
 )
+from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
+from reference import reference_truth
+from test_acceptance import indep_formula
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -292,9 +301,9 @@ def test_verdict_table_in_run_order_matches_plain_evaluation(runs):
         for k, hs in enumerate(states):
             sub, where = hs.sub, (name, k)
             for key, view, formula in _evaluations(name, p, sub):
-                verdict = verdicts.models(key, view, formula)
-                assert verdict == models(view, formula()), (where, key[1:])
-                outcomes.add((key[1] if len(key) > 2 else "sat", verdict))
+                verdict = verdicts.truth(key, view, formula)
+                assert verdict == truth(formula(), view), (where, key[1:])
+                outcomes.add((key[1] if len(key) > 2 else "sat", verdict is True))
             assert compute_plan(hs, p.crits, p.ctx, verdicts=verdicts) == (
                 compute_plan(hs, p.crits, p.ctx)
             ), where
@@ -316,8 +325,8 @@ def test_one_verdict_table_across_shuffled_unrelated_states(runs):
     verdicts = Verdicts()
     for name, p, sub in pairs:
         for key, view, formula in _evaluations(name, p, sub):
-            assert verdicts.models(key, view, formula) == models(
-                view, formula()
+            assert verdicts.truth(key, view, formula) == truth(
+                formula(), view
             ), key
 
 
@@ -358,11 +367,81 @@ def test_a_changed_read_forces_a_new_evaluation(runs):
                         return phi
 
                     verdicts = Verdicts()
-                    verdicts.models(key, view, counted)
-                    verdicts.models(key, view, counted)  # same reads: kept
+                    verdicts.truth(key, view, counted)
+                    verdicts.truth(key, view, counted)  # same reads: kept
                     assert len(calls) == 1, (name, key[1:])
-                    verdict = verdicts.models(key, mutated, counted)
+                    verdict = verdicts.truth(key, mutated, counted)
                     assert len(calls) == 2, (name, kind, key[1:])
-                    assert verdict == models(mutated, phi), (name, kind)
+                    assert verdict == truth(phi, mutated), (name, kind)
                     built[kind] += 1
     assert min(built.values()) > 100
+
+
+# ---------------------------------------------------------------------------
+# The evaluator against the tree evaluator
+
+
+class LookupLog:
+    """Answers as view does and logs every lookup, repeats included."""
+
+    def __init__(self, view):
+        self.view = view
+        self.lookups = []
+
+    def get(self, e):
+        self.lookups.append(e)
+        return self.view.get(e)
+
+
+def _agree(phi, view):
+    """truth and reduction-then-evaluation give one three-valued verdict
+    and make the same lookups in the same order; returns the verdict."""
+    mine, theirs = LookupLog(view), LookupLog(view)
+    verdict = truth(phi, mine)
+    assert verdict == reference_truth(phi, theirs), to_sexpr(phi)
+    assert mine.lookups == theirs.lookups, to_sexpr(phi)
+    return verdict
+
+
+def _indep_view(sub):
+    """The independent evaluator's assignment and members for sub's
+    standard extension."""
+    assign = {
+        (e.sym, e.args): u.n for e, u in sub.items() if isinstance(e, CanonTerm)
+    }
+    return assign, set(sub.positive_omega_forms())
+
+
+def test_truth_matches_the_reference_on_every_state(runs):
+    verdicts = set()
+    for name, p, states in runs:
+        for hs in states:
+            sub, ext = hs.sub, hs.sub.extended()
+            assign, members = _indep_view(sub)
+            formulas = [cf.formula for cf in p.crits]
+            formulas += [correctness_formula(e, u, p.ctx) for e, u in sub.items()]
+            for phi in formulas:
+                verdicts.add(("stored", _agree(phi, sub)))
+                holds = _agree(phi, ext)
+                assert holds == indep_formula(phi, assign, members), name
+                verdicts.add(("extension", holds))
+    assert {("stored", None), ("extension", True), ("extension", False)} <= verdicts
+
+
+def test_truth_matches_the_reference_on_random_formulas(ctx):
+    rng = random.Random(2024)
+    syms = FIN_SYMS + [SYM_OMEGA_PLUS]
+    open_atom = eq(Var(0), num(1))
+    verdicts = set()
+    for _ in range(3000):
+        sub = random_substitution(rng, ctx, n_entries=rng.randint(0, 8), include_omega=True)
+        ext = sub.extended()
+        phi = random_formula(rng, syms, depth=4, allow_inset=True)
+        verdicts.add(_agree(phi, sub))
+        assert _agree(phi, ext) == indep_formula(phi, *_indep_view(sub))
+        # a decided side beside an undecided one leaves the whole undecided
+        for op in (and_, or_):
+            for mixed in (op(phi, open_atom), op(open_atom, phi)):
+                assert _agree(mixed, sub) is None
+                assert _agree(mixed, ext) is None
+    assert verdicts == {True, False, None}

@@ -25,17 +25,12 @@ from epsengine.process import (
     make_pred,
     run,
 )
-from epsengine.sequents import Sequent, classify_axiom, d
 from epsengine.substitution import (
     Substitution,
     UNKNOWN,
     correctness_formula,
-    decides,
-    is_computing,
     is_correct,
     num_val,
-    reduce_formula,
-    reduce_term,
 )
 from genexpr import (
     FIN_SYMS,
@@ -45,6 +40,8 @@ from genexpr import (
     random_formula,
     random_substitution,
 )
+from reference import decides, is_computing, reduce_formula, reduce_term
+from sequents import Sequent, classify_axiom, d
 
 
 def _mentioned_ranks(e, omega):

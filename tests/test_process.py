@@ -369,21 +369,28 @@ def test_deep_minimality_conjunction_stays_tractable():
 def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
     monkeypatch,
 ):
-    # counted at the evaluator: every evaluation of a critical formula, on
-    # whichever path, with the state it read and the reads it made
+    # counted at the evaluator the table calls: every top-level evaluation
+    # of a critical formula, on whichever path, with the state it read and
+    # the reads it made
     import pathlib
 
     from epsengine import process, substitution
     from epsengine.problems import parse_problem
 
     evaluations = []
-    real_models = substitution.models
+    real_truth = substitution.truth
+    depth = [0]
 
-    def counting(view, phi):
-        reads = getattr(view, "reads", None)
-        verdict = real_models(view, phi)
-        base = getattr(view, "base", view)
-        evaluations.append((id(phi), base._entries, reads and dict(reads)))
+    def counting(phi, view):
+        depth[0] += 1
+        try:
+            verdict = real_truth(phi, view)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            reads = getattr(view, "reads", None)
+            base = getattr(view, "base", view)
+            evaluations.append((id(phi), base._entries, reads and dict(reads)))
         return verdict
 
     states = []
@@ -396,8 +403,8 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
         states.append(hs.sub._entries)
         return hs, record
 
-    monkeypatch.setattr(substitution, "models", counting)
-    monkeypatch.setattr(process, "models", counting)
+    monkeypatch.setattr(substitution, "truth", counting)
+    monkeypatch.setattr(process, "truth", counting)
     monkeypatch.setattr(process, "h_step", recording)
     root = pathlib.Path(__file__).resolve().parent.parent / "problems"
     spared = 0
@@ -423,6 +430,7 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
                         entries.get(e) != u for e, u in last_reads.items()
                     ), (path.name, i, k, "evaluated with its reads unchanged")
                 seen[i] = (k, reads)
+            assert sorted(seen) == list(range(len(problem.crits))), path.name
             spared += len(states) * len(problem.crits) - sum(
                 phi in index for phi, _, _ in evaluations
             )

@@ -19,7 +19,7 @@ from epsengine.process import (
     make_inductive_def,
     run,
 )
-from epsengine.sequents import (
+from sequents import (
     MeasureValue,
     Sequent,
     SequentError,

@@ -32,16 +32,12 @@ from epsengine.substitution import (
     UNKNOWN,
     ValueError_,
     correctness_formula,
-    decides,
     digest,
     is_cc,
     is_ci,
-    is_computing,
     is_correct,
     models,
     num_val,
-    reduce_formula,
-    reduce_term,
     serialize,
 )
 from genexpr import (
@@ -52,6 +48,7 @@ from genexpr import (
     random_substitution,
     random_term,
 )
+from reference import decides, is_computing, reduce_formula, reduce_term
 
 EMPTY = Substitution.empty()
 
