@@ -140,15 +140,26 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     max_steps = cfg.max_steps
     if max_steps is None:
         max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
-    outcome = run(problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check)
-    lines = trace_lines(text, problem, outcome)
-    if cfg.trace:
-        try:
-            with open(cfg.trace, "w", encoding="utf-8") as fh:
+    try:  # a trace path that cannot be written fails before the run
+        fh = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
+    except OSError as e:
+        print(f"error: {e}", file=err)
+        return EXIT_INPUT
+    try:
+        outcome = run(
+            problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check
+        )
+        lines = trace_lines(text, problem, outcome)
+        if fh is not None:
+            try:
                 fh.write("\n".join(lines) + "\n")
-        except OSError as e:
-            print(f"error: {e}", file=err)
-            return EXIT_INPUT
+                fh.close()
+            except OSError as e:
+                print(f"error: {e}", file=err)
+                return EXIT_INPUT
+    finally:
+        if fh is not None:
+            fh.close()
     if cfg.fmt == "structured":
         for line in lines:
             print(line, file=out)

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .language import CanonForm, InductiveContext, num
+from .language import CanonForm, InductiveContext
 from .substitution import (
     Substitution,
     TOP_VAL,
+    compiled,
     entry_is_positive,
-    models,
     serialize,
 )
 
@@ -61,6 +61,7 @@ def is_admissible(
     """
     if ctx is None:
         return not p
+    clause = compiled(ctx.clause)  # B(y, x, I) at env (y, x)
     start = 0
     while start < min(len(p), len(admitted)) and p[start] == admitted[start]:
         start += 1
@@ -69,7 +70,7 @@ def is_admissible(
             {CanonForm(m): TOP_VAL for m in p[:i]},
             omega_sym=ctx.omega_sym,
         )
-        if not models(prefix.extended(), ctx.b_formula(num(0), num(n))):
+        if clause((0, n), prefix.extended()) is not True:
             return False
     return True
 

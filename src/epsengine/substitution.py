@@ -10,6 +10,7 @@ every closed formula is decided, on the stored map an absent entry is not.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -23,6 +24,7 @@ from .language import (
     FnApp,
     InductiveContext,
     InSet,
+    LanguageError,
     Not,
     Numeral,
     Or,
@@ -33,10 +35,11 @@ from .language import (
     Top,
     TOP,
     Var,
-    _apply_fn,
     canon_sexpr,
     conjoin,
     instantiate_index,
+    is_formula,
+    is_term,
     not_,
     rank_of,
     rank_sort_key,
@@ -275,29 +278,33 @@ class RecordingSubstitution:
 
 
 class Verdicts:
-    """Verdicts of `truth`, each kept with the reads it rests on.
+    """Verdicts of three-valued evaluators, each kept with the reads it
+    rests on.
 
     An evaluation is a deterministic function of the values its lookups
     return, so a stored verdict is returned again only while every
     canonical expression it looked up still holds the same stored value
-    (None for one that was absent).  A key names one formula on one kind of
-    view, stored map or standard extension; the caller keeps keys apart.
+    (None for one that was absent).  A key names one evaluation on one kind
+    of view, stored map or standard extension; the caller keeps keys apart.
+    ``order`` keeps the planner's visiting order of the table's one list of
+    formulas (see `process.compute_plan`).
     """
 
-    __slots__ = ("_memo",)
+    __slots__ = ("_memo", "order")
 
     def __init__(self) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
+        self.order: list | None = None
 
     def truth(
-        self, key: object, view: Substitution, formula: Callable[[], Expr]
+        self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
     ) -> bool | None:
-        """truth(formula(), view); formula is called only on a miss."""
+        """evaluate(view); evaluate is called only on a miss."""
         memo = self._memo.get(key)
         if memo is not None and tuple(map(view._entries.get, memo[1])) == memo[2]:
             return memo[0]
         rec = RecordingSubstitution(view, view.lazy)
-        verdict = truth(formula(), rec)
+        verdict = evaluate(rec)
         self._memo[key] = (verdict, tuple(rec.reads), tuple(rec.reads.values()))
         return verdict
 
@@ -306,61 +313,175 @@ def truth_with(
     verdicts: Verdicts | None,
     key: object,
     view,
-    formula: Callable[[], Expr],
+    evaluate: Callable[[object], bool | None],
 ) -> bool | None:
-    """truth(formula(), view), through the table when there is one."""
+    """evaluate(view), through the table when there is one."""
     if verdicts is None:
-        return truth(formula(), view)
-    return verdicts.truth(key, view, formula)
+        return evaluate(view)
+    return verdicts.truth(key, view, evaluate)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one walk over every argument and both sides of every
-# connective, so the lookups never depend on the values read; None means a
-# lookup left the expression undecided, and then so is all that contains it.
+# Evaluation.  A term or formula is compiled, on its first evaluation, into
+# a closure (env, view) -> value that is kept on the node; env[i] is the
+# value of Var(i), so a template is evaluated at a hole without building
+# its instance, and a variable outside env is undecided.  Every argument and
+# both sides of every connective are evaluated, in order, so which parts
+# are evaluated never depends on the values read; None means a lookup left
+# the expression undecided, and then so is all that contains it.
 
-def value(t: Expr, view) -> int | None:
-    """The numeral a term denotes under view; ? counts as 0."""
-    if isinstance(t, Numeral):
-        return t.value
-    if isinstance(t, SkolemApp):
-        args = [value(a, view) for a in t.args]
-        if None in args:
+Code = Callable[[tuple, object], "int | bool | None"]
+_BINARY = {"+": operator.add, "*": operator.mul}
+
+
+def compiled(e: Expr) -> Code:
+    """The closure evaluating e, compiled on first use and kept on e."""
+    code = e._code
+    if code is None:
+        code = _compile(e)
+        object.__setattr__(e, "_code", code)
+    return code
+
+
+def _compile(e: Expr) -> Code:
+    make = _COMPILERS.get(type(e))
+    if make is None:
+        raise SubstitutionError(f"cannot evaluate {e!r}")
+    return make(e)
+
+
+def _numeral(t: Numeral) -> Code:
+    n = t.value
+    return lambda env, view: n
+
+
+def _var(t: Var) -> Code:
+    i = t.index
+
+    def var(env, view):
+        try:
+            return env[i]
+        except IndexError:
             return None
-        u = view.get(CanonTerm(t.sym, tuple(args)))
+
+    return var
+
+
+def _fn_app(t: FnApp) -> Code:
+    if t.fn == "s":
+        (a,) = map(_compile, t.args)
+
+        def succ(env, view):
+            x = a(env, view)
+            return None if x is None else x + 1
+
+        return succ
+    a, b = map(_compile, t.args)
+    op = _BINARY.get(t.fn)
+    if op is None:
+        raise LanguageError(f"unknown function symbol {t.fn!r}")
+
+    def binary(env, view):
+        x, y = a(env, view), b(env, view)
+        return None if x is None or y is None else op(x, y)
+
+    return binary
+
+
+def _skolem_app(t: SkolemApp) -> Code:
+    sym, args = t.sym, [_compile(a) for a in t.args]
+
+    def app(env, view):
+        vals = tuple([a(env, view) for a in args])
+        if None in vals:
+            return None
+        u = view.get(CanonTerm(sym, vals))
         if u is None:
             return None
         return 0 if u.kind == "unknown" else u.n
-    if isinstance(t, FnApp):
-        args = [value(a, view) for a in t.args]
-        return None if None in args else _apply_fn(t.fn, args)
-    if isinstance(t, Var):
-        return None
-    raise SubstitutionError(f"value needs a term, got {t!r}")
+
+    return app
+
+
+def _rel_atom(phi: RelAtom) -> Code:
+    a, b = map(_compile, phi.args)
+    is_eq = phi.rel == "="
+
+    def rel(env, view):
+        x, y = a(env, view), b(env, view)
+        if x is None or y is None:
+            return None
+        return x == y if is_eq else x < y
+
+    return rel
+
+
+def _not(phi: Not) -> Code:
+    body = _compile(phi.body)
+
+    def neg(env, view):
+        v = body(env, view)
+        return None if v is None else not v
+
+    return neg
+
+
+def _connective(phi: And | Or) -> Code:
+    left, right = _compile(phi.left), _compile(phi.right)
+    conj = isinstance(phi, And)
+
+    def connective(env, view):
+        x, y = left(env, view), right(env, view)
+        if x is None or y is None:
+            return None
+        return x and y if conj else x or y
+
+    return connective
+
+
+def _in_set(phi: InSet) -> Code:
+    arg = _compile(phi.arg)
+
+    def member(env, view):
+        n = arg(env, view)
+        u = None if n is None else view.get(CanonForm(n))
+        return None if u is None else u.kind == "top"
+
+    return member
+
+
+def _constant(phi: Top | Bottom) -> Code:
+    const = isinstance(phi, Top)
+    return lambda env, view: const
+
+
+_COMPILERS = {
+    Numeral: _numeral,
+    Var: _var,
+    FnApp: _fn_app,
+    SkolemApp: _skolem_app,
+    RelAtom: _rel_atom,
+    Not: _not,
+    And: _connective,
+    Or: _connective,
+    InSet: _in_set,
+    Top: _constant,
+    Bottom: _constant,
+}
+
+
+def value(t: Expr, view) -> int | None:
+    """The numeral a term denotes under view; ? counts as 0."""
+    if not is_term(t):
+        raise SubstitutionError(f"value needs a term, got {t!r}")
+    return compiled(t)((), view)
 
 
 def truth(phi: Expr, view) -> bool | None:
     """True, False, or None when the view leaves phi undecided."""
-    if isinstance(phi, RelAtom):
-        a, b = value(phi.args[0], view), value(phi.args[1], view)
-        if a is None or b is None:
-            return None
-        return a == b if phi.rel == "=" else a < b
-    if isinstance(phi, Not):
-        body = truth(phi.body, view)
-        return None if body is None else not body
-    if isinstance(phi, (And, Or)):
-        left, right = truth(phi.left, view), truth(phi.right, view)
-        if left is None or right is None:
-            return None
-        return left and right if isinstance(phi, And) else left or right
-    if isinstance(phi, InSet):
-        n = value(phi.arg, view)
-        u = None if n is None else view.get(CanonForm(n))
-        return None if u is None else u.kind == "top"
-    if isinstance(phi, (Top, Bottom)):
-        return isinstance(phi, Top)
-    raise SubstitutionError(f"truth needs a formula, got {phi!r}")
+    if not is_formula(phi):
+        raise SubstitutionError(f"truth needs a formula, got {phi!r}")
+    return compiled(phi)((), view)
 
 
 def models(sub, phi: Expr) -> bool:
@@ -403,6 +524,38 @@ def correctness_formula(
     return ctx.a_formula(e.n)
 
 
+def correctness(
+    e: Canon, u: Value, view, ctx: InductiveContext | None = None
+) -> bool | None:
+    """truth(correctness_formula(e, u, ctx), view), without building it.
+
+    A valued term's minimality condition is a loop over its instances: the
+    head at u, then each w < u, every one evaluated in the order the
+    conjunction lists them, so the reads are the formula's; an undecided
+    instance leaves the whole condition undecided.
+    """
+    if u.kind == "unknown":
+        return True
+    if isinstance(e, CanonTerm):
+        if u.kind != "num":
+            raise SubstitutionError("incompatible value for a canonical term")
+        index, args = compiled(e.sym.index_formula), e.args
+        verdict = index((u.n, *args), view)
+        omega = ctx.omega_sym if ctx is not None else None
+        if rank_of(e, omega).is_omega:
+            return verdict
+        for w in range(u.n):
+            below = index((w, *args), view)
+            if verdict is not None:
+                verdict = None if below is None else verdict and not below
+        return verdict
+    if u.kind != "top":
+        raise SubstitutionError("incompatible value for a membership atom")
+    if ctx is None:
+        raise SubstitutionError("membership atoms need an inductive clause")
+    return compiled(ctx.a_template)((e.n,), view)
+
+
 def is_correct(
     sub: Substitution,
     ctx: InductiveContext | None = None,
@@ -415,7 +568,7 @@ def is_correct(
     ext = sub.extended()
     return all(
         truth_with(
-            verdicts, ("correct", e, u), ext, lambda: correctness_formula(e, u, ctx)
+            verdicts, ("correct", e, u), ext, lambda v: correctness(e, u, v, ctx)
         )
         is True
         for e, u in sub.items()
@@ -446,7 +599,7 @@ def refutes(
     """
     return (
         truth_with(
-            verdicts, ("refutes", e, u), sub, lambda: correctness_formula(e, u, ctx)
+            verdicts, ("refutes", e, u), sub, lambda v: correctness(e, u, v, ctx)
         )
         is False
     )

@@ -213,14 +213,26 @@ BAD_TRACES = {
     "array-record": b"[1, 2]\n",
     "deep-nesting": b"[" * 3000 + b"]" * 3000 + b"\n",
 }
-BAD_TRACE_PATHS = {"missing-dir": "no/such/dir/t.jsonl", "directory": "."}
+BAD_TRACE_PATHS = {
+    "missing-dir": "no/such/dir/t.jsonl",
+    "directory": ".",
+    "under-a-file": "p.eps/t.jsonl",
+}
 BAD_INPUTS = [(cmd, "problem", k) for cmd in ("run", "explain", "check") for k in BAD_PROBLEMS]
 BAD_INPUTS += [("check", "trace", k) for k in BAD_TRACES]
 BAD_INPUTS += [("run", "trace-path", k) for k in BAD_TRACE_PATHS]
+# the same paths, refused before the run: here the run itself would raise
+BAD_INPUTS += [("run", "trace-path-unrun", k) for k in BAD_TRACE_PATHS]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the run started before the trace path was opened")
 
 
 @pytest.mark.parametrize("command,which,kind", BAD_INPUTS)
-def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, command, which, kind):
+def test_malformed_input_exits_1_with_one_line(
+    tmp_path, capsys, monkeypatch, command, which, kind
+):
     problem = tmp_path / "p.eps"
     problem.write_bytes(BAD_PROBLEMS[kind] if which == "problem" else EPSILON.encode())
     trace = tmp_path / "t.jsonl"
@@ -233,13 +245,17 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, command, which,
         "explain": ["explain", str(problem), "0"],
         "check": ["check", str(trace), str(problem)],
     }[command]
-    if which == "trace-path":
+    if which.startswith("trace-path"):
         argv += ["--trace", str(tmp_path / BAD_TRACE_PATHS[kind])]
+    if which == "trace-path-unrun":
+        monkeypatch.setattr(cli, "run", _must_not_run)
     assert main(argv) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert "Traceback" not in captured.err
+    if which == "trace-path-unrun":
+        assert captured.err.startswith("error: "), captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@
 bound and stops at the first that cannot win; `h_step` rechecks only what a
 step changed; `canon_sexpr` prints a canonical expression from its symbol's
 stored text; a `Verdicts` table reuses a verdict while its reads are
-unchanged; `truth` evaluates in one walk what the reference reduces and
-then evaluates.  Each is compared with the full computation on every state
-reached by the sample problems, the acceptance corpus and the tiny
-benchmark families.
+unchanged; `truth` runs a compiled closure where the reference reduces
+and then evaluates; a compiled template evaluated at a hole stands in for
+its instance, and the `correctness` loop for the conjunction of
+`correctness_formula`.  Each is compared with the full computation on
+every state reached by the sample problems, the acceptance corpus and the
+tiny benchmark families.
 """
 
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,10 +30,12 @@ from epsengine.language import (
     and_,
     canon_sexpr,
     eq,
+    is_formula,
     not_,
     num,
     or_,
     rank_of,
+    substitute,
     to_sexpr,
 )
 from epsengine.problems import parse_problem
@@ -48,6 +54,7 @@ from epsengine.process import (
     is_solving,
     make_inductive_def,
     repair_rank_bound,
+    run,
 )
 from epsengine.substitution import (
     TOP_VAL,
@@ -55,6 +62,8 @@ from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     Verdicts,
+    compiled,
+    correctness,
     correctness_formula,
     is_ci,
     is_correct,
@@ -62,6 +71,7 @@ from epsengine.substitution import (
     num_val,
     refutes,
     truth,
+    value,
 )
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
 from reference import reference_truth
@@ -152,6 +162,21 @@ def test_rank_first_plan_matches_all_formula_plan(runs):
                 assert compute_plan(hs, crs, p.ctx) == all_formula_plan(
                     hs, crs, p.ctx
                 ), f"{name} state {k}"
+
+
+def test_a_run_sorts_its_rank_bounds_once(monkeypatch):
+    problem = parse_problem((ROOT / "problems" / "rebuild_cascade.eps").read_text())
+    bounds = []
+    real_bound = process.repair_rank_bound
+
+    def counted(cf, omega):
+        bounds.append(cf)
+        return real_bound(cf, omega)
+
+    monkeypatch.setattr(process, "repair_rank_bound", counted)
+    outcome = run(problem.crits, problem.ctx, check=True)
+    assert outcome.solved and len(outcome.steps) > 10
+    assert len(bounds) == len(problem.crits)
 
 
 def test_closure_witness_repair_loses_the_tie_to_a_lower_index(runs):
@@ -294,6 +319,11 @@ def _evaluations(name, p, sub):
         )
 
 
+def _evaluator(formula):
+    """The table's evaluator for a formula thunk."""
+    return lambda view: truth(formula(), view)
+
+
 def test_verdict_table_in_run_order_matches_plain_evaluation(runs):
     outcomes = set()
     for name, p, states in runs:
@@ -301,7 +331,7 @@ def test_verdict_table_in_run_order_matches_plain_evaluation(runs):
         for k, hs in enumerate(states):
             sub, where = hs.sub, (name, k)
             for key, view, formula in _evaluations(name, p, sub):
-                verdict = verdicts.truth(key, view, formula)
+                verdict = verdicts.truth(key, view, _evaluator(formula))
                 assert verdict == truth(formula(), view), (where, key[1:])
                 outcomes.add((key[1] if len(key) > 2 else "sat", verdict is True))
             assert compute_plan(hs, p.crits, p.ctx, verdicts=verdicts) == (
@@ -325,7 +355,7 @@ def test_one_verdict_table_across_shuffled_unrelated_states(runs):
     verdicts = Verdicts()
     for name, p, sub in pairs:
         for key, view, formula in _evaluations(name, p, sub):
-            assert verdicts.truth(key, view, formula) == truth(
+            assert verdicts.truth(key, view, _evaluator(formula)) == truth(
                 formula(), view
             ), key
 
@@ -362,9 +392,9 @@ def test_a_changed_read_forces_a_new_evaluation(runs):
                 for kind, mutated in _read_mutations(view, recorder.reads):
                     calls = []
 
-                    def counted():
+                    def counted(view):
                         calls.append(1)
-                        return phi
+                        return truth(phi, view)
 
                     verdicts = Verdicts()
                     verdicts.truth(key, view, counted)
@@ -445,3 +475,128 @@ def test_truth_matches_the_reference_on_random_formulas(ctx):
                 assert _agree(mixed, sub) is None
                 assert _agree(mixed, ext) is None
     assert verdicts == {True, False, None}
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator at a hole, and the minimality loop
+
+
+def _agree_at(template, env, view):
+    """template evaluated at env against the instance that substitution
+    builds: one value and the same lookups in the same order."""
+    mine, theirs = LookupLog(view), LookupLog(view)
+    instance = substitute(template, {i: num(v) for i, v in enumerate(env)})
+    got = compiled(template)(env, mine)
+    want = (truth if is_formula(template) else value)(instance, theirs)
+    where = (to_sexpr(template), env)
+    assert (got, type(got)) == (want, type(want)), where
+    assert mine.lookups == theirs.lookups, where
+    return got
+
+
+def _hole_templates(p):
+    """The one-hole templates analysis and correctness evaluate at a hole."""
+    for cf in p.crits:
+        if cf.kind in ("epsilon", "induction", "closure"):
+            yield cf.phi
+        if cf.kind == "closure":
+            yield cf.a_phi
+            yield from cf.wit_args
+    if p.ctx is not None:
+        yield p.ctx.a_template
+
+
+def _index_envs(p, sub):
+    """(symbol, env) pairs for the index formulas of p's witness symbols
+    and of sub's entries: each entry's arguments with the hole at and
+    around its value, and zero arguments with the hole at 0 and 1."""
+    syms = {cf.sym for cf in p.crits if hasattr(cf, "sym")}
+    syms |= {cf.premise_sym for cf in p.crits if cf.kind == "closure"}
+    syms |= {cf.wit_sym for cf in p.crits if cf.kind == "closure"}
+    if p.ctx is not None:
+        syms.add(p.ctx.omega_sym)
+    for e, u in sub.items():
+        if isinstance(e, CanonTerm):
+            syms.add(e.sym)
+            n = u.n if u.kind == "num" else 0
+            for k in {0, n - 1, n, n + 1} - {-1}:
+                yield e.sym, (k, *e.args)
+    for sym in syms:
+        for k in (0, 1):
+            yield sym, (k,) + (0,) * sym.arity
+
+
+def test_compiled_templates_at_a_hole_match_their_instances(runs):
+    verdicts, checked = set(), 0
+    for name, p, states in runs:
+        for hs in states:
+            sub = hs.sub
+            for view, kind in ((sub, "stored"), (sub.extended(), "extension")):
+                for template in _hole_templates(p):
+                    for k in {0, 1, 2, *hs.p}:
+                        got = _agree_at(template, (k,), view)
+                        if is_formula(template):
+                            verdicts.add((kind, got))
+                        checked += 1
+                for sym, env in _index_envs(p, sub):
+                    verdicts.add((kind, _agree_at(sym.index_formula, env, view)))
+                    checked += 1
+    assert checked > 10000
+    assert {("stored", None), ("extension", True), ("extension", False)} <= verdicts
+
+
+def _pairs(sub, ctx):
+    """Each entry of sub; each term revalued below and above its value, so
+    that heads and instances below fail in turn; and, for each member, its
+    rank-Omega witness term valued."""
+    for e, u in sub.items():
+        yield e, u
+        if isinstance(e, CanonTerm):
+            n = u.n if u.kind == "num" else 0
+            for m in {1, n - 1, n + 1, n + 2} - {n, 0, -1}:
+                yield e, num_val(m)
+        elif ctx is not None:
+            yield ctx.c_n(e.n), num_val(1)
+
+
+def _agree_correct(e, u, view, ctx):
+    """The minimality loop against the condition's formula: one verdict and
+    the same lookups in the same order."""
+    mine, theirs = LookupLog(view), LookupLog(view)
+    got = correctness(e, u, mine, ctx)
+    assert got == truth(correctness_formula(e, u, ctx), theirs), (e, u)
+    assert mine.lookups == theirs.lookups, (e, u)
+    return got
+
+
+def test_minimality_loop_matches_the_correctness_formula(runs):
+    verdicts = set()
+    for name, p, states in runs:
+        for hs in states:
+            for e, u in _pairs(hs.sub, p.ctx):
+                recorder = RecordingSubstitution(hs.sub, lazy=False)
+                correctness(e, u, recorder, p.ctx)
+                stored = [d for d, w in recorder.reads.items() if w is not None]
+                # a read removed leaves the condition undecided on the map
+                subs = [hs.sub] + [hs.sub.without(d) for d in stored[:1] + stored[-1:]]
+                for sub in subs:
+                    got = _agree_correct(e, u, sub, p.ctx)
+                    assert refutes(sub, e, u, p.ctx) == (got is False), name
+                    verdicts.add(("stored", got))
+                    verdicts.add(("extension", _agree_correct(e, u, sub.extended(), p.ctx)))
+    assert verdicts == {
+        ("stored", True), ("stored", False), ("stored", None),
+        ("extension", True), ("extension", False),
+    }
+
+
+def test_a_dropped_problem_frees_its_compiled_formulas():
+    problem = parse_problem((ROOT / "problems" / "closure_rollback.eps").read_text())
+    formulas = [cf.formula for cf in problem.crits]
+    assert all(phi._code is None for phi in formulas)  # nothing compiled at parse
+    assert run(problem.crits, problem.ctx, check=True).solved
+    assert all(phi._code is not None for phi in formulas)
+    refs = [weakref.ref(phi) for phi in formulas]
+    del problem, formulas
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
