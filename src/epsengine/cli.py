@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .language import num, substitute, to_sexpr
 from .problems import ParseError, Problem, parse_problem
 from .process import (
+    Goal,
     HStep,
     Outcome,
     ProcessInvariantError,
@@ -18,7 +19,7 @@ from .process import (
     h_step,
     run,
 )
-from .substitution import Substitution, models, serialize
+from .substitution import Substitution, compiled, serialize
 
 EXIT_SOLVED = 0
 EXIT_INPUT = 1
@@ -114,20 +115,23 @@ def _load(path: str, err) -> tuple[str, Problem] | None:
     return None
 
 
+def witness_line(sub: Substitution, goal: Goal) -> str:
+    """The report line of one goal on a final substitution."""
+    try:
+        n = extract_witness(sub, goal)
+    except ProcessInvariantError:
+        return f"goal {goal.text}: not decided true"
+    holds = compiled(goal.phi)((n,), Substitution.empty().extended()) is True
+    instance = substitute(goal.phi, {0: num(n)})
+    return (
+        f"goal {goal.text}: witness {n}; "
+        f"instance {to_sexpr(instance)} is {'true' if holds else 'false'}"
+    )
+
+
 def _report_witnesses(problem: Problem, outcome: Outcome, out) -> None:
     for spec in problem.goals:
-        try:
-            n = extract_witness(outcome.hs.sub, spec.goal)
-        except ProcessInvariantError:
-            print(f"goal {spec.goal.text}: not decided true", file=out)
-            continue
-        instance = substitute(spec.goal.phi, {0: num(n)})
-        truth = models(Substitution.empty().extended(), instance)
-        print(
-            f"goal {spec.goal.text}: witness {n}; "
-            f"instance {to_sexpr(instance)} is {'true' if truth else 'false'}",
-            file=out,
-        )
+        print(witness_line(outcome.hs.sub, spec.goal), file=out)
 
 
 def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:

@@ -48,12 +48,13 @@ from .substitution import (
     TOP_VAL,
     Value,
     Verdicts,
+    change,
     compiled,
     digest,
+    entry_is_positive,
     is_ci,
     is_correct,
     member_conflict,
-    models,
     num_val,
     refutes,
     serialize,
@@ -331,11 +332,15 @@ def is_solving(
     crs: Sequence[CriticalFormula],
     verdicts: Verdicts | None = None,
 ) -> bool:
-    """Every critical formula holds; with a table, keyed by its index."""
+    """Every critical formula holds; with a table, keyed by its index, and
+    only the formulas on the table's agenda are tested."""
     ext = sub.extended()
+    todo = range(len(crs)) if verdicts is None else sorted(
+        verdicts.agenda_on(sub, len(crs))
+    )
     return all(
-        truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
-        for i, cf in enumerate(crs)
+        truth_with(verdicts, i, ext, lambda v: truth(crs[i].formula, v)) is True
+        for i in todo
     )
 
 
@@ -364,13 +369,16 @@ def compute_plan(
     Formulas are analyzed in the order of their rank bound, and the search
     stops at the first whose bound cannot beat the best repair found, so
     only formulas that can still win are tested and searched.  A table
-    answers the satisfaction tests under the keys `is_solving` uses, and
-    keeps the order, which is fixed for its list of formulas.
+    answers the satisfaction tests under the keys `is_solving` uses, keeps
+    the order, which is fixed for its list of formulas, and spares the
+    formulas off its agenda: they hold, and one that holds is never the plan.
     """
     if ext is None:
         ext = hs.sub.extended()
     omega = hs.sub.omega_sym
-    order = verdicts.order if verdicts is not None else None
+    order = agenda = None
+    if verdicts is not None:
+        order, agenda = verdicts.order, verdicts.agenda_on(hs.sub, len(crs))
     if order is None:
         order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
         if verdicts is not None:
@@ -380,6 +388,8 @@ def compute_plan(
         if best is not None and key > best[:2]:
             break
         i = key[1]
+        if agenda is not None and i not in agenda:
+            continue
         cf = crs[i]
         holds = truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
         pair = analyze(cf, hs, ctx, ext, holds)
@@ -409,7 +419,7 @@ def _take_replace(sub: Substitution, keep: str, r: Rank, e: Canon, v: Value):
         raise ProcessInvariantError(
             f"step would overwrite a committed value at {canon_sexpr(e)}"
         )
-    return kept.without(e).with_entry(e, v)
+    return kept.with_entry(e, v)
 
 
 def apply_low(
@@ -436,14 +446,15 @@ def apply_omega_pos(
         raise ProcessInvariantError(
             f"member {e.n} is already recorded in the history"
         )
-    displaced = hs.sub.negative_omega()
-    entries = dict(hs.sub.filter_rank("<", OMEGA).items())
-    entries.update(hs.sub.positive_omega().items())
-    entries[e] = TOP_VAL
+    sub = hs.sub
+    below, layer = sub.split_omega()
+    positive = [r for r in layer if entry_is_positive(r[2], r[3])]
+    displaced = [r for r in layer if not entry_is_positive(r[2], r[3])]
     v_map = dict(hs.v)
-    v_map[e.n] = Substitution(dict(displaced.items()), omega_sym=hs.sub.omega_sym)
-    sub = Substitution(entries, omega_sym=hs.sub.omega_sym)
-    return HistoricalSubstitution(sub, hs.p + (e.n,), v_map)
+    v_map[e.n] = sub.derive(displaced)
+    return HistoricalSubstitution(
+        sub.derive(below + positive, [(e, TOP_VAL)]), hs.p + (e.n,), v_map
+    )
 
 
 def apply_omega_neg(
@@ -470,20 +481,14 @@ def apply_omega_neg(
         restored = hs.sub.negative_omega()
     keep = set(p_new)
 
-    entries = dict(hs.sub.filter_rank("<", OMEGA).items())
-    for d, u in hs.sub.items():
-        if not hs.sub.rank_of(d).is_omega:
-            continue
+    def survives(d: Canon, u: Value) -> bool:
         if isinstance(d, CanonForm):
-            if u.kind == "top" and d.n in keep:
-                entries[d] = u
-        elif u.kind == "unknown":
-            m = ctx.member_of(d)
-            if m is not None and m in keep:
-                entries[d] = u
-    entries.update(restored.items())
-    entries[e] = v
-    sub = Substitution(entries, omega_sym=hs.sub.omega_sym)
+            return u.kind == "top" and d.n in keep
+        return u.kind == "unknown" and ctx.member_of(d) in keep
+
+    below, layer = hs.sub.split_omega()
+    kept = [r for r in layer if survives(r[2], r[3])]
+    sub = hs.sub.derive(below + kept, [*restored.items(), (e, v)])
     return HistoricalSubstitution(sub, p_new, {m: hs.v[m] for m in p_new})
 
 
@@ -524,18 +529,6 @@ class HStep:
     solving: bool
 
 
-def _entry_strs(sub: Substitution) -> dict[str, str]:
-    return {canon_sexpr(e): str(u) for e, u in sub.items()}
-
-
-def _diff(before: Substitution, after: Substitution):
-    b = _entry_strs(before)
-    a = _entry_strs(after)
-    added = sorted(f"({k} {v})" for k, v in a.items() if b.get(k) != v)
-    removed = sorted(f"({k} {v})" for k, v in b.items() if a.get(k) != v)
-    return tuple(added), tuple(removed)
-
-
 def _step_ci(
     before: Substitution,
     after: Substitution,
@@ -547,18 +540,20 @@ def _step_ci(
     A finite-rank or above-Omega entry's correctness formula reads only
     entries of strictly lower rank, and the step keeps all of those
     verbatim, so every entry it kept keeps its verdict.  Only the entries it
-    added or revalued, the rank-Omega layer (whose entries read each other)
-    when one of those sits there, and the member-witness conflict need a
-    recheck.  Removing an entry only leaves what reads it undecided, which
-    refutes nothing.
+    added or revalued, and, when the change touches rank Omega, that layer
+    (whose entries read each other) and the member-witness conflict need a
+    recheck; otherwise the layer is the input's, which is consistent.
+    Removing an entry only leaves what reads it undecided, which refutes
+    nothing.
     """
-    changed = {e for e, u in after.items() if before.raw(e) != u}
-    omega_moved = any(after.rank_of(e).is_omega for e in changed)
-    return member_conflict(after, ctx) or any(
-        refutes(after, e, u, ctx, verdicts)
-        for e, u in after.items()
-        if e in changed or (omega_moved and after.rank_of(e).is_omega)
-    )
+    delta = change(before, after)
+    rows = delta.rows
+    if delta.omega:
+        if member_conflict(after, ctx):
+            return True
+        rows = [r for r in rows if not after.rank_of(r[2]).is_omega]
+        rows += after.split_omega()[1]
+    return any(refutes(after, r[2], r[3], ctx, verdicts) for r in rows)
 
 
 def h_step(
@@ -571,7 +566,8 @@ def h_step(
     """One step of the process; refuses computationally inconsistent input.
 
     A table carried from step to step (one per list of critical formulas)
-    spares the evaluations whose reads the previous step left unchanged.
+    spares the evaluations whose reads the previous step left unchanged: the
+    step tells it the change, so it re-reads nothing the step did not touch.
     """
     inconsistent = is_ci(hs.sub, ctx) if hs.ci is None else hs.ci
     if inconsistent:
@@ -582,12 +578,15 @@ def h_step(
     if plan is None:
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
+    delta = change(hs.sub, hs2.sub)
+    if verdicts is not None:
+        verdicts.advance(hs.sub, hs2.sub, delta)
     object.__setattr__(hs2, "ci", _step_ci(hs.sub, hs2.sub, ctx, verdicts))
-    added, removed = _diff(hs.sub, hs2.sub)
     v_added = {
-        m: serialize(hs2.v[m])
-        for m in hs2.v
-        if m not in hs.v or serialize(hs.v[m]) != serialize(hs2.v[m])
+        m: serialize(snap)
+        for m, snap in hs2.v.items()
+        if hs.v.get(m) is not snap
+        and (m not in hs.v or serialize(hs.v[m]) != serialize(snap))
     }
     v_removed = tuple(sorted(m for m in hs.v if m not in hs2.v))
     record = HStep(
@@ -599,8 +598,8 @@ def h_step(
         rank=str(plan.rank),
         before=digest(hs.sub),
         after=digest(hs2.sub),
-        added=added,
-        removed=removed,
+        added=delta.added,
+        removed=delta.removed,
         p_after=hs2.p,
         v_added=v_added,
         v_removed=v_removed,
@@ -693,19 +692,24 @@ class Goal:
     sym: SkolemSymbol
     args: tuple[Expr, ...]
     text: str
+    term: Expr  # the witness term: sym applied to args
 
 
 def make_goal(phi: Expr, text: str = "") -> Goal:
     sym, args = skolemize_exists(phi)
-    return Goal(phi=phi, sym=sym, args=args, text=text)
+    return Goal(phi=phi, sym=sym, args=args, text=text, term=skolem(sym, args))
 
 
 def extract_witness(sub: Substitution, goal: Goal) -> int:
-    """Numeral witnessing a solved existential goal."""
+    """Numeral witnessing a solved existential goal.
+
+    The template is evaluated at the witness term's value, which reads what
+    the template instantiated at the term itself would.
+    """
     ext = sub.extended()
-    expanded = substitute(goal.phi, {0: skolem(goal.sym, goal.args)})
-    if not models(ext, expanded):
+    n = compiled(goal.term)((), ext)
+    if n is None or compiled(goal.phi)((n,), ext) is not True:
         raise ProcessInvariantError(
             "goal is not satisfied by the final substitution"
         )
-    return _reduce_numeral(skolem(goal.sym, goal.args), ext)
+    return n

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .language import (
     And,
@@ -27,6 +31,7 @@ from .language import (
     LanguageError,
     Not,
     Numeral,
+    OMEGA,
     Or,
     RelAtom,
     Rank,
@@ -77,6 +82,8 @@ def num_val(n: int) -> Value:
 
 
 def _check_entry(e: Canon, u: Value) -> None:
+    if u.kind not in ("num", "top", "unknown") or (u.kind != "num" and u.n):
+        raise ValueError_(f"not a value: {u!r}")  # its text would name another
     if isinstance(e, CanonTerm):
         if u.kind == "top":
             raise ValueError_("a canonical term cannot be assigned top")
@@ -95,7 +102,38 @@ def entry_is_positive(e: Canon, u: Value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Substitutions
+# Substitutions.  Each entry is kept as a row (key, text, e, u), where key is
+# `rank_sort_key(e)` and text is the entry's serialized form "(e u)".  Rows
+# sit in key order, which is serialization order, so a rank filter is a
+# slice and `serialize` a join.  `canon_sexpr` names each canonical
+# expression by a distinct text and `str` each value an entry can hold by a
+# distinct text, so two maps store the same entry exactly when they hold
+# the same row text.
+
+_KEY = itemgetter(0)
+_TEXT = itemgetter(1)
+_EXPR = itemgetter(2)
+_PAIR = itemgetter(2, 3)
+
+
+def _row(e: Canon, u: Value, omega_sym: SkolemSymbol | None) -> tuple:
+    key = rank_sort_key(e, omega_sym)
+    return key, f"({key[2]} {u})", e, u
+
+
+def _put(rows: list, row: tuple) -> None:
+    """Insert row in order into rows, replacing the row of its expression."""
+    i = bisect_left(rows, row[0], key=_KEY)
+    if i < len(rows) and rows[i][0] == row[0]:
+        rows[i] = row
+    else:
+        rows.insert(i, row)
+
+
+def _rank_bounds(r: Rank) -> tuple[tuple, tuple]:
+    """Probes that bisect rows to the first of rank r and the first above it."""
+    return (r.kind, r.n), (r.kind, r.n + 1)
+
 
 class Substitution:
     """Immutable finite map from canonical expressions to values.
@@ -103,11 +141,15 @@ class Substitution:
     When ``lazy`` is set the map behaves as its standard extension: lookups
     outside the stored domain answer ? instead of reporting absence.  The
     optional ``omega_sym`` identifies the rank-Omega witness symbol of the
-    ambient problem and is carried through updates.  ``serialize`` keeps its
-    text in ``_text``, which the standard extension shares.
+    ambient problem and is carried through updates.  A map built from a
+    dict orders its rows on first need; one derived from another map takes
+    the parent's rows and checks only the entries it adds.  ``serialize``
+    keeps its text in ``_text`` and `digest` its hash in ``_digest``, which
+    the standard extension shares; ``_delta`` keeps the last `change`
+    computed into the map.
     """
 
-    __slots__ = ("_entries", "lazy", "omega_sym", "_text")
+    __slots__ = ("_entries", "_rows", "lazy", "omega_sym", "_text", "_digest", "_delta")
 
     def __init__(
         self,
@@ -116,9 +158,12 @@ class Substitution:
         omega_sym: SkolemSymbol | None = None,
     ):
         self._entries = dict(entries) if entries else {}
+        self._rows: list | None = None
         self.lazy = lazy
         self.omega_sym = omega_sym
         self._text: str | None = None
+        self._digest: str | None = None
+        self._delta: tuple | None = None
         for e, u in self._entries.items():
             _check_entry(e, u)
 
@@ -128,29 +173,56 @@ class Substitution:
     def empty(omega_sym: SkolemSymbol | None = None) -> "Substitution":
         return Substitution({}, omega_sym=omega_sym)
 
-    def _make(self, entries: dict[Canon, Value]) -> "Substitution":
-        return Substitution(entries, lazy=self.lazy, omega_sym=self.omega_sym)
+    def derive(self, rows: list, pairs=(), entries=None) -> "Substitution":
+        """A map like this one holding rows, a list of its own rows (or of
+        a map with its Omega symbol) in order, with each pair (e, u) then
+        checked and put in its place, later pairs winning.  rows is taken
+        over, not copied; entries, when given, is the dict of the result."""
+        omega = self.omega_sym
+        for e, u in pairs:
+            _check_entry(e, u)
+            _put(rows, _row(e, u, omega))
+        s = Substitution.__new__(Substitution)
+        s._entries = dict(map(_PAIR, rows)) if entries is None else entries
+        s._rows = rows
+        s.lazy = self.lazy
+        s.omega_sym = omega
+        s._text = None
+        s._digest = None
+        s._delta = None
+        return s
+
+    def _rows_in_order(self) -> list:
+        rows = self._rows
+        if rows is None:
+            omega = self.omega_sym
+            rows = [_row(e, u, omega) for e, u in self._entries.items()]
+            rows.sort(key=_KEY)
+            self._rows = rows
+        return rows
 
     def with_entry(self, e: Canon, u: Value) -> "Substitution":
-        _check_entry(e, u)
-        entries = dict(self._entries)
+        entries = self._entries.copy()
         entries[e] = u
-        return self._make(entries)
+        return self.derive(self._rows_in_order().copy(), [(e, u)], entries)
 
     def without(self, e: Canon) -> "Substitution":
         if e not in self._entries:
             return self
-        entries = dict(self._entries)
-        del entries[e]
-        return self._make(entries)
+        rows = self._rows_in_order()
+        i = bisect_left(rows, rank_sort_key(e, self.omega_sym), key=_KEY)
+        return self.derive(rows[:i] + rows[i + 1 :])
 
     def extended(self) -> "Substitution":
         """The standard extension: same entries, lazy lookups."""
         s = Substitution.__new__(Substitution)
         s._entries = self._entries
+        s._rows = self._rows
         s.lazy = True
         s.omega_sym = self.omega_sym
         s._text = self._text
+        s._digest = self._digest
+        s._delta = None
         return s
 
     # -- lookup -------------------------------------------------------------
@@ -178,10 +250,7 @@ class Substitution:
         return iter(self._entries.items())
 
     def sorted_items(self) -> list[tuple[Canon, Value]]:
-        return sorted(
-            self._entries.items(),
-            key=lambda it: rank_sort_key(it[0], self.omega_sym),
-        )
+        return list(map(_PAIR, self._rows_in_order()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -197,38 +266,41 @@ class Substitution:
         return rank_of(e, self.omega_sym)
 
     def filter_rank(self, op: str, r: Rank) -> "Substitution":
-        tests = {
-            "<": lambda q: q < r,
-            "<=": lambda q: q <= r,
-            "=": lambda q: q == r,
-            ">=": lambda q: q >= r,
-            ">": lambda q: q > r,
-        }
-        test = tests[op]
-        return self._make(
-            {e: u for e, u in self._entries.items() if test(self.rank_of(e))}
-        )
+        rows = self._rows_in_order()
+        at, above = _rank_bounds(r)
+        lo = bisect_left(rows, at, key=_KEY)
+        hi = bisect_left(rows, above, key=_KEY)
+        start, stop = {
+            "<": (0, lo),
+            "<=": (0, hi),
+            "=": (lo, hi),
+            ">=": (lo, len(rows)),
+            ">": (hi, len(rows)),
+        }[op]
+        if stop - start == len(rows):
+            return self
+        return self.derive(rows[start:stop])
 
-    def _omega_entries(self) -> Iterator[tuple[Canon, Value]]:
-        for e, u in self._entries.items():
-            if self.rank_of(e).is_omega:
-                yield e, u
+    def split_omega(self) -> tuple[list, list]:
+        """The rows below rank Omega and the rows at it, in order."""
+        rows = self._rows_in_order()
+        at, above = _rank_bounds(OMEGA)
+        lo = bisect_left(rows, at, key=_KEY)
+        return rows[:lo], rows[lo : bisect_left(rows, above, key=_KEY)]
 
     def positive_omega(self) -> "Substitution":
-        return self._make(
-            {e: u for e, u in self._omega_entries() if entry_is_positive(e, u)}
-        )
+        layer = self.split_omega()[1]
+        return self.derive([r for r in layer if entry_is_positive(r[2], r[3])])
 
     def negative_omega(self) -> "Substitution":
-        return self._make(
-            {e: u for e, u in self._omega_entries() if not entry_is_positive(e, u)}
-        )
+        layer = self.split_omega()[1]
+        return self.derive([r for r in layer if not entry_is_positive(r[2], r[3])])
 
     def positive_omega_forms(self) -> list[int]:
-        """Members n with (n in I, top) present, unordered."""
+        """Members n with (n in I, top) present, in serialization order."""
         return [
             e.n
-            for e, u in self._entries.items()
+            for _, _, e, u in self.split_omega()[1]
             if isinstance(e, CanonForm) and u.kind == "top"
         ]
 
@@ -236,13 +308,62 @@ class Substitution:
 def serialize(sub: Substitution) -> str:
     """Canonical one-line form: entries ordered by rank then expression."""
     if sub._text is None:
-        parts = [f"({canon_sexpr(e)} {u})" for e, u in sub.sorted_items()]
-        sub._text = "{" + " ".join(parts) + "}"
+        sub._text = "{" + " ".join(map(_TEXT, sub._rows_in_order())) + "}"
     return sub._text
 
 
 def digest(sub: Substitution) -> str:
-    return hashlib.sha256(serialize(sub).encode()).hexdigest()[:16]
+    if sub._digest is None:
+        sub._digest = hashlib.sha256(serialize(sub).encode()).hexdigest()[:16]
+    return sub._digest
+
+
+class Change(NamedTuple):
+    """What two maps store differently, from the first to the second.
+
+    ``added`` and ``removed`` are the entry texts only the second and only
+    the first map holds, sorted; ``rows`` are the second map's rows behind
+    ``added`` (entries added or revalued), in order; ``exprs`` are the
+    canonical expressions whose stored value differs, whether added,
+    revalued (listed twice) or removed; ``omega`` tells whether one of them
+    has rank Omega.
+    """
+
+    added: tuple[str, ...]
+    removed: tuple[str, ...]
+    rows: list
+    exprs: tuple
+    omega: bool
+
+
+def change(before: Substitution, after: Substitution) -> Change:
+    """The change from before to after, computed once and kept on after.
+
+    The set differences of the two maps' row texts are taken in C; Python
+    work follows only the rows that differ.
+    """
+    kept = after._delta
+    if kept is not None and kept[0] is before._entries:
+        return kept[1]
+    b_rows, a_rows = before._rows_in_order(), after._rows_in_order()
+    b_texts, a_texts = set(map(_TEXT, b_rows)), set(map(_TEXT, a_rows))
+    added, removed = a_texts - b_texts, b_texts - a_texts
+    new = list(compress(a_rows, map(added.__contains__, map(_TEXT, a_rows))))
+    changed = new
+    if removed:
+        changed = new + list(
+            compress(b_rows, map(removed.__contains__, map(_TEXT, b_rows)))
+        )
+    omega = OMEGA.kind
+    delta = Change(
+        tuple(sorted(added)),
+        tuple(sorted(removed)),
+        new,
+        tuple(map(_EXPR, changed)),
+        any([r[0][0] == omega for r in changed]),
+    )
+    after._delta = (before._entries, delta)
+    return delta
 
 
 class RecordingSubstitution:
@@ -286,26 +407,87 @@ class Verdicts:
     canonical expression it looked up still holds the same stored value
     (None for one that was absent).  A key names one evaluation on one kind
     of view, stored map or standard extension; the caller keeps keys apart.
-    ``order`` keeps the planner's visiting order of the table's one list of
-    formulas (see `process.compute_plan`).
+
+    The table follows one state, the map of the last view it was asked
+    about.  ``_current`` holds the keys whose reads are known to agree with
+    that state, and ``_readers`` maps each canonical expression to the keys
+    whose recorded reads include it.  `advance` moves the table along a step
+    whose `Change` it is told: exactly the keys that read a changed
+    expression leave ``_current``.  A key in ``_current`` is answered
+    without re-reading; any other key, and any key on a state the table
+    did not follow, is validated by its reads.
+
+    Integer keys are the satisfaction tests of the table's one list of
+    formulas (see `process.is_solving`).  ``agenda`` holds the indices not
+    known to hold on the followed state, or is None when that is all of
+    them; ``order`` keeps the planner's visiting order (see
+    `process.compute_plan`).
     """
 
-    __slots__ = ("_memo", "order")
+    __slots__ = ("_memo", "_readers", "_state", "_current", "agenda", "order")
 
     def __init__(self) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
+        self._readers: defaultdict[Canon, set] = defaultdict(set)
+        self._state: dict | None = None
+        self._current: set = set()
+        self.agenda: set[int] | None = None
         self.order: list | None = None
+
+    def follow(self, sub: Substitution) -> None:
+        """Follow sub's map; a map the table did not follow starts afresh."""
+        if sub._entries is not self._state:
+            self._state = sub._entries
+            self._current = set()
+            self.agenda = None
+
+    def agenda_on(self, sub: Substitution, n: int) -> set[int]:
+        """The indices among range(n) not known to hold on sub."""
+        self.follow(sub)
+        if self.agenda is None:
+            self.agenda = set(range(n))
+        return self.agenda
+
+    def advance(self, before: Substitution, after: Substitution, delta: Change) -> None:
+        """Follow the step from before to after, whose change is delta."""
+        if before._entries is not self._state:
+            self.follow(after)
+            return
+        stale: set = set()
+        readers = self._readers
+        for e in delta.exprs:
+            keys = readers.get(e)
+            if keys:
+                stale |= keys
+        self._current -= stale
+        if self.agenda is not None:
+            self.agenda.update(k for k in stale if type(k) is int)
+        self._state = after._entries
 
     def truth(
         self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
     ) -> bool | None:
         """evaluate(view); evaluate is called only on a miss."""
+        if view._entries is not self._state:
+            self.follow(view)
+        if key in self._current:
+            return self._memo[key][0]
         memo = self._memo.get(key)
         if memo is not None and tuple(map(view._entries.get, memo[1])) == memo[2]:
-            return memo[0]
-        rec = RecordingSubstitution(view, view.lazy)
-        verdict = evaluate(rec)
-        self._memo[key] = (verdict, tuple(rec.reads), tuple(rec.reads.values()))
+            verdict = memo[0]
+        else:
+            rec = RecordingSubstitution(view, view.lazy)
+            verdict = evaluate(rec)
+            reads = tuple(rec.reads)
+            readers = self._readers
+            for e in memo[1] if memo is not None else ():
+                readers[e].discard(key)
+            for e in reads:
+                readers[e].add(key)
+            self._memo[key] = (verdict, reads, tuple(rec.reads.values()))
+        self._current.add(key)
+        if verdict is True and type(key) is int and self.agenda is not None:
+            self.agenda.discard(key)
         return verdict
 
 

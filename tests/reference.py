@@ -7,6 +7,10 @@ false when their entry is present.  A reduced sentence is then evaluated
 over closed arithmetic, and `NotGround` reports one that is still
 undecided.  The engine answers the same question in one walk; the tests
 compare the two, verdict and lookups alike.
+
+Beside it sit the earlier forms of two engine paths the tests compare
+with: the goal report that builds and evaluates instance trees, and the
+serialization that sorts every entry.
 """
 
 from __future__ import annotations
@@ -30,15 +34,21 @@ from epsengine.language import (
     Var,
     _apply_fn,
     as_canonical,
+    canon_sexpr,
     is_formula,
     is_term,
     num,
+    rank_sort_key,
     skolem,
+    substitute,
+    to_sexpr,
 )
+from epsengine.process import Goal, ProcessInvariantError, _reduce_numeral
 from epsengine.substitution import (
     Substitution,
     SubstitutionError,
     correctness_formula,
+    models,
     truth,
 )
 
@@ -152,3 +162,34 @@ def is_computing(sub: Substitution, ctx: InductiveContext | None = None) -> bool
     return all(
         decides(sub, correctness_formula(e, u, ctx)) for e, u in sub.items()
     )
+
+
+def reference_extract_witness(sub: Substitution, goal: Goal) -> int:
+    """Numeral witnessing a solved goal, checked on the instance tree."""
+    ext = sub.extended()
+    expanded = substitute(goal.phi, {0: skolem(goal.sym, goal.args)})
+    if not models(ext, expanded):
+        raise ProcessInvariantError(
+            "goal is not satisfied by the final substitution"
+        )
+    return _reduce_numeral(skolem(goal.sym, goal.args), ext)
+
+
+def reference_witness_line(sub: Substitution, goal: Goal) -> str:
+    """`cli.witness_line` as it was: the instance checked as a tree."""
+    try:
+        n = reference_extract_witness(sub, goal)
+    except ProcessInvariantError:
+        return f"goal {goal.text}: not decided true"
+    instance = substitute(goal.phi, {0: num(n)})
+    holds = models(Substitution.empty().extended(), instance)
+    return (
+        f"goal {goal.text}: witness {n}; "
+        f"instance {to_sexpr(instance)} is {'true' if holds else 'false'}"
+    )
+
+
+def reference_serialize(sub: Substitution) -> str:
+    """The one-line form by sorting every entry on rank then expression."""
+    items = sorted(sub.items(), key=lambda it: rank_sort_key(it[0], sub.omega_sym))
+    return "{" + " ".join(f"({canon_sexpr(e)} {u})" for e, u in items) + "}"

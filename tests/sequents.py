@@ -48,6 +48,11 @@ from epsengine.substitution import (
 from reference import reduce_formula
 
 
+
+def _like(sub: Substitution, entries: dict) -> Substitution:
+    """A map holding entries, lazy and with an Omega symbol as sub is."""
+    return Substitution(entries, lazy=sub.lazy, omega_sym=sub.omega_sym)
+
 class SequentError(Exception):
     pass
 
@@ -99,14 +104,16 @@ class Sequent:
 
     def temporary(self) -> Substitution:
         """Entries flagged t."""
-        return self.sub._make(
-            {e: u for e, u in self.sub.items() if self.flags.get(e) == "t"}
+        return _like(
+            self.sub,
+            {e: u for e, u in self.sub.items() if self.flags.get(e) == "t"},
         )
 
     def fixed(self) -> Substitution:
         """Entries flagged f."""
-        return self.sub._make(
-            {e: u for e, u in self.sub.items() if self.flags.get(e) == "f"}
+        return _like(
+            self.sub,
+            {e: u for e, u in self.sub.items() if self.flags.get(e) == "f"},
         )
 
     def stable_omega(self, ctx: InductiveContext | None) -> Substitution:
@@ -126,7 +133,7 @@ class Sequent:
             elif u.kind == "unknown" and ctx is not None:
                 if ctx.member_of(e) in members:
                     kept[e] = u
-        return sub._make(kept)
+        return _like(sub, kept)
 
     def add_entry(self, e: Canon, u, flag: str = "t") -> "Sequent":
         """Juxtaposition: a new entry, flagged when the flag domain needs it."""

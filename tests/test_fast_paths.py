@@ -7,9 +7,12 @@ stored text; a `Verdicts` table reuses a verdict while its reads are
 unchanged; `truth` runs a compiled closure where the reference reduces
 and then evaluates; a compiled template evaluated at a hole stands in for
 its instance, and the `correctness` loop for the conjunction of
-`correctness_formula`.  Each is compared with the full computation on
-every state reached by the sample problems, the acceptance corpus and the
-tiny benchmark families.
+`correctness_formula`; a step's change set comes from set differences of
+entry texts, `serialize` joins rows kept in order, a table that follows
+the run trusts the keys no change touched and skips the formulas off its
+agenda, and the goal report evaluates the template at the witness.  Each
+is compared with the full computation on every state reached by the
+sample problems, the acceptance corpus and the tiny benchmark families.
 """
 
 import gc
@@ -62,6 +65,7 @@ from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     Verdicts,
+    change,
     compiled,
     correctness,
     correctness_formula,
@@ -70,11 +74,12 @@ from epsengine.substitution import (
     models,
     num_val,
     refutes,
+    serialize,
     truth,
     value,
 )
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
-from reference import reference_truth
+from reference import reference_serialize, reference_truth, reference_witness_line
 from test_acceptance import indep_formula
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -600,3 +605,208 @@ def test_a_dropped_problem_frees_its_compiled_formulas():
     del problem, formulas
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+# ---------------------------------------------------------------------------
+# Ordered rows, the change set, the followed table and its agenda
+
+
+def _brute_change(before, after):
+    """The expressions whose stored value differs, and the string-map diff
+    of the step record's added and removed entries."""
+    exprs = {
+        e
+        for e in before.domain() | after.domain()
+        if before.raw(e) != after.raw(e)
+    }
+    b = {canon_sexpr(e): str(u) for e, u in before.items()}
+    a = {canon_sexpr(e): str(u) for e, u in after.items()}
+    added = sorted(f"({k} {v})" for k, v in a.items() if b.get(k) != v)
+    removed = sorted(f"({k} {v})" for k, v in b.items() if a.get(k) != v)
+    return exprs, (tuple(added), tuple(removed))
+
+
+def _step_pairs(runs):
+    """(name, p, before, after) for every step of every run, and for every
+    one-entry mutation of a reached state."""
+    for name, p, states in runs:
+        for before, after in zip(states, states[1:]):
+            yield name, p, before.sub, after.sub
+        for hs in states[1:]:
+            for _, _, mutated in _mutations(hs.sub, p.ctx):
+                yield name, p, hs.sub, mutated
+
+
+def test_change_set_is_the_symmetric_difference_of_the_maps(runs):
+    kinds = set()
+    for name, p, before, after in _step_pairs(runs):
+        delta = change(before, after)
+        exprs, diff = _brute_change(before, after)
+        assert set(delta.exprs) == exprs, name
+        assert (delta.added, delta.removed) == diff, name
+        assert [(r[2], r[3]) for r in delta.rows] == [
+            (e, u) for e, u in after.sorted_items() if before.raw(e) != u
+        ], name
+        assert delta.omega == any(after.rank_of(e).is_omega for e in exprs), name
+        assert change(before, after) is delta  # kept on after
+        kinds.add((bool(delta.added), bool(delta.removed), delta.omega))
+    assert kinds >= {(True, False, False), (True, True, True), (False, True, True)}
+
+
+def test_serialize_matches_the_sorting_reference(runs):
+    rng = random.Random(9)
+    seen = 0
+    for name, p, states in runs:
+        for hs in states:
+            for sub in (hs.sub, *hs.v.values()):
+                assert serialize(sub) == reference_serialize(sub), name
+                items = list(sub.items())
+                rng.shuffle(items)
+                rebuilt = Substitution(dict(items), omega_sym=sub.omega_sym)
+                assert serialize(rebuilt) == serialize(sub), name
+                assert rebuilt.sorted_items() == sub.sorted_items(), name
+                seen += 1
+        for _, _, mutated in _mutations(states[-1].sub, p.ctx):
+            assert serialize(mutated) == reference_serialize(mutated), name
+    assert seen > 1000
+
+
+def test_rank_filters_are_slices_of_the_ordered_rows(runs):
+    ops = {
+        "<": lambda q, r: q < r,
+        "<=": lambda q, r: q <= r,
+        "=": lambda q, r: q == r,
+        ">=": lambda q, r: q >= r,
+        ">": lambda q, r: q > r,
+    }
+    for name, p, states in runs:
+        sub = states[-1].sub
+        ranks = {sub.rank_of(e) for e in sub.domain()} | {OMEGA}
+        for r in ranks:
+            for op, test in ops.items():
+                got = sub.filter_rank(op, r)
+                want = {e: u for e, u in sub.items() if test(sub.rank_of(e), r)}
+                assert dict(got.items()) == want, (name, op, str(r))
+                assert serialize(got) == reference_serialize(got), (name, op)
+
+
+def _table_key_evaluator(p, sub, key):
+    """The view and evaluator a run's table uses under key."""
+    ext = sub.extended()
+    if type(key) is int:
+        return ext, lambda v: truth(p.crits[key].formula, v)
+    kind, e, u = key
+    view = ext if kind == "correct" else sub
+    return view, lambda v: correctness(e, u, v, p.ctx)
+
+
+class ByReads(Verdicts):
+    """A table never told a step's change: it meets each new state as one
+    it did not follow, so it validates every stored verdict by its reads."""
+
+    __slots__ = ()
+
+    def advance(self, before, after, delta):
+        self.follow(after)
+
+
+def _followed_run(p, followed, by_reads, check_step):
+    """Step p from the initial state with the followed table and, apart,
+    with by_reads.  Both runs must take the same steps; check_step(hs)
+    runs after each."""
+    hs = HistoricalSubstitution.initial(p.omega_sym)
+    other = hs
+    solving = is_solving(hs.sub, p.crits, followed)
+    assert solving == is_solving(other.sub, p.crits, by_reads)
+    k = 0
+    while not solving:
+        plan = compute_plan(hs, p.crits, p.ctx, verdicts=followed)
+        assert plan == compute_plan(hs, p.crits, p.ctx)
+        hs, record = h_step(hs, p.crits, p.ctx, k, verdicts=followed)
+        other, other_record = h_step(other, p.crits, p.ctx, k, verdicts=by_reads)
+        assert record == other_record
+        is_correct(hs.sub, p.ctx, followed)
+        check_step(hs)
+        solving, k = record.solving, k + 1
+        assert k < 10**4
+
+
+def test_followed_table_agrees_with_validation_by_reads(runs):
+    """Along every run: each verdict of the followed table is the one a
+    table validating by reads gives, every formula off the agenda holds
+    when evaluated from scratch, and the plan is the plan computed without
+    a table.  `h_step` compares the two runs record for record."""
+    stats = {"current": 0, "off_agenda": 0}
+    for name, p, _ in runs:
+        followed, by_reads = Verdicts(), ByReads()
+
+        def check_step(hs):
+            sub, ext = hs.sub, hs.sub.extended()
+            assert followed.agenda is not None, name
+            for i in set(range(len(p.crits))) - followed.agenda:
+                assert truth(p.crits[i].formula, ext) is True, (name, i)
+                stats["off_agenda"] += 1
+            for key in list(followed._memo):
+                view, evaluate = _table_key_evaluator(p, sub, key)
+                stats["current"] += key in followed._current
+                want = by_reads.truth(key, view, evaluate)
+                assert followed.truth(key, view, evaluate) == want, (name, key)
+                assert want == evaluate(view), (name, key)
+
+        _followed_run(p, followed, by_reads, check_step)
+    assert min(stats.values()) > 1000
+
+
+def test_table_resets_its_agenda_on_a_state_it_did_not_follow(runs):
+    """One table over each problem's states in shuffled order, never
+    advanced: the agenda must not carry over from one state to another."""
+    rng = random.Random(11)
+    for name, p, states in runs:
+        verdicts = Verdicts()
+        order = list(states) * 2
+        rng.shuffle(order)
+        for hs in order:
+            assert is_solving(hs.sub, p.crits, verdicts) == is_solving(
+                hs.sub, p.crits
+            ), name
+            assert compute_plan(hs, p.crits, p.ctx, verdicts=verdicts) == (
+                compute_plan(hs, p.crits, p.ctx)
+            ), name
+
+
+def test_a_step_looks_up_a_constant_number_of_verdicts(monkeypatch):
+    """Counted, not timed: a chain of n eps axioms takes n steps, and each
+    step asks the table the same number of times whatever n is, where a
+    table that re-read every formula would ask about O(n) per step."""
+    calls = []
+    real_truth = Verdicts.truth
+
+    def counted(self, *args):
+        calls.append(1)
+        return real_truth(self, *args)
+
+    monkeypatch.setattr(Verdicts, "truth", counted)
+    per_step = set()
+    for n in (32, 64, 128):
+        problem = parse_problem(
+            "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in range(1, n + 1))
+        )
+        calls.clear()
+        outcome = run(problem.crits, problem.ctx)
+        assert outcome.solved and len(outcome.steps) == n
+        per_step.add(len(calls) / n)
+    assert len(per_step) == 1 and per_step.pop() <= 4
+
+
+def test_witness_line_matches_the_instance_tree_report(runs):
+    """On every reached state, decided or not, for every goal."""
+    from epsengine.cli import witness_line
+
+    lines = set()
+    for name, p, states in runs:
+        for spec in p.goals:
+            for hs in states:
+                line = witness_line(hs.sub, spec.goal)
+                assert line == reference_witness_line(hs.sub, spec.goal), name
+                lines.add(line.split(":")[1].split()[0])
+    assert lines == {"witness", "not"}
