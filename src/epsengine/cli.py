@@ -27,6 +27,7 @@ EXIT_STEP_LIMIT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_MAX_STEPS = 10**6
+TRACE_FORMAT = 1  # the header's "format"; `check` replays no other
 
 
 @dataclass
@@ -79,11 +80,12 @@ def summary_record(outcome: Outcome) -> dict:
 
 
 def trace_lines(problem_text: str, problem: Problem, outcome: Outcome) -> list[str]:
-    lines = [
-        _encode(
-            {"type": "header", "format": 1, "problem": _problem_digest(problem_text)}
-        )
-    ]
+    header = {
+        "type": "header",
+        "format": TRACE_FORMAT,
+        "problem": _problem_digest(problem_text),
+    }
+    lines = [_encode(header)]
     lines += [_encode(step_record(s)) for s in outcome.steps]
     lines.append(_encode(summary_record(outcome)))
     return lines
@@ -213,6 +215,10 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
         return EXIT_INPUT
     if not recorded or recorded[0].get("type") != "header":
         print("trace: missing header record", file=err)
+        return EXIT_INPUT
+    fmt = recorded[0].get("format")
+    if type(fmt) is not int or fmt != TRACE_FORMAT:
+        print(f"trace: unsupported format {json.dumps(fmt)}", file=err)
         return EXIT_INPUT
     if recorded[0].get("problem") != _problem_digest(text):
         print("trace: header does not match the problem file", file=err)

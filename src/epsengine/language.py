@@ -8,8 +8,9 @@ negation.  The distinguished variable of a matrix is always ``Var(0)``.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 
 
 class LanguageError(Exception):
@@ -214,7 +215,7 @@ def conjoin(parts: list[Expr]) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Serialization.  The canonical textual form is a prefix s-expression; it is
-# the identity used for symbol equality, trace records and golden tests.
+# the key symbols are interned by and the text of traces and golden tests.
 
 def to_sexpr(e: Expr, set_name: str = "I") -> str:
     if isinstance(e, Numeral):
@@ -224,7 +225,7 @@ def to_sexpr(e: Expr, set_name: str = "I") -> str:
     if isinstance(e, FnApp):
         return "(" + " ".join([e.fn] + [to_sexpr(a, set_name) for a in e.args]) + ")"
     if isinstance(e, SkolemApp):
-        inner = [f"(c {to_sexpr(e.sym.index_formula, set_name)})"]
+        inner = [f"(c {e.sym.text})"]
         inner += [to_sexpr(a, set_name) for a in e.args]
         return "(" + " ".join(inner) + ")" if e.args else inner[0]
     if isinstance(e, RelAtom):
@@ -286,30 +287,44 @@ class SkolemSymbol:
 
     The index formula is simple (no closed subterms) and canonically named:
     Var(0) is the distinguished variable, Var(1..arity) the parameters in
-    first-occurrence order.  Two symbols are equal exactly when their index
-    formulas serialize identically.
+    first-occurrence order.  There is one live symbol per (text, arity), so
+    symbols compare by identity; each keeps its text and its rank as a
+    symbol other than the problem's Omega symbol (see `rank_of_symbol`).
     """
 
-    __slots__ = ("index_formula", "arity", "_key", "_hash")
+    __slots__ = ("index_formula", "arity", "text", "rank", "__weakref__")
 
-    def __init__(self, index_formula: Expr, arity: int):
+    def __new__(cls, index_formula: Expr, arity: int) -> "SkolemSymbol":
         if not is_formula(index_formula):
             raise LanguageError("index formula must be a formula")
-        if has_closed_subterm(index_formula):
-            raise LanguageError("index formula must be simple (no closed terms)")
-        self.index_formula = index_formula
-        self.arity = arity
-        self._key = (to_sexpr(index_formula), arity)
-        self._hash = hash(self._key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SkolemSymbol) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        text = to_sexpr(index_formula)
+        with _live_lock:
+            sym = _live.get((text, arity))
+            if sym is None:
+                if has_closed_subterm(index_formula):
+                    raise LanguageError("index formula must be simple (no closed terms)")
+                sym = object.__new__(cls)
+                sym.index_formula = index_formula
+                sym.arity = arity
+                sym.text = text
+                # the text spells out nested symbols' index formulas too: it
+                # holds "(c " iff a symbol occurs, "(in " iff the set does
+                level = 1 + simple_rank(index_formula) if "(c " in text else 1
+                if "(in " in text:
+                    sym.rank = Rank.omega_plus(level)
+                else:
+                    sym.rank = Rank.fin(level)
+                _live[text, arity] = sym
+        return sym
 
     def __repr__(self) -> str:
-        return f"SkolemSymbol({self._key[0]!r}, arity={self.arity})"
+        return f"SkolemSymbol({self.text!r}, arity={self.arity})"
+
+
+# the live symbols by (text, arity), filled under the lock: problems may be
+# parsed in parallel threads, and two racing builds must not make two symbols
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_live_lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +408,11 @@ class Rank:
 OMEGA = Rank(1)
 
 
-@lru_cache(maxsize=None)
-def _sym_simple_rank(sym: SkolemSymbol) -> int:
-    return 1 + simple_rank(sym.index_formula)
-
-
 def simple_rank(e: Expr) -> int:
     """Stratification level: nesting depth of Skolem symbols in e."""
     if isinstance(e, SkolemApp):
         inner = max((simple_rank(a) for a in e.args), default=0)
-        return max(_sym_simple_rank(e.sym), inner)
+        return max(e.sym.rank.n, inner)
     if isinstance(e, (FnApp, RelAtom)):
         return max((simple_rank(a) for a in e.args), default=0)
     if isinstance(e, InSet):
@@ -412,11 +422,6 @@ def simple_rank(e: Expr) -> int:
     if isinstance(e, (And, Or)):
         return max(simple_rank(e.left), simple_rank(e.right))
     return 0
-
-
-@lru_cache(maxsize=None)
-def _sym_mentions_inductive(sym: SkolemSymbol) -> bool:
-    return mentions_inductive(sym.index_formula)
 
 
 def mentions_inductive(e: Expr) -> bool:
@@ -429,9 +434,7 @@ def mentions_inductive(e: Expr) -> bool:
     if isinstance(e, InSet):
         return True
     if isinstance(e, SkolemApp):
-        return _sym_mentions_inductive(e.sym) or any(
-            mentions_inductive(a) for a in e.args
-        )
+        return e.sym.rank > OMEGA or any(mentions_inductive(a) for a in e.args)
     if isinstance(e, (FnApp, RelAtom)):
         return any(mentions_inductive(a) for a in e.args)
     if isinstance(e, Not):
@@ -441,7 +444,6 @@ def mentions_inductive(e: Expr) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> Rank:
     """Rank of a Skolem symbol.
 
@@ -449,11 +451,7 @@ def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> 
     clause has rank Omega; other symbols whose index mentions the set sit
     above Omega, and set-free symbols are finite.
     """
-    if omega_sym is not None and sym == omega_sym:
-        return OMEGA
-    if not _sym_mentions_inductive(sym):
-        return Rank.fin(_sym_simple_rank(sym))
-    return Rank.omega_plus(_sym_simple_rank(sym))
+    return OMEGA if sym is omega_sym else sym.rank
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +483,7 @@ class CanonTerm:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CanonTerm:
             return NotImplemented
-        return self.args == other.args and (
-            self.sym is other.sym or self.sym == other.sym
-        )
+        return self.sym is other.sym and self.args == other.args
 
     def __hash__(self) -> int:
         return self._hash
@@ -537,7 +533,7 @@ def canon_sexpr(c: Canon) -> str:
     try:
         return c._text
     except AttributeError:
-        head = f"(c {c.sym._key[0]})"
+        head = f"(c {c.sym.text})"
         text = "(" + " ".join([head, *map(str, c.args)]) + ")" if c.args else head
         _set(c, "_text", text)
         return text
@@ -674,7 +670,7 @@ class InductiveContext:
 
     def member_of(self, c: CanonTerm) -> int | None:
         """n such that c is the witness term for n, if it is one."""
-        if c.sym != self.omega_sym:
+        if c.sym is not self.omega_sym:
             return None
         n = c.args[self.x_slot]
         return n if c == self.c_n(n) else None

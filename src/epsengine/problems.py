@@ -356,6 +356,8 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("option is (option NAME VALUE)", _pos(form))
             if form[1] != "max-steps" or not isinstance(form[2], int):
                 raise ParseError(f"unknown option {form[1]!r}", _pos(form))
+            if any(k == form[1] for k, _ in options):
+                raise ParseError(f"option {form[1]} given twice", _pos(form))
             options.append((str(form[1]), form[2]))
         elif head == "crit":
             crit_forms.append(form)

@@ -44,6 +44,7 @@ from .language import (
 )
 from .history import HistoricalSubstitution, validate
 from .substitution import (
+    Change,
     Substitution,
     TOP_VAL,
     Value,
@@ -530,12 +531,13 @@ class HStep:
 
 
 def _step_ci(
-    before: Substitution,
     after: Substitution,
+    delta: Change,
     ctx: InductiveContext | None,
     verdicts: Verdicts | None = None,
 ) -> bool:
-    """Computational inconsistency of a step's result from a consistent input.
+    """Computational inconsistency of a step's result from a consistent input,
+    given the step's change.
 
     A finite-rank or above-Omega entry's correctness formula reads only
     entries of strictly lower rank, and the step keeps all of those
@@ -546,7 +548,6 @@ def _step_ci(
     Removing an entry only leaves what reads it undecided, which refutes
     nothing.
     """
-    delta = change(before, after)
     rows = delta.rows
     if delta.omega:
         if member_conflict(after, ctx):
@@ -581,7 +582,7 @@ def h_step(
     delta = change(hs.sub, hs2.sub)
     if verdicts is not None:
         verdicts.advance(hs.sub, hs2.sub, delta)
-    object.__setattr__(hs2, "ci", _step_ci(hs.sub, hs2.sub, ctx, verdicts))
+    object.__setattr__(hs2, "ci", _step_ci(hs2.sub, delta, ctx, verdicts))
     v_added = {
         m: serialize(snap)
         for m, snap in hs2.v.items()

@@ -145,11 +145,10 @@ class Substitution:
     dict orders its rows on first need; one derived from another map takes
     the parent's rows and checks only the entries it adds.  ``serialize``
     keeps its text in ``_text`` and `digest` its hash in ``_digest``, which
-    the standard extension shares; ``_delta`` keeps the last `change`
-    computed into the map.
+    the standard extension shares.
     """
 
-    __slots__ = ("_entries", "_rows", "lazy", "omega_sym", "_text", "_digest", "_delta")
+    __slots__ = ("_entries", "_rows", "lazy", "omega_sym", "_text", "_digest")
 
     def __init__(
         self,
@@ -163,7 +162,6 @@ class Substitution:
         self.omega_sym = omega_sym
         self._text: str | None = None
         self._digest: str | None = None
-        self._delta: tuple | None = None
         for e, u in self._entries.items():
             _check_entry(e, u)
 
@@ -189,7 +187,6 @@ class Substitution:
         s.omega_sym = omega
         s._text = None
         s._digest = None
-        s._delta = None
         return s
 
     def _rows_in_order(self) -> list:
@@ -222,7 +219,6 @@ class Substitution:
         s.omega_sym = self.omega_sym
         s._text = self._text
         s._digest = self._digest
-        s._delta = None
         return s
 
     # -- lookup -------------------------------------------------------------
@@ -337,14 +333,11 @@ class Change(NamedTuple):
 
 
 def change(before: Substitution, after: Substitution) -> Change:
-    """The change from before to after, computed once and kept on after.
+    """The change from before to after.
 
     The set differences of the two maps' row texts are taken in C; Python
     work follows only the rows that differ.
     """
-    kept = after._delta
-    if kept is not None and kept[0] is before._entries:
-        return kept[1]
     b_rows, a_rows = before._rows_in_order(), after._rows_in_order()
     b_texts, a_texts = set(map(_TEXT, b_rows)), set(map(_TEXT, a_rows))
     added, removed = a_texts - b_texts, b_texts - a_texts
@@ -355,15 +348,13 @@ def change(before: Substitution, after: Substitution) -> Change:
             compress(b_rows, map(removed.__contains__, map(_TEXT, b_rows)))
         )
     omega = OMEGA.kind
-    delta = Change(
+    return Change(
         tuple(sorted(added)),
         tuple(sorted(removed)),
         new,
         tuple(map(_EXPR, changed)),
         any([r[0][0] == omega for r in changed]),
     )
-    after._delta = (before._entries, delta)
-    return delta
 
 
 class RecordingSubstitution:

@@ -1,15 +1,16 @@
 """Regression runs with deep rank-Omega dynamics, pinned step by step."""
 
+import io
 import json
-import os
+from pathlib import Path
 
 from epsengine.cli import RunConfig, cmd_check, cmd_run, trace_lines
 from epsengine.problems import parse_problem
 from epsengine.process import run
 
-HERE = os.path.dirname(__file__)
-CASCADE = os.path.join(HERE, "..", "problems", "rebuild_cascade.eps")
-GOLDEN = os.path.join(HERE, "golden", "rebuild_cascade.jsonl")
+HERE = Path(__file__).parent
+CASCADE = HERE / ".." / "problems" / "rebuild_cascade.eps"
+GOLDEN = HERE / "golden" / "rebuild_cascade.jsonl"
 
 
 def test_low_step_after_rollback_rebuilds_membership():
@@ -39,7 +40,7 @@ def test_low_step_after_rollback_rebuilds_membership():
 
 def test_rebuild_cascade_sequence():
     """Displaced witness entries let members re-enter in a new order."""
-    text = open(CASCADE).read()
+    text = CASCADE.read_text()
     p = parse_problem(text)
     out = run(p.crits, p.ctx, max_steps=10**4, check=True)
     assert out.solved and len(out.steps) == 22
@@ -56,20 +57,20 @@ def test_rebuild_cascade_sequence():
 
 def test_rebuild_cascade_matches_golden_trace(tmp_path):
     """The structured trace format is pinned byte for byte."""
-    text = open(CASCADE).read()
+    text = CASCADE.read_text()
     p = parse_problem(text)
     out = run(p.crits, p.ctx, max_steps=10**4, check=True)
     got = trace_lines(text, p, out)
-    want = open(GOLDEN).read().splitlines()
+    want = GOLDEN.read_text().splitlines()
     assert got == want
     # and the recorded file still replays through the command line
-    assert cmd_check(GOLDEN, CASCADE, out=open(os.devnull, "w")) == 0
+    assert cmd_check(str(GOLDEN), str(CASCADE), out=io.StringIO()) == 0
 
 
 def test_cascade_histories_stay_admissible():
     from epsengine.history import is_admissible
 
-    text = open(CASCADE).read()
+    text = CASCADE.read_text()
     p = parse_problem(text)
     out = run(p.crits, p.ctx, max_steps=10**4)
     for step in out.steps:

@@ -118,7 +118,7 @@ def test_structured_output_and_trace(write, tmp_path, capsys):
     ]
     assert records[-1]["type"] == "summary"
     assert records[-1]["status"] == "solved"
-    assert open(trace).read().strip() == "\n".join(stdout)
+    assert pathlib.Path(trace).read_text().strip() == "\n".join(stdout)
 
 
 def test_traces_are_byte_identical(write, tmp_path):
@@ -126,7 +126,7 @@ def test_traces_are_byte_identical(write, tmp_path):
     t1, t2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert cmd_run(path, RunConfig(trace=t1)) == EXIT_SOLVED
     assert cmd_run(path, RunConfig(trace=t2)) == EXIT_SOLVED
-    assert open(t1, "rb").read() == open(t2, "rb").read()
+    assert pathlib.Path(t1).read_bytes() == pathlib.Path(t2).read_bytes()
 
 
 def test_check_verifies_and_detects_tampering(write, tmp_path, capsys):
@@ -134,14 +134,14 @@ def test_check_verifies_and_detects_tampering(write, tmp_path, capsys):
     trace = str(tmp_path / "t.jsonl")
     cmd_run(path, RunConfig(trace=trace))
     assert cmd_check(trace, path) == EXIT_SOLVED
-    lines = open(trace).read().splitlines()
+    lines = pathlib.Path(trace).read_text().splitlines()
     # tamper with the recorded value of step 0
     tampered = [
         line.replace('"v":"2"', '"v":"3"') if '"step":0' in line else line
         for line in lines
     ]
     bad = str(tmp_path / "bad.jsonl")
-    open(bad, "w").write("\n".join(tampered) + "\n")
+    pathlib.Path(bad).write_text("\n".join(tampered) + "\n")
     capsys.readouterr()
     assert cmd_check(bad, path) == EXIT_INPUT
     assert "divergence at step 0" in capsys.readouterr().err
@@ -151,12 +151,12 @@ def test_check_detects_reordered_steps(write, tmp_path, capsys):
     path = write("p.eps", ROLLBACK)
     trace = str(tmp_path / "t.jsonl")
     cmd_run(path, RunConfig(trace=trace))
-    lines = open(trace).read().splitlines()
+    lines = pathlib.Path(trace).read_text().splitlines()
     steps = [i for i, line in enumerate(lines) if '"type":"step"' in line]
     i, j = steps[1], steps[2]
     lines[i], lines[j] = lines[j], lines[i]
     bad = str(tmp_path / "bad.jsonl")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     assert cmd_check(bad, path) == EXIT_INPUT
     assert "divergence at step" in capsys.readouterr().err
 
@@ -168,6 +168,25 @@ def test_check_rejects_wrong_problem(write, tmp_path, capsys):
     cmd_run(path, RunConfig(trace=trace))
     assert cmd_check(trace, other) == EXIT_INPUT
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [7, "1", True, None])
+def test_check_refuses_other_trace_formats(write, tmp_path, capsys, fmt):
+    path = write("p.eps", ROLLBACK)
+    trace = tmp_path / "t.jsonl"
+    cmd_run(path, RunConfig(trace=str(trace)))
+    header, *rest = trace.read_text().splitlines()
+    record = json.loads(header)
+    if fmt is None:
+        del record["format"]
+    else:
+        record["format"] = fmt
+    trace.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"trace: unsupported format {json.dumps(fmt)}"]
 
 
 def test_explain_rollback_step(write, capsys):
@@ -207,6 +226,7 @@ BAD_PROBLEMS = {
     "not-utf8": b"(crit eps 1 (exists (x) (= x \xff)))\n",
     "deep-nesting": b"(crit formula " + b"(not " * 3000 + b"true" + b")" * 3001,
     "huge-numeral": b"(crit pred " + b"7" * 5000 + b")\n",
+    "repeated-option": b"(option max-steps 5)\n(option max-steps 1)\n" + TWO_STEP.encode(),
 }
 BAD_TRACES = {
     "not-utf8": b"\xff\n",
@@ -262,7 +282,7 @@ def test_malformed_input_exits_1_with_one_line(
 # explain against the slow path: a whole run, then runs to K and K + 1
 
 def explain_reference(path: str, k: int) -> tuple[int, str, str]:
-    problem = parse_problem(open(path, encoding="utf-8").read())
+    problem = parse_problem(pathlib.Path(path).read_text(encoding="utf-8"))
     crs, ctx = problem.crits, problem.ctx
     full = run(crs, ctx, max_steps=problem.option("max-steps", DEFAULT_MAX_STEPS))
     if k == len(full.steps) and full.solved:
@@ -303,7 +323,7 @@ def check_explain_matches_reference(path, monkeypatch, capsys):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run", counting_run)
-    problem = parse_problem(open(path, encoding="utf-8").read())
+    problem = parse_problem(pathlib.Path(path).read_text(encoding="utf-8"))
     n = len(real_run(problem.crits, problem.ctx).steps)
     for k in range(-1, n + 2):
         want = explain_reference(path, k)

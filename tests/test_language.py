@@ -1,8 +1,13 @@
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from epsengine import substitution
 from epsengine.language import (
     CanonForm,
     CanonTerm,
@@ -33,6 +38,8 @@ from epsengine.language import (
     succ,
     to_sexpr,
 )
+from epsengine.problems import parse_problem
+from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
@@ -174,8 +181,91 @@ def test_skolem_symbol_equality_is_structural():
     a = SkolemSymbol(eq(Var(0), Var(1)), 1)
     b = SkolemSymbol(eq(Var(0), Var(1)), 1)
     assert a == b and hash(a) == hash(b)
+    assert a is b and b.index_formula is a.index_formula  # one object per text
     c = SkolemSymbol(lt(Var(0), Var(1)), 1)
     assert a != c
+    assert SkolemSymbol(eq(Var(0), Var(1)), 2) is not a  # another arity, another symbol
+
+
+@given(st.integers(0, 10**9))
+def test_symbol_rank_matches_the_tree_walks(seed):
+    rng = random.Random(seed)
+    syms = FIN_SYMS + [SYM_OMEGA_PLUS]
+    phi = random_formula(rng, syms, depth=3, allow_inset=True)
+    if rng.random() < 0.7:  # a symbol at the distinguished variable stays in the index
+        sym = rng.choice(syms)
+        phi = and_(phi, lt(skolem(sym, (Var(0),) * sym.arity), Var(0)))
+    index, args = abstract_closed_terms(phi)
+    level = 1 + simple_rank(index)
+    want = Rank.omega_plus(level) if mentions_inductive(index) else Rank.fin(level)
+    assert SkolemSymbol(index, len(args)).rank == want
+
+
+def test_symbols_are_freed_with_the_last_problem():
+    problem = parse_problem(
+        "(crit eps 3 (exists (x) (and (< x 9) (= (* x x) 9))))\n"
+        "(goal (exists (y) (< (+ y 11) (* y 12))) (candidates 20))\n"
+    )
+    outcome = run(problem.crits, problem.ctx, max_steps=100, check=True)
+    assert outcome.solved
+    refs = [
+        weakref.ref(e.sym.index_formula)
+        for e, _ in outcome.hs.sub.items()
+        if isinstance(e, CanonTerm)
+    ]
+    assert len(refs) == 2
+    del problem, outcome
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_a_chain_compiles_its_shared_index_formula_once(monkeypatch):
+    problem = parse_problem(
+        "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in range(1, 9))
+    )
+    sym = problem.crits[0].sym
+    assert all(cf.sym is sym for cf in problem.crits)
+    assert to_sexpr(sym.index_formula) == "(= v0 v1)"
+    # an earlier use of the same symbol may have compiled it already
+    expected = 1 if sym.index_formula._code is None else 0
+    texts = []
+    compile_ = substitution._compile
+    monkeypatch.setattr(
+        substitution, "_compile", lambda e: texts.append(to_sexpr(e)) or compile_(e)
+    )
+    assert run(problem.crits, problem.ctx, max_steps=100, check=True).solved
+    assert texts.count("(= v0 v1)") == expected
+
+
+def test_racing_threads_build_one_symbol_per_text():
+    def formulas():
+        out, t = [], Var(1)
+        for _ in range(200):
+            t = succ(t)
+            out.append(lt(plus(Var(0), Var(0)), t))
+        return out
+
+    barrier = threading.Barrier(4)
+    built: list[list[SkolemSymbol] | None] = [None] * 4
+
+    def build(i: int) -> None:
+        mine = formulas()
+        barrier.wait(timeout=10)
+        built[i] = [SkolemSymbol(f, 1) for f in mine]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for same_text in zip(*built):
+        assert len(set(map(id, same_text))) == 1
 
 
 @given(st.integers(0, 10**9))

@@ -113,6 +113,10 @@ def test_options():
     assert p.option("max-steps", 100) == 7
     with pytest.raises(ParseError):
         parse_problem("(option unknown 1)\n")
+    # a repeated option is refused at its second form, not resolved silently
+    with pytest.raises(ParseError) as err:
+        parse_problem("(option max-steps 5)\n(option max-steps 1)\n")
+    assert str(err.value).startswith("2:") and "max-steps given twice" in str(err.value)
 
 
 def test_nested_quantifiers_expand_innermost_first():
