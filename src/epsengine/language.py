@@ -11,6 +11,8 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
+from operator import attrgetter
 
 
 class LanguageError(Exception):
@@ -22,6 +24,18 @@ class LanguageError(Exception):
 
 @dataclass(frozen=True)
 class Expr:
+    """A term or formula node.
+
+    Every walk over the trees is written over two things: ``kids``, the
+    node's subexpressions in order (leaves have none), and ``remake(kids)``,
+    a node of the same kind over new subexpressions, built by the checked
+    constructors below, so arithmetic over numerals folds.  ``head`` is the
+    node's operator as printed (a leaf's whole text); a membership atom
+    prints its set's name after its argument instead.
+    """
+
+    kids = ()
+    remake = lambda self, kids: self
     # the node's evaluator, compiled on its first evaluation and kept here
     # by `substitution.compiled`; not a field, so not compared or printed
     _code = None
@@ -30,6 +44,7 @@ class Expr:
 @dataclass(frozen=True)
 class Numeral(Expr):
     value: int
+    head = property(lambda self: str(self.value))
 
     def __post_init__(self) -> None:
         if self.value < 0:
@@ -39,24 +54,34 @@ class Numeral(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     index: int
+    head = property(lambda self: f"v{self.index}")
 
 
 @dataclass(frozen=True)
 class FnApp(Expr):
     fn: str
     args: tuple[Expr, ...]
+    head = property(attrgetter("fn"))
+    kids = property(attrgetter("args"))
+    remake = lambda self, kids: fn(self.fn, *kids)
 
 
 @dataclass(frozen=True)
 class SkolemApp(Expr):
     sym: "SkolemSymbol"
     args: tuple[Expr, ...]
+    head = property(lambda self: f"(c {self.sym.text})")
+    kids = property(attrgetter("args"))
+    remake = lambda self, kids: skolem(self.sym, kids)
 
 
 @dataclass(frozen=True)
 class RelAtom(Expr):
     rel: str
     args: tuple[Expr, ...]
+    head = property(attrgetter("rel"))
+    kids = property(attrgetter("args"))
+    remake = lambda self, kids: rel(self.rel, *kids)
 
 
 @dataclass(frozen=True)
@@ -64,33 +89,44 @@ class InSet(Expr):
     """Membership atom for the inductively defined set."""
 
     arg: Expr
+    kids = property(lambda self: (self.arg,))
+    remake = lambda self, kids: in_set(*kids)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     body: Expr
+    head = "not"
+    kids = property(lambda self: (self.body,))
+    remake = lambda self, kids: not_(*kids)
 
 
 @dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
+    head = "and"
+    kids = property(attrgetter("left", "right"))
+    remake = lambda self, kids: and_(*kids)
 
 
 @dataclass(frozen=True)
 class Or(Expr):
     left: Expr
     right: Expr
+    head = "or"
+    kids = property(attrgetter("left", "right"))
+    remake = lambda self, kids: or_(*kids)
 
 
 @dataclass(frozen=True)
 class Top(Expr):
-    pass
+    head = "true"
 
 
 @dataclass(frozen=True)
 class Bottom(Expr):
-    pass
+    head = "false"
 
 
 TOP = Top()
@@ -134,9 +170,9 @@ def fn(name: str, *args: Expr) -> Expr:
         raise LanguageError(f"unknown function symbol {name!r}")
     if len(args) != PA_FUNCTIONS[name]:
         raise LanguageError(f"{name!r} expects {PA_FUNCTIONS[name]} arguments")
-    if not all(is_term(a) for a in args):
+    if not all(map(isinstance, args, repeat(_TERM_TYPES))):
         raise LanguageError(f"non-term argument to {name!r}")
-    if all(isinstance(a, Numeral) for a in args):
+    if all(map(isinstance, args, repeat(Numeral))):
         return Numeral(_apply_fn(name, [a.value for a in args]))
     return FnApp(name, tuple(args))
 
@@ -145,15 +181,11 @@ def succ(t: Expr) -> Expr:
     return fn("s", t)
 
 
-def plus(a: Expr, b: Expr) -> Expr:
-    return fn("+", a, b)
-
-
 def skolem(sym: "SkolemSymbol", args: tuple[Expr, ...] | list[Expr]) -> SkolemApp:
     args = tuple(args)
     if len(args) != sym.arity:
         raise LanguageError(f"symbol expects {sym.arity} arguments, got {len(args)}")
-    if not all(is_term(a) for a in args):
+    if not all(map(isinstance, args, repeat(_TERM_TYPES))):
         raise LanguageError("non-term argument to Skolem symbol")
     return SkolemApp(sym, args)
 
@@ -161,7 +193,7 @@ def skolem(sym: "SkolemSymbol", args: tuple[Expr, ...] | list[Expr]) -> SkolemAp
 def rel(name: str, a: Expr, b: Expr) -> RelAtom:
     if name not in PA_RELATIONS:
         raise LanguageError(f"unknown relation symbol {name!r}")
-    if not (is_term(a) and is_term(b)):
+    if not (isinstance(a, _TERM_TYPES) and isinstance(b, _TERM_TYPES)):
         raise LanguageError(f"non-term argument to {name!r}")
     return RelAtom(name, (a, b))
 
@@ -175,25 +207,25 @@ def lt(a: Expr, b: Expr) -> RelAtom:
 
 
 def in_set(t: Expr) -> InSet:
-    if not is_term(t):
+    if not isinstance(t, _TERM_TYPES):
         raise LanguageError("membership atom needs a term")
     return InSet(t)
 
 
 def not_(f: Expr) -> Not:
-    if not is_formula(f):
+    if not isinstance(f, _FORMULA_TYPES):
         raise LanguageError("negation needs a formula")
     return Not(f)
 
 
 def and_(a: Expr, b: Expr) -> And:
-    if not (is_formula(a) and is_formula(b)):
+    if not (isinstance(a, _FORMULA_TYPES) and isinstance(b, _FORMULA_TYPES)):
         raise LanguageError("conjunction needs formulas")
     return And(a, b)
 
 
 def or_(a: Expr, b: Expr) -> Or:
-    if not (is_formula(a) and is_formula(b)):
+    if not (isinstance(a, _FORMULA_TYPES) and isinstance(b, _FORMULA_TYPES)):
         raise LanguageError("disjunction needs formulas")
     return Or(a, b)
 
@@ -218,31 +250,15 @@ def conjoin(parts: list[Expr]) -> Expr:
 # the key symbols are interned by and the text of traces and golden tests.
 
 def to_sexpr(e: Expr, set_name: str = "I") -> str:
-    if isinstance(e, Numeral):
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"v{e.index}"
-    if isinstance(e, FnApp):
-        return "(" + " ".join([e.fn] + [to_sexpr(a, set_name) for a in e.args]) + ")"
-    if isinstance(e, SkolemApp):
-        inner = [f"(c {e.sym.text})"]
-        inner += [to_sexpr(a, set_name) for a in e.args]
-        return "(" + " ".join(inner) + ")" if e.args else inner[0]
-    if isinstance(e, RelAtom):
-        return "(" + " ".join([e.rel] + [to_sexpr(a, set_name) for a in e.args]) + ")"
-    if isinstance(e, InSet):
+    kids = e.kids
+    if not kids:
+        return e.head
+    if e.__class__ is InSet:
         return f"(in {to_sexpr(e.arg, set_name)} {set_name})"
-    if isinstance(e, Not):
-        return f"(not {to_sexpr(e.body, set_name)})"
-    if isinstance(e, And):
-        return f"(and {to_sexpr(e.left, set_name)} {to_sexpr(e.right, set_name)})"
-    if isinstance(e, Or):
-        return f"(or {to_sexpr(e.left, set_name)} {to_sexpr(e.right, set_name)})"
-    if isinstance(e, Top):
-        return "true"
-    if isinstance(e, Bottom):
-        return "false"
-    raise LanguageError(f"cannot serialize {e!r}")
+    parts = [e.head]
+    for k in kids:
+        parts.append(to_sexpr(k, set_name))
+    return f"({' '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
@@ -250,35 +266,21 @@ def to_sexpr(e: Expr, set_name: str = "I") -> str:
 
 def is_closed(e: Expr) -> bool:
     """No variable occurs in e."""
-    if isinstance(e, Var):
+    if e.__class__ is Var:
         return False
-    if isinstance(e, Numeral):
-        return True
-    if isinstance(e, (FnApp, SkolemApp, RelAtom)):
-        return all(is_closed(a) for a in e.args)
-    if isinstance(e, InSet):
-        return is_closed(e.arg)
-    if isinstance(e, Not):
-        return is_closed(e.body)
-    if isinstance(e, (And, Or)):
-        return is_closed(e.left) and is_closed(e.right)
+    for k in e.kids:
+        if not is_closed(k):
+            return False
     return True
 
 
 def has_closed_subterm(e: Expr) -> bool:
     """True when any term position of e holds a closed term."""
-    if is_term(e):
-        return is_closed(e) or any(
-            has_closed_subterm(a) for a in getattr(e, "args", ())
-        )
-    if isinstance(e, (RelAtom,)):
-        return any(has_closed_subterm(a) for a in e.args)
-    if isinstance(e, InSet):
-        return has_closed_subterm(e.arg)
-    if isinstance(e, Not):
-        return has_closed_subterm(e.body)
-    if isinstance(e, (And, Or)):
-        return has_closed_subterm(e.left) or has_closed_subterm(e.right)
+    if isinstance(e, _TERM_TYPES) and is_closed(e):
+        return True
+    for k in e.kids:
+        if has_closed_subterm(k):
+            return True
     return False
 
 
@@ -332,43 +334,21 @@ _live_lock = threading.Lock()
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Simultaneous replacement of Var(i) by mapping[i], folding numerals."""
-    if isinstance(e, Numeral):
-        return e
-    if isinstance(e, Var):
+    if e.__class__ is Var:
         return mapping.get(e.index, e)
-    if isinstance(e, FnApp):
-        return fn(e.fn, *[substitute(a, mapping) for a in e.args])
-    if isinstance(e, SkolemApp):
-        return skolem(e.sym, [substitute(a, mapping) for a in e.args])
-    if isinstance(e, RelAtom):
-        a, b = (substitute(x, mapping) for x in e.args)
-        return rel(e.rel, a, b)
-    if isinstance(e, InSet):
-        return in_set(substitute(e.arg, mapping))
-    if isinstance(e, Not):
-        return not_(substitute(e.body, mapping))
-    if isinstance(e, And):
-        return and_(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Or):
-        return or_(substitute(e.left, mapping), substitute(e.right, mapping))
-    return e
+    kids = e.kids
+    if not kids:
+        return e
+    new = []
+    for k in kids:
+        new.append(substitute(k, mapping))
+    return e.remake(new)
 
 
 def free_vars(e: Expr) -> set[int]:
-    if isinstance(e, Var):
+    if e.__class__ is Var:
         return {e.index}
-    if isinstance(e, (FnApp, SkolemApp, RelAtom)):
-        out: set[int] = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, InSet):
-        return free_vars(e.arg)
-    if isinstance(e, Not):
-        return free_vars(e.body)
-    if isinstance(e, (And, Or)):
-        return free_vars(e.left) | free_vars(e.right)
-    return set()
+    return set().union(*map(free_vars, e.kids))
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +390,8 @@ OMEGA = Rank(1)
 
 def simple_rank(e: Expr) -> int:
     """Stratification level: nesting depth of Skolem symbols in e."""
-    if isinstance(e, SkolemApp):
-        inner = max((simple_rank(a) for a in e.args), default=0)
-        return max(e.sym.rank.n, inner)
-    if isinstance(e, (FnApp, RelAtom)):
-        return max((simple_rank(a) for a in e.args), default=0)
-    if isinstance(e, InSet):
-        return simple_rank(e.arg)
-    if isinstance(e, Not):
-        return simple_rank(e.body)
-    if isinstance(e, (And, Or)):
-        return max(simple_rank(e.left), simple_rank(e.right))
-    return 0
+    level = e.sym.rank.n if e.__class__ is SkolemApp else 0
+    return max([level, *map(simple_rank, e.kids)])
 
 
 def mentions_inductive(e: Expr) -> bool:
@@ -431,16 +401,11 @@ def mentions_inductive(e: Expr) -> bool:
     set counts as a mention even when no membership atom is visible in e's
     own tree; this keeps ranks stratified under nesting.
     """
-    if isinstance(e, InSet):
+    if e.__class__ is InSet or e.__class__ is SkolemApp and e.sym.rank > OMEGA:
         return True
-    if isinstance(e, SkolemApp):
-        return e.sym.rank > OMEGA or any(mentions_inductive(a) for a in e.args)
-    if isinstance(e, (FnApp, RelAtom)):
-        return any(mentions_inductive(a) for a in e.args)
-    if isinstance(e, Not):
-        return mentions_inductive(e.body)
-    if isinstance(e, (And, Or)):
-        return mentions_inductive(e.left) or mentions_inductive(e.right)
+    for k in e.kids:
+        if mentions_inductive(k):
+            return True
     return False
 
 
@@ -491,28 +456,13 @@ class CanonTerm:
     def __repr__(self) -> str:
         return f"CanonTerm(sym={self.sym!r}, args={self.args!r})"
 
-    def to_term(self) -> SkolemApp:
-        return skolem(self.sym, [num(n) for n in self.args])
-
 
 @dataclass(frozen=True)
 class CanonForm:
     n: int
 
-    def to_formula(self) -> InSet:
-        return in_set(num(self.n))
-
 
 Canon = CanonTerm | CanonForm
-
-
-def as_canonical(e: Expr) -> Canon | None:
-    """The canonical expression e denotes, if any."""
-    if isinstance(e, SkolemApp) and all(isinstance(a, Numeral) for a in e.args):
-        return CanonTerm(e.sym, tuple(a.value for a in e.args))
-    if isinstance(e, InSet) and isinstance(e.arg, Numeral):
-        return CanonForm(e.arg.value)
-    return None
 
 
 def rank_of(c: Canon, omega_sym: SkolemSymbol | None = None) -> Rank:
@@ -559,33 +509,15 @@ def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...]]:
             args.append(original)
         return Var(slots[key])
 
-    def walk_term(t: Expr) -> Expr:
-        if isinstance(t, Var):
-            if t.index == 0:
-                return t
-            return param(("var", t.index), t)
-        if is_closed(t):
-            return param(("closed", to_sexpr(t)), t)
-        if isinstance(t, FnApp):
-            return FnApp(t.fn, tuple(walk_term(a) for a in t.args))
-        if isinstance(t, SkolemApp):
-            return SkolemApp(t.sym, tuple(walk_term(a) for a in t.args))
-        raise LanguageError(f"unexpected term {t!r}")
-
     def walk(e: Expr) -> Expr:
-        if is_term(e):
-            return walk_term(e)
-        if isinstance(e, RelAtom):
-            return RelAtom(e.rel, tuple(walk_term(a) for a in e.args))
-        if isinstance(e, InSet):
-            return InSet(walk_term(e.arg))
-        if isinstance(e, Not):
-            return Not(walk(e.body))
-        if isinstance(e, And):
-            return And(walk(e.left), walk(e.right))
-        if isinstance(e, Or):
-            return Or(walk(e.left), walk(e.right))
-        return e
+        if e.__class__ is Var:
+            return e if e.index == 0 else param(("var", e.index), e)
+        if isinstance(e, _TERM_TYPES) and is_closed(e):
+            return param(("closed", to_sexpr(e)), e)
+        new = []
+        for k in e.kids:
+            new.append(walk(k))
+        return e.remake(new)
 
     index = walk(phi)
     return index, tuple(args)
@@ -679,10 +611,6 @@ class InductiveContext:
         """Membership condition A(n, I) in its abbreviated form."""
         return substitute(self.a_template, {0: num(n)})
 
-    def b_formula(self, y: Expr, x: Expr) -> Expr:
-        """Clause instance B(y, x, I)."""
-        return substitute(self.clause, {0: y, 1: x})
-
     def with_phi(self, phi_template: Expr) -> Expr:
         """Clause body with the set placeholder replaced by a formula.
 
@@ -691,14 +619,8 @@ class InductiveContext:
         """
 
         def walk(e: Expr) -> Expr:
-            if isinstance(e, InSet):
+            if e.__class__ is InSet:
                 return substitute(phi_template, {0: e.arg})
-            if isinstance(e, Not):
-                return not_(walk(e.body))
-            if isinstance(e, And):
-                return and_(walk(e.left), walk(e.right))
-            if isinstance(e, Or):
-                return or_(walk(e.left), walk(e.right))
-            return e
+            return e.remake(list(map(walk, e.kids)))
 
         return walk(self.clause)

@@ -20,6 +20,7 @@ body the declared set name replaces I and quantifiers are not allowed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,10 +29,8 @@ from .language import (
     Expr,
     InductiveContext,
     InSet,
-    And,
     LanguageError,
     Not,
-    Or,
     TOP,
     Var,
     eq,
@@ -85,71 +84,9 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Reader
 
-class _Tok:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
-
-
-def _read(toks: list[_Tok], at: int):
-    if at >= len(toks):
-        raise ParseError("unexpected end of input")
-    tok = toks[at]
-    if tok.text == "(":
-        items = []
-        at += 1
-        while True:
-            if at >= len(toks):
-                raise ParseError("unclosed parenthesis", (tok.line, tok.col))
-            if toks[at].text == ")":
-                return items, at + 1
-            item, at = _read(toks, at)
-            items.append(item)
-    if tok.text == ")":
-        raise ParseError("unexpected ')'", (tok.line, tok.col))
-    text = tok.text
-    if text.lstrip("-").isdigit():
-        try:
-            value = int(text)
-        except ValueError:  # past int's digit limit, or a non-ASCII digit
-            raise ParseError("malformed numeral", (tok.line, tok.col)) from None
-        if value < 0:
-            raise ParseError("negative numeral", (tok.line, tok.col))
-        return value, at + 1
-    return _Sym(text, tok.line, tok.col), at + 1
+# a token of one line: a parenthesis, the ';' that starts a comment, or an
+# atom; the blanks between tokens (space, tab, carriage return) are skipped
+_TOKEN = re.compile(r"[();]|[^ \t\r();]+")
 
 
 class _Sym(str):
@@ -161,12 +98,35 @@ class _Sym(str):
 
 
 def read_forms(text: str) -> list:
-    toks = _tokenize(text)
-    forms = []
-    at = 0
-    while at < len(toks):
-        form, at = _read(toks, at)
-        forms.append(form)
+    """The forms of text: nested lists of numerals and positioned symbols."""
+    forms: list = []
+    items = forms  # the innermost open list
+    outer: list = []  # the lists enclosing it, each with its '(' position
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            tok = m[0]
+            if tok == "(":
+                outer.append((items, line, m.start() + 1))
+                items = []
+            elif tok == ")":
+                if not outer:
+                    raise ParseError("unexpected ')'", (line, m.start() + 1))
+                done, items = items, outer.pop()[0]
+                items.append(done)
+            elif tok == ";":
+                break
+            elif tok.lstrip("-").isdigit():
+                try:
+                    value = int(tok)
+                except ValueError:  # past int's digit limit, or a non-ASCII digit
+                    raise ParseError("malformed numeral", (line, m.start() + 1)) from None
+                if value < 0:
+                    raise ParseError("negative numeral", (line, m.start() + 1))
+                items.append(value)
+            else:
+                items.append(_Sym(tok, line, m.start() + 1))
+    if outer:
+        raise ParseError("unclosed parenthesis", outer[-1][1:])
     return forms
 
 
@@ -268,14 +228,13 @@ class _Parser:
 
 
 def _check_positive(e: Expr, positive: bool = True) -> bool:
-    if isinstance(e, InSet):
+    if e.__class__ is InSet:
         return positive
-    if isinstance(e, Not):
-        return _check_positive(e.body, not positive)
-    if isinstance(e, (And, Or)):
-        return _check_positive(e.left, positive) and _check_positive(
-            e.right, positive
-        )
+    if e.__class__ is Not:
+        positive = not positive
+    for k in e.kids:
+        if not _check_positive(k, positive):
+            return False
     return True
 
 
@@ -358,6 +317,8 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError(f"unknown option {form[1]!r}", _pos(form))
             if any(k == form[1] for k, _ in options):
                 raise ParseError(f"option {form[1]} given twice", _pos(form))
+            if form[2] < 1:
+                raise ParseError("max-steps must be at least 1", _pos(form))
             options.append((str(form[1]), form[2]))
         elif head == "crit":
             crit_forms.append(form)
@@ -477,16 +438,6 @@ def _subst_sx(tree, name: str, repl):
     return tree
 
 
-def _sx_eq(a, b) -> bool:
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_sx_eq(x, y) for x, y in zip(a, b))
-    if isinstance(a, list) or isinstance(b, list):
-        return False
-    if isinstance(a, str) and isinstance(b, str):
-        return str(a) == str(b)
-    return a == b
-
-
 def _match_instance(pattern, name: str, instance):
     """The term substituted for name that turns pattern into instance."""
     hits: list = []
@@ -497,12 +448,12 @@ def _match_instance(pattern, name: str, instance):
             return True
         if isinstance(p, list) and isinstance(i, list) and len(p) == len(i):
             return all(walk(a, b) for a, b in zip(p, i))
-        return _sx_eq(p, i)
+        return p == i
 
     if not walk(pattern, instance) or not hits:
         return None
     first = hits[0]
-    if not all(_sx_eq(h, first) for h in hits[1:]):
+    if not all(h == first for h in hits[1:]):
         return None
     return first
 
@@ -556,8 +507,8 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
             if (
                 prem[1][2] == 0
                 and _is(inner, "=", 3)
-                and _sx_eq(inner[2], ["s", x])
-                and _sx_eq(inner[1], prem[1][1])
+                and inner[2] == ["s", x]
+                and inner[1] == prem[1][1]
             ):
                 if got := accept(lambda: make_pred(term(prem[1][1]))):
                     return got
@@ -571,9 +522,7 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
             x, inner = ex
             if _is(inner, "and", 3) and _is(inner[2], "not", 2):
                 fx, fsx = inner[1], inner[2][1]
-                if _sx_eq(_subst_sx(fx, x, ["s", x]), fsx) and _sx_eq(
-                    _subst_sx(fx, x, 0), prem[1]
-                ):
+                if _subst_sx(fx, x, ["s", x]) == fsx and _subst_sx(fx, x, 0) == prem[1]:
                     t_sx = _match_instance(fx, x, prem[2][1])
                     if t_sx is not None and (
                         got := accept(
@@ -603,7 +552,7 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
             if (
                 _is(inner, "->", 3)
                 and _is(inner[1], "in", 3)
-                and _sx_eq(inner[1][1], x)
+                and inner[1][1] == x
                 and str(inner[1][2]) == "I"
             ):
                 if got := accept(lambda: make_closure(matrix(x, inner[2]), ctx)):

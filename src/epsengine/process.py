@@ -646,41 +646,39 @@ def run(
     steps: list[HStep] = []
     verdicts = Verdicts()
     admitted: tuple[int, ...] = ()
-    solving = is_solving(hs.sub, crs, verdicts)
-    while not solving:
-        if len(steps) >= max_steps:
-            return Outcome(
-                "step-limit", hs, steps, f"no solution within {max_steps} steps"
-            )
-        try:
+    try:  # the first evaluation compiles the formulas, and may overflow too
+        solving = is_solving(hs.sub, crs, verdicts)
+        while not solving:
+            if len(steps) >= max_steps:
+                return Outcome(
+                    "step-limit", hs, steps, f"no solution within {max_steps} steps"
+                )
             hs, record = h_step(
                 hs, crs, ctx, step_index=len(steps), verdicts=verdicts
             )
-        except ProcessInvariantError as err:
-            return Outcome("internal-error", hs, steps, str(err))
-        except RecursionError:
-            return Outcome(
-                "internal-error", hs, steps, "formula nesting too deep"
-            )
-        steps.append(record)
-        if check:
-            if not is_correct(hs.sub, ctx, verdicts):
-                return Outcome(
-                    "internal-error",
-                    hs,
-                    steps,
-                    f"step {record.index}: substitution is not correct",
-                )
-            issues = validate(hs, ctx, admitted)
-            if issues:
-                return Outcome(
-                    "internal-error",
-                    hs,
-                    steps,
-                    f"step {record.index}: {'; '.join(issues)}",
-                )
-            admitted = hs.p
-        solving = record.solving
+            steps.append(record)
+            if check:
+                if not is_correct(hs.sub, ctx, verdicts):
+                    return Outcome(
+                        "internal-error",
+                        hs,
+                        steps,
+                        f"step {record.index}: substitution is not correct",
+                    )
+                issues = validate(hs, ctx, admitted)
+                if issues:
+                    return Outcome(
+                        "internal-error",
+                        hs,
+                        steps,
+                        f"step {record.index}: {'; '.join(issues)}",
+                    )
+                admitted = hs.p
+            solving = record.solving
+    except ProcessInvariantError as err:
+        return Outcome("internal-error", hs, steps, str(err))
+    except RecursionError:
+        return Outcome("internal-error", hs, steps, "formula nesting too deep")
     return Outcome("solved", hs, steps)
 
 

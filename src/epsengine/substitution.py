@@ -40,7 +40,6 @@ from .language import (
     Top,
     TOP,
     Var,
-    canon_sexpr,
     conjoin,
     instantiate_index,
     is_formula,

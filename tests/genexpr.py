@@ -13,6 +13,7 @@ from epsengine.language import (
     Var,
     and_,
     eq,
+    fn,
     in_set,
     lt,
     not_,
@@ -51,9 +52,7 @@ def random_term(rng: random.Random, syms: list[SkolemSymbol], depth: int = 3) ->
         return succ(random_term(rng, syms, depth - 1))
     a = random_term(rng, syms, depth - 1)
     b = random_term(rng, syms, depth - 1)
-    from epsengine.language import plus
-
-    return plus(a, b)
+    return fn("+", a, b)
 
 
 def random_formula(

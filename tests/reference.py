@@ -8,9 +8,12 @@ over closed arithmetic, and `NotGround` reports one that is still
 undecided.  The engine answers the same question in one walk; the tests
 compare the two, verdict and lookups alike.
 
-Beside it sit the earlier forms of two engine paths the tests compare
-with: the goal report that builds and evaluates instance trees, and the
-serialization that sorts every entry.
+Beside it sit the earlier forms of engine paths the tests compare with:
+the goal report that builds and evaluates instance trees, the
+serialization that sorts every entry, the walks written out by hand for
+every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`), and
+the reader that tokenizes first and then recurses.  Last come the small
+builders and readers of canonical expressions that only the tests use.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from epsengine.language import (
     And,
     Bottom,
     BOTTOM,
+    Canon,
     CanonForm,
+    CanonTerm,
     Expr,
     FnApp,
     InductiveContext,
     InSet,
+    LanguageError,
     Not,
     Numeral,
     Or,
@@ -33,16 +39,22 @@ from epsengine.language import (
     TOP,
     Var,
     _apply_fn,
-    as_canonical,
+    and_,
     canon_sexpr,
+    fn,
+    in_set,
     is_formula,
     is_term,
+    not_,
     num,
+    or_,
     rank_sort_key,
+    rel,
     skolem,
     substitute,
     to_sexpr,
 )
+from epsengine.problems import ParseError, _Sym
 from epsengine.process import Goal, ProcessInvariantError, _reduce_numeral
 from epsengine.substitution import (
     Substitution,
@@ -193,3 +205,224 @@ def reference_serialize(sub: Substitution) -> str:
     """The one-line form by sorting every entry on rank then expression."""
     items = sorted(sub.items(), key=lambda it: rank_sort_key(it[0], sub.omega_sym))
     return "{" + " ".join(f"({canon_sexpr(e)} {u})" for e, u in items) + "}"
+
+
+# ---------------------------------------------------------------------------
+# The walks as they were written out, one case per node type
+
+def hand_to_sexpr(e: Expr, set_name: str = "I") -> str:
+    if isinstance(e, Numeral):
+        return str(e.value)
+    if isinstance(e, Var):
+        return f"v{e.index}"
+    if isinstance(e, FnApp):
+        return "(" + " ".join([e.fn] + [hand_to_sexpr(a, set_name) for a in e.args]) + ")"
+    if isinstance(e, SkolemApp):
+        inner = [f"(c {e.sym.text})"]
+        inner += [hand_to_sexpr(a, set_name) for a in e.args]
+        return "(" + " ".join(inner) + ")" if e.args else inner[0]
+    if isinstance(e, RelAtom):
+        return "(" + " ".join([e.rel] + [hand_to_sexpr(a, set_name) for a in e.args]) + ")"
+    if isinstance(e, InSet):
+        return f"(in {hand_to_sexpr(e.arg, set_name)} {set_name})"
+    if isinstance(e, Not):
+        return f"(not {hand_to_sexpr(e.body, set_name)})"
+    if isinstance(e, And):
+        return f"(and {hand_to_sexpr(e.left, set_name)} {hand_to_sexpr(e.right, set_name)})"
+    if isinstance(e, Or):
+        return f"(or {hand_to_sexpr(e.left, set_name)} {hand_to_sexpr(e.right, set_name)})"
+    if isinstance(e, Top):
+        return "true"
+    if isinstance(e, Bottom):
+        return "false"
+    raise LanguageError(f"cannot serialize {e!r}")
+
+
+def hand_is_closed(e: Expr) -> bool:
+    if isinstance(e, Var):
+        return False
+    if isinstance(e, Numeral):
+        return True
+    if isinstance(e, (FnApp, SkolemApp, RelAtom)):
+        return all(hand_is_closed(a) for a in e.args)
+    if isinstance(e, InSet):
+        return hand_is_closed(e.arg)
+    if isinstance(e, Not):
+        return hand_is_closed(e.body)
+    if isinstance(e, (And, Or)):
+        return hand_is_closed(e.left) and hand_is_closed(e.right)
+    return True
+
+
+def hand_substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
+    if isinstance(e, Numeral):
+        return e
+    if isinstance(e, Var):
+        return mapping.get(e.index, e)
+    if isinstance(e, FnApp):
+        return fn(e.fn, *[hand_substitute(a, mapping) for a in e.args])
+    if isinstance(e, SkolemApp):
+        return skolem(e.sym, [hand_substitute(a, mapping) for a in e.args])
+    if isinstance(e, RelAtom):
+        a, b = (hand_substitute(x, mapping) for x in e.args)
+        return rel(e.rel, a, b)
+    if isinstance(e, InSet):
+        return in_set(hand_substitute(e.arg, mapping))
+    if isinstance(e, Not):
+        return not_(hand_substitute(e.body, mapping))
+    if isinstance(e, And):
+        return and_(hand_substitute(e.left, mapping), hand_substitute(e.right, mapping))
+    if isinstance(e, Or):
+        return or_(hand_substitute(e.left, mapping), hand_substitute(e.right, mapping))
+    return e
+
+
+def hand_abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...]]:
+    slots: dict[object, int] = {}
+    args: list[Expr] = []
+
+    def param(key: object, original: Expr) -> Expr:
+        if key not in slots:
+            slots[key] = len(args) + 1
+            args.append(original)
+        return Var(slots[key])
+
+    def walk_term(t: Expr) -> Expr:
+        if isinstance(t, Var):
+            if t.index == 0:
+                return t
+            return param(("var", t.index), t)
+        if hand_is_closed(t):
+            return param(("closed", hand_to_sexpr(t)), t)
+        if isinstance(t, FnApp):
+            return FnApp(t.fn, tuple(walk_term(a) for a in t.args))
+        if isinstance(t, SkolemApp):
+            return SkolemApp(t.sym, tuple(walk_term(a) for a in t.args))
+        raise LanguageError(f"unexpected term {t!r}")
+
+    def walk(e: Expr) -> Expr:
+        if is_term(e):
+            return walk_term(e)
+        if isinstance(e, RelAtom):
+            return RelAtom(e.rel, tuple(walk_term(a) for a in e.args))
+        if isinstance(e, InSet):
+            return InSet(walk_term(e.arg))
+        if isinstance(e, Not):
+            return Not(walk(e.body))
+        if isinstance(e, And):
+            return And(walk(e.left), walk(e.right))
+        if isinstance(e, Or):
+            return Or(walk(e.left), walk(e.right))
+        return e
+
+    index = walk(phi)
+    return index, tuple(args)
+
+
+# ---------------------------------------------------------------------------
+# The reader as it was: a character loop, then a recursive descent
+
+class _Tok:
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append(_Tok(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            toks.append(_Tok(text[i:j], line, col))
+            col += j - i
+            i = j
+    return toks
+
+
+def _read(toks: list[_Tok], at: int):
+    if at >= len(toks):
+        raise ParseError("unexpected end of input")
+    tok = toks[at]
+    if tok.text == "(":
+        items = []
+        at += 1
+        while True:
+            if at >= len(toks):
+                raise ParseError("unclosed parenthesis", (tok.line, tok.col))
+            if toks[at].text == ")":
+                return items, at + 1
+            item, at = _read(toks, at)
+            items.append(item)
+    if tok.text == ")":
+        raise ParseError("unexpected ')'", (tok.line, tok.col))
+    text = tok.text
+    if text.lstrip("-").isdigit():
+        try:
+            value = int(text)
+        except ValueError:  # past int's digit limit, or a non-ASCII digit
+            raise ParseError("malformed numeral", (tok.line, tok.col)) from None
+        if value < 0:
+            raise ParseError("negative numeral", (tok.line, tok.col))
+        return value, at + 1
+    return _Sym(text, tok.line, tok.col), at + 1
+
+
+def recursive_read_forms(text: str) -> list:
+    toks = _tokenize(text)
+    forms = []
+    at = 0
+    while at < len(toks):
+        form, at = _read(toks, at)
+        forms.append(form)
+    return forms
+
+
+# ---------------------------------------------------------------------------
+# Builders and readers of canonical expressions for the tests
+
+def plus(a: Expr, b: Expr) -> Expr:
+    return fn("+", a, b)
+
+
+def to_term(c: CanonTerm) -> SkolemApp:
+    return skolem(c.sym, [num(n) for n in c.args])
+
+
+def to_formula(c: CanonForm) -> InSet:
+    return in_set(num(c.n))
+
+
+def as_canonical(e: Expr) -> Canon | None:
+    """The canonical expression e denotes, if any."""
+    if isinstance(e, SkolemApp) and all(isinstance(a, Numeral) for a in e.args):
+        return CanonTerm(e.sym, tuple(a.value for a in e.args))
+    if isinstance(e, InSet) and isinstance(e.arg, Numeral):
+        return CanonForm(e.arg.value)
+    return None
+
+
+def b_formula(ctx: InductiveContext, y: Expr, x: Expr) -> Expr:
+    """Clause instance B(y, x, I)."""
+    return substitute(ctx.clause, {0: y, 1: x})

@@ -227,6 +227,7 @@ BAD_PROBLEMS = {
     "deep-nesting": b"(crit formula " + b"(not " * 3000 + b"true" + b")" * 3001,
     "huge-numeral": b"(crit pred " + b"7" * 5000 + b")\n",
     "repeated-option": b"(option max-steps 5)\n(option max-steps 1)\n" + TWO_STEP.encode(),
+    "max-steps-zero": b"(option max-steps 0)\n" + TWO_STEP.encode(),
 }
 BAD_TRACES = {
     "not-utf8": b"\xff\n",
@@ -276,6 +277,28 @@ def test_malformed_input_exits_1_with_one_line(
     assert "Traceback" not in captured.err
     if which == "trace-path-unrun":
         assert captured.err.startswith("error: "), captured.err
+
+
+# a matrix nested past what compiling takes (two frames a level) but within
+# what the parser takes: the run fails with its exit code and one line
+DEEP_NOT = 600
+
+
+def test_a_formula_too_deep_to_compile_ends_with_its_exit_code(write, tmp_path, capsys):
+    path = write("p.eps", "(crit eps 1 (exists (x) " + "(not " * DEEP_NOT + "(= x 1)" + ")" * DEEP_NOT + "))\n")
+    trace = tmp_path / "t.jsonl"
+    parse_problem(pathlib.Path(path).read_text())  # the parser takes it
+    assert main(["run", path, "--trace", str(trace)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "internal-error: formula nesting too deep" in captured.out
+    assert main(["explain", path, "0"]) == EXIT_INPUT
+    assert main(["check", str(trace), path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: step 0 out of range (process ran 0 steps)",
+        "replay failed invariants: formula nesting too deep",
+    ]
 
 
 # ---------------------------------------------------------------------------

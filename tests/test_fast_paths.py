@@ -79,7 +79,13 @@ from epsengine.substitution import (
     value,
 )
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
-from reference import reference_serialize, reference_truth, reference_witness_line
+from reference import (
+    reference_serialize,
+    reference_truth,
+    reference_witness_line,
+    to_formula,
+    to_term,
+)
 from test_acceptance import indep_formula
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,7 +150,7 @@ def test_canon_sexpr_matches_the_serialized_expression(runs):
         for hs in states:
             for sub in (hs.sub, *hs.v.values()):
                 for c in sub.domain():
-                    expr = c.to_formula() if isinstance(c, CanonForm) else c.to_term()
+                    expr = to_formula(c) if isinstance(c, CanonForm) else to_term(c)
                     assert canon_sexpr(c) == to_sexpr(expr)
                     seen += 1
     assert seen > 1000

@@ -3,6 +3,7 @@ import random
 from epsengine.history import HistoricalSubstitution, is_admissible, validate
 from epsengine.language import CanonForm, InductiveContext, Var, in_set
 from epsengine.substitution import Substitution, TOP_VAL, UNKNOWN, num_val
+from reference import b_formula
 
 
 def members(ctx, *ns):
@@ -68,7 +69,7 @@ def test_adding_members_never_falsifies_admissibility(ctx):
         p = tuple(rng.sample(range(0, 5), rng.randint(1, 4)))
         for i, n in enumerate(p):
             base = {CanonForm(m): TOP_VAL for m in p[:i]}
-            cond = ctx.b_formula(num(0), num(n))
+            cond = b_formula(ctx, num(0), num(n))
             small = Substitution(base, omega_sym=ctx.omega_sym).extended()
             extra = dict(base)
             extra[CanonForm(5)] = TOP_VAL

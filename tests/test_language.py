@@ -29,7 +29,6 @@ from epsengine.language import (
     not_,
     num,
     or_,
-    plus,
     rank_of,
     rank_of_symbol,
     simple_rank,
@@ -41,6 +40,7 @@ from epsengine.language import (
 from epsengine.problems import parse_problem
 from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
+from reference import plus
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
 

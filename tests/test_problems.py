@@ -117,6 +117,9 @@ def test_options():
     with pytest.raises(ParseError) as err:
         parse_problem("(option max-steps 5)\n(option max-steps 1)\n")
     assert str(err.value).startswith("2:") and "max-steps given twice" in str(err.value)
+    # as on the command line, at least one step
+    with pytest.raises(ParseError, match=r"^2:2: max-steps must be at least 1$"):
+        parse_problem("(crit pred 2)\n(option max-steps 0)\n")
 
 
 def test_nested_quantifiers_expand_innermost_first():

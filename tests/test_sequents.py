@@ -40,6 +40,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import SYM_R1A, SYM_R1C
+from reference import to_term
 
 
 def sequent_of(ctx, entries, p=(), v=None, flags=None):
@@ -220,7 +221,7 @@ def test_formula_family_takes_term_entries(ctx):
 
 def test_nu_decreases_when_collapsing_a_term():
     c = CanonTerm(SYM_R1A, (1,))
-    phi = eq(c.to_term(), num(0))
+    phi = eq(to_term(c), num(0))
     theta = Sequent.from_historical(HistoricalSubstitution.initial())
     before = nu(theta, [phi], None)
     assert before == MeasureValue(1, 1)
@@ -242,7 +243,7 @@ def test_nu_formula_case_nonincrease(ctx):
 
 def test_rho_uses_reduced_formulas():
     c = CanonTerm(SYM_R1A, (1,))
-    phi = eq(c.to_term(), num(0))
+    phi = eq(to_term(c), num(0))
     theta = Sequent.from_historical(
         HistoricalSubstitution(Substitution({c: num_val(2)}))
     )

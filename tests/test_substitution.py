@@ -20,7 +20,6 @@ from epsengine.language import (
     not_,
     num,
     or_,
-    plus,
     skolem,
     substitute,
     succ,
@@ -48,7 +47,14 @@ from genexpr import (
     random_substitution,
     random_term,
 )
-from reference import decides, is_computing, reduce_formula, reduce_term
+from reference import (
+    decides,
+    is_computing,
+    plus,
+    reduce_formula,
+    reduce_term,
+    to_term,
+)
 
 EMPTY = Substitution.empty()
 
@@ -75,19 +81,19 @@ def test_reduce_pure_arithmetic():
 def test_reduce_canonical_with_value():
     c = CanonTerm(SYM_R1C, (0,))
     s = EMPTY.with_entry(c, num_val(2))
-    assert reduce_term(plus(c.to_term(), num(1)), s) == num(3)
+    assert reduce_term(plus(to_term(c), num(1)), s) == num(3)
 
 
 def test_reduce_canonical_unknown_goes_to_zero():
     c = CanonTerm(SYM_R1C, (0,))
     s = EMPTY.with_entry(c, UNKNOWN)
-    assert reduce_term(c.to_term(), s) == num(0)
+    assert reduce_term(to_term(c), s) == num(0)
 
 
 def test_reduce_canonical_absent_stays_without_extension():
     c = CanonTerm(SYM_R1C, (0,))
-    assert reduce_term(c.to_term(), EMPTY) == c.to_term()
-    assert reduce_term(c.to_term(), EMPTY.extended()) == num(0)
+    assert reduce_term(to_term(c), EMPTY) == to_term(c)
+    assert reduce_term(to_term(c), EMPTY.extended()) == num(0)
 
 
 def test_reduce_noncanonical_collapses_through_arguments():
@@ -95,10 +101,10 @@ def test_reduce_noncanonical_collapses_through_arguments():
     s = EMPTY.with_entry(inner, num_val(3)).with_entry(
         CanonTerm(SYM_R1C, (3,)), num_val(4)
     )
-    t = skolem(SYM_R1C, (inner.to_term(),))
+    t = skolem(SYM_R1C, (to_term(inner),))
     assert reduce_term(t, s) == num(4)
     # absent after argument collapse: stays at the collapsed canonical form
-    t2 = skolem(SYM_R1A, (inner.to_term(),))
+    t2 = skolem(SYM_R1A, (to_term(inner),))
     assert reduce_term(t2, s) == skolem(SYM_R1A, (num(3),))
 
 
@@ -288,8 +294,8 @@ def test_recording_substitution_tracks_lookups():
     d = CanonTerm(SYM_R1A, (1,))
     s = EMPTY.with_entry(c, num_val(2))
     rec = RecordingSubstitution(s)
-    assert reduce_term(c.to_term(), rec) == num(2)
-    assert reduce_term(d.to_term(), rec) == num(0)  # lazy view
+    assert reduce_term(to_term(c), rec) == num(2)
+    assert reduce_term(to_term(d), rec) == num(0)  # lazy view
     assert rec.consulted == {c, d}
     assert rec.leaked == {d}
 

@@ -1,0 +1,241 @@
+"""The generic walks and the stack reader against the code they replaced.
+
+`language` writes every walk over a node's `kids` and `remake`, and
+`problems.read_forms` reads with one regex and a stack of open lists.
+`reference` keeps the walks written out per node type and the reader
+that tokenized first and then recursed.  Both sides run here on the
+problem files, the acceptance corpus, the benchmark families and random
+formulas, and on mutated texts for the readers: same trees, same texts,
+same argument order, same forms and positions, same error messages.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pathlib
+import random
+
+import pytest
+
+from conftest import bench_imports
+from corpusgen import build_corpus
+from epsengine.language import (
+    Expr,
+    Var,
+    abstract_closed_terms,
+    is_closed,
+    num,
+    skolem,
+    substitute,
+    succ,
+    to_sexpr,
+)
+from epsengine.problems import ParseError, _Sym, parse_problem, read_forms
+from genexpr import FIN_SYMS, SYM_R1A, SYM_R2, random_formula, random_term
+from reference import (
+    hand_abstract_closed_terms,
+    hand_is_closed,
+    hand_substitute,
+    hand_to_sexpr,
+    recursive_read_forms,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _texts() -> list[str]:
+    texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "problems").glob("*.eps"))]
+    texts += [p.text for p in build_corpus()]
+    with bench_imports():
+        import workloads
+
+        for family in ("corpus", "eps_chain", "omega_ladder"):
+            texts += [p.text for p in workloads.generate(family, 1, "tiny")]
+    return texts
+
+
+TEXTS = _texts()
+
+
+# ---------------------------------------------------------------------------
+# Walks
+
+def _subexprs(e: Expr, out: list[Expr]) -> list[Expr]:
+    """e and everything below it, index formulas of its symbols included.
+
+    Read off the dataclass fields, so it does not lean on `kids`.
+    """
+    out.append(e)
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for k in v if isinstance(v, tuple) else (v,):
+            if isinstance(k, Expr):
+                _subexprs(k, out)
+    if hasattr(e, "sym"):
+        _subexprs(e.sym.index_formula, out)
+    return out
+
+
+def _problem_exprs() -> list[Expr]:
+    seen: dict[str, Expr] = {}
+    for text in TEXTS:
+        p = parse_problem(text)
+        roots = [p.clause] if p.clause is not None else []
+        if p.ctx is not None:
+            roots.append(p.ctx.a_template)
+        for cf in p.crits:
+            roots += [v for v in vars(cf).values() if isinstance(v, Expr)]
+        roots += [g.goal.phi for g in p.goals]
+        for root in roots:
+            for e in _subexprs(root, []):
+                seen.setdefault(hand_to_sexpr(e), e)
+    return list(seen.values())
+
+
+def _random_exprs(n: int = 300) -> list[Expr]:
+    """genexpr formulas and terms, and their abstractions, which hold variables."""
+    rng = random.Random(11)
+    out: list[Expr] = []
+    for i in range(n):
+        e = random_formula(rng, FIN_SYMS, 3, allow_inset=i % 2 == 0)
+        out += [e, hand_abstract_closed_terms(e)[0]]
+        t = random_term(rng, FIN_SYMS, 3)
+        out += [t, hand_abstract_closed_terms(t)[0]]
+    return out
+
+
+EXPRS = _problem_exprs() + _random_exprs()
+MAPPINGS = [
+    {0: num(3)},
+    {1: Var(0)},
+    {0: Var(0), 2: num(0)},
+    {0: skolem(SYM_R1A, (num(2),)), 1: num(1)},
+    {0: succ(Var(1)), 1: skolem(SYM_R2, (Var(0),)), 2: num(4), 3: Var(2)},
+]
+
+
+def test_the_inputs_hold_open_and_closed_expressions():
+    assert len(EXPRS) > 1000
+    assert sum(not hand_is_closed(e) for e in EXPRS) > 300
+    assert sum(hand_is_closed(e) for e in EXPRS) > 300
+
+
+def test_to_sexpr_matches_the_walk_written_per_node_type():
+    for e in EXPRS:
+        assert to_sexpr(e) == hand_to_sexpr(e)
+        assert to_sexpr(e, "X") == hand_to_sexpr(e, "X")
+        assert is_closed(e) == hand_is_closed(e)
+
+
+def test_substitute_matches_the_walk_written_per_node_type():
+    for e in EXPRS:
+        for m in MAPPINGS:
+            got, want = substitute(e, m), hand_substitute(e, m)
+            assert got == want and type(got) is type(want), (e, m)
+
+
+def test_abstraction_matches_in_index_and_argument_order():
+    for e in EXPRS:
+        index, args = abstract_closed_terms(e)
+        want_index, want_args = hand_abstract_closed_terms(e)
+        assert index == want_index and args == want_args, e
+        assert [hand_to_sexpr(a) for a in args] == [hand_to_sexpr(a) for a in want_args]
+
+
+# ---------------------------------------------------------------------------
+# Readers
+
+def _read(reader, text: str):
+    try:
+        return "forms", reader(text)
+    except ParseError as err:
+        return "error", str(err)
+
+
+def _same(a, b) -> bool:
+    """Equal forms, with each symbol at the same line and column."""
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, _Sym):
+        return isinstance(b, _Sym) and str(a) == str(b) and (a.line, a.col) == (b.line, b.col)
+    return type(a) is type(b) and a == b
+
+
+def _assert_readers_agree(text: str) -> None:
+    got, want = _read(read_forms, text), _read(recursive_read_forms, text)
+    assert got[0] == want[0], (text, got, want)
+    if got[0] == "error":
+        assert got[1] == want[1], text
+    else:
+        assert _same(got[1], want[1]), text
+
+
+ODD_ATOMS = ["٣", "²", "12٣", "-0", "-1", "-5", "--3", "-", "7" * 5000, "x;y", "\x0c", " "]
+
+
+def _mutations(rng: random.Random, text: str) -> list[str]:
+    def at(i: int, s: str, cut: int = 0) -> str:
+        return text[:i] + s + text[i + cut:]
+
+    n = len(text)
+    parens = [i for i, c in enumerate(text) if c in "()"]
+    blanks = [i for i, c in enumerate(text) if c == " "]
+    atoms = [i for i, c in enumerate(text) if c not in " \t\r\n();"]
+    out = [
+        text.replace("\n", "\r\n"),
+        text.rstrip("\n") + " ; a comment at the end, no newline",
+        text.replace(" ", "\t"),
+        at(rng.randrange(n + 1), ")"),
+        at(rng.randrange(n + 1), "("),
+        at(rng.randrange(n + 1), "\n\t ; comment\n"),
+    ]
+    if parens:
+        out.append(at(rng.choice(parens), "", 1))
+    if blanks:
+        out.append(at(rng.choice(blanks), " " + rng.choice(ODD_ATOMS) + " ", 1))
+    if atoms:
+        out.append(at(rng.choice(atoms) + 1, ";"))
+    return out
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_readers_agree_on_the_texts_and_their_mutations(part):
+    rng = random.Random(part)
+    for text in TEXTS[part::4]:
+        _assert_readers_agree(text)
+        for mutated in _mutations(rng, text):
+            _assert_readers_agree(mutated)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n",
+        "; only a comment",
+        "(a b",
+        "a)",
+        "((a) (b)\n  (c",
+        "(x\t-0 ٣)\r\n(y ;c\n 3)",
+        "(a -1)",
+        "(crit pred " + "9" * 5000 + ")",
+        "(²)",
+        "  )(",
+        "(a;b)c",
+    ],
+)
+def test_readers_agree_on_edge_cases(text):
+    _assert_readers_agree(text)
+
+
+def test_a_deep_unclosed_parenthesis_is_reported_where_it_opens():
+    # the recursive reader ran out of stack here; the stack reader does not
+    text = "(crit formula\n" + " (" * 3000
+    with pytest.raises(ParseError, match=r"^2:6000: unclosed parenthesis$"):
+        read_forms(text)
+    forms = read_forms("(" * 3000 + ")" * 3000)
+    depth = 0
+    while forms:
+        (forms,) = forms
+        depth += 1
+    assert depth == 3000
