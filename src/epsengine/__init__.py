@@ -30,11 +30,8 @@ from .substitution import (
     TOP_VAL,
     UNKNOWN,
     Value,
-    correctness_formula,
-    is_cc,
     is_ci,
     is_correct,
-    models,
     num_val,
     serialize,
     truth,

@@ -131,11 +131,6 @@ def witness_line(sub: Substitution, goal: Goal) -> str:
     )
 
 
-def _report_witnesses(problem: Problem, outcome: Outcome, out) -> None:
-    for spec in problem.goals:
-        print(witness_line(outcome.hs.sub, spec.goal), file=out)
-
-
 def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -182,7 +177,12 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
             print(f"{outcome.status}: {outcome.diagnostics}", file=out)
         print(f"final substitution: {serialize(outcome.hs.sub)}", file=out)
         if outcome.solved:
-            _report_witnesses(problem, outcome, out)
+            try:  # compiling a goal may overflow, as compiling a formula may
+                for spec in problem.goals:
+                    print(witness_line(outcome.hs.sub, spec.goal), file=out)
+            except RecursionError:
+                print("internal-error: formula nesting too deep", file=out)
+                return EXIT_INTERNAL
     if outcome.status == "solved":
         return EXIT_SOLVED
     if outcome.status == "step-limit":
@@ -282,12 +282,18 @@ def cmd_explain(path: str, step_index: int, out=None, err=None) -> int:
     if step_index == len(outcome.steps) and outcome.solved:
         print("already solving", file=out)
         return EXIT_SOLVED
-    record = None
+    record, failure = None, outcome.diagnostics
     if in_range and outcome.status == "step-limit":
         try:
             after, record = h_step(outcome.hs, problem.crits, problem.ctx, step_index)
-        except (ProcessInvariantError, RecursionError):
-            pass  # the process fails at step K: it ran only K steps
+        except ProcessInvariantError as e:
+            failure = str(e)
+        except RecursionError:
+            failure = "formula nesting too deep"
+    if in_range and record is None and outcome.status != "solved":
+        # the process fails at step K or before it: say why
+        print(f"internal-error: {failure}", file=err)
+        return EXIT_INTERNAL
     if record is None:
         print(
             f"error: step {step_index} out of range "

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 
 class LanguageError(Exception):
@@ -235,16 +236,6 @@ def implies(a: Expr, b: Expr) -> Or:
     return or_(not_(a), b)
 
 
-def conjoin(parts: list[Expr]) -> Expr:
-    """Balanced conjunction of a list; keeps tree depth logarithmic."""
-    if not parts:
-        return TOP
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return and_(conjoin(parts[:mid]), conjoin(parts[mid:]))
-
-
 # ---------------------------------------------------------------------------
 # Serialization.  The canonical textual form is a prefix s-expression; it is
 # the key symbols are interned by and the text of traces and golden tests.
@@ -348,14 +339,16 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 def free_vars(e: Expr) -> set[int]:
     if e.__class__ is Var:
         return {e.index}
-    return set().union(*map(free_vars, e.kids))
+    out = set()
+    for k in e.kids:
+        out |= free_vars(k)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Ranks
 
-@dataclass(frozen=True, order=True)
-class Rank:
+class Rank(NamedTuple):
     """Ordinal-valued rank: Fin(n) < Omega < Omega+n+1.
 
     kind 0 encodes Fin(n), kind 1 encodes Omega, kind 2 encodes Omega+n+1.
@@ -391,7 +384,9 @@ OMEGA = Rank(1)
 def simple_rank(e: Expr) -> int:
     """Stratification level: nesting depth of Skolem symbols in e."""
     level = e.sym.rank.n if e.__class__ is SkolemApp else 0
-    return max([level, *map(simple_rank, e.kids)])
+    for k in e.kids:
+        level = max(level, simple_rank(k))
+    return level
 
 
 def mentions_inductive(e: Expr) -> bool:
@@ -422,43 +417,28 @@ def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> 
 # ---------------------------------------------------------------------------
 # Canonical expressions: the only things a substitution assigns.
 
-_set = object.__setattr__
+class CanonTerm(tuple):
+    """A Skolem symbol applied to numerals: the pair (sym, args).
 
-
-class CanonTerm:
-    """A Skolem symbol applied to numerals; immutable.
-
-    Compares, hashes and prints as a frozen dataclass of (sym, args) would,
-    but computes its hash once, and `canon_sexpr` its text once.
+    A tuple, so it is built, hashed and compared in C; symbols are unique,
+    so equality is the symbols' identity and the arguments' equality.
     """
 
-    __slots__ = ("sym", "args", "_hash", "_text")
+    __slots__ = ()
 
-    def __init__(self, sym: SkolemSymbol, args: tuple[int, ...]):
-        _set(self, "sym", sym)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((sym, args)))
+    def __new__(cls, sym: SkolemSymbol, args: tuple[int, ...]) -> "CanonTerm":
+        return tuple.__new__(cls, (sym, args))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CanonTerm:
-            return NotImplemented
-        return self.sym is other.sym and self.args == other.args
-
-    def __hash__(self) -> int:
-        return self._hash
+    sym = property(itemgetter(0))
+    args = property(itemgetter(1))
 
     def __repr__(self) -> str:
         return f"CanonTerm(sym={self.sym!r}, args={self.args!r})"
 
 
-@dataclass(frozen=True)
-class CanonForm:
+class CanonForm(NamedTuple):
+    """The membership atom n in I."""
+
     n: int
 
 
@@ -472,21 +452,17 @@ def rank_of(c: Canon, omega_sym: SkolemSymbol | None = None) -> Rank:
 
 
 def rank_sort_key(c: Canon, omega_sym: SkolemSymbol | None = None) -> tuple:
-    r = rank_of(c, omega_sym)
-    return (r.kind, r.n, canon_sexpr(c))
+    return (*rank_of(c, omega_sym), canon_sexpr(c))
 
 
 def canon_sexpr(c: Canon) -> str:
     """to_sexpr of the expression c denotes, from the symbol's stored text."""
     if isinstance(c, CanonForm):
         return f"(in {c.n} I)"
-    try:
-        return c._text
-    except AttributeError:
-        head = f"(c {c.sym.text})"
-        text = "(" + " ".join([head, *map(str, c.args)]) + ")" if c.args else head
-        _set(c, "_text", text)
-        return text
+    sym, args = c
+    if not args:
+        return f"(c {sym.text})"
+    return f"((c {sym.text}) {' '.join(map(str, args))})"
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +597,9 @@ class InductiveContext:
         def walk(e: Expr) -> Expr:
             if e.__class__ is InSet:
                 return substitute(phi_template, {0: e.arg})
-            return e.remake(list(map(walk, e.kids)))
+            new = []
+            for k in e.kids:
+                new.append(walk(k))
+            return e.remake(new)
 
         return walk(self.clause)

@@ -165,7 +165,10 @@ class _Parser:
             want = 1 if sx[0] == "s" else 2
             if len(sx) != want + 1:
                 raise ParseError(f"{sx[0]} takes {want} arguments", _pos(sx))
-            return fn(str(sx[0]), *[self.term(a, env) for a in sx[1:]])
+            args = []  # a loop, not a comprehension: one frame a level
+            for a in sx[1:]:
+                args.append(self.term(a, env))
+            return fn(str(sx[0]), *args)
         raise ParseError(f"expected a term, got {sx!r}", _pos(sx))
 
     def formula(self, sx, env: dict[str, int]) -> Expr:
@@ -196,10 +199,12 @@ class _Parser:
         if head in ("and", "or"):
             if len(sx) < 3:
                 raise ParseError(f"{head} takes at least 2 arguments", _pos(sx))
-            parts = [self.formula(a, env) for a in sx[1:]]
-            out = parts[-1]
+            parts = []
+            for a in sx[1:]:
+                parts.append(self.formula(a, env))
+            out = parts.pop()
             op = and_ if head == "and" else or_
-            for p in reversed(parts[:-1]):
+            for p in reversed(parts):
                 out = op(p, out)
             return out
         if head == "->":

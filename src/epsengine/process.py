@@ -11,7 +11,7 @@ member entered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .language import (
     Canon,
@@ -197,8 +197,7 @@ CASE_OMEGA_POS = "omega-pos"
 CASE_OMEGA_NEG = "omega-neg"
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     cr_index: int
     e: Canon
     v: Value
@@ -512,8 +511,7 @@ def apply_plan(
 # ---------------------------------------------------------------------------
 # Step records and the driver
 
-@dataclass(frozen=True)
-class HStep:
+class HStep(NamedTuple):
     index: int
     cr_index: int
     case: str

@@ -13,7 +13,6 @@ import hashlib
 import operator
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -38,13 +37,9 @@ from .language import (
     SkolemApp,
     SkolemSymbol,
     Top,
-    TOP,
     Var,
-    conjoin,
-    instantiate_index,
     is_formula,
     is_term,
-    not_,
     rank_of,
     rank_sort_key,
 )
@@ -61,8 +56,7 @@ class ValueError_(SubstitutionError):
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     kind: str  # 'num' | 'top' | 'unknown'
     n: int = 0
 
@@ -131,7 +125,7 @@ def _put(rows: list, row: tuple) -> None:
 
 def _rank_bounds(r: Rank) -> tuple[tuple, tuple]:
     """Probes that bisect rows to the first of rank r and the first above it."""
-    return (r.kind, r.n), (r.kind, r.n + 1)
+    return r, (r.kind, r.n + 1)
 
 
 class Substitution:
@@ -238,14 +232,8 @@ class Substitution:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def domain(self) -> set[Canon]:
-        return set(self._entries)
-
     def items(self) -> Iterator[tuple[Canon, Value]]:
         return iter(self._entries.items())
-
-    def sorted_items(self) -> list[tuple[Canon, Value]]:
-        return list(map(_PAIR, self._rows_in_order()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -282,10 +270,6 @@ class Substitution:
         at, above = _rank_bounds(OMEGA)
         lo = bisect_left(rows, at, key=_KEY)
         return rows[:lo], rows[lo : bisect_left(rows, above, key=_KEY)]
-
-    def positive_omega(self) -> "Substitution":
-        layer = self.split_omega()[1]
-        return self.derive([r for r in layer if entry_is_positive(r[2], r[3])])
 
     def negative_omega(self) -> "Substitution":
         layer = self.split_omega()[1]
@@ -362,8 +346,6 @@ class RecordingSubstitution:
     ``reads`` maps each canonical expression looked up to its stored value,
     None when absent.  Lookups answer as the standard extension does, or,
     with ``lazy`` off, as the stored map does (None when absent).
-    ``consulted`` and ``leaked`` are the expressions looked up and those of
-    them absent from the underlying map.
     """
 
     __slots__ = ("base", "lazy", "reads")
@@ -372,14 +354,6 @@ class RecordingSubstitution:
         self.base = base
         self.lazy = lazy
         self.reads: dict[Canon, Value | None] = {}
-
-    @property
-    def consulted(self) -> set[Canon]:
-        return set(self.reads)
-
-    @property
-    def leaked(self) -> set[Canon]:
-        return {e for e, u in self.reads.items() if u is None}
 
     def get(self, e: Canon) -> Value | None:
         u = self.reads[e] = self.base.raw(e)
@@ -656,18 +630,13 @@ def truth(phi: Expr, view) -> bool | None:
     return compiled(phi)((), view)
 
 
-def models(sub, phi: Expr) -> bool:
-    """Whether sub decides phi true."""
-    return truth(phi, sub) is True
-
-
 # ---------------------------------------------------------------------------
 # Correctness
 
-def correctness_formula(
-    e: Canon, u: Value, ctx: InductiveContext | None = None
-) -> Expr:
-    """The condition a pair (e, u) must satisfy to sit in a correct map.
+def correctness(
+    e: Canon, u: Value, view, ctx: InductiveContext | None = None
+) -> bool | None:
+    """Whether the pair (e, u) may sit in a correct map, on view.
 
     Indeterminate values are unconditionally fine.  A valued term must
     witness its index formula minimally, except for the rank-Omega witness
@@ -675,36 +644,10 @@ def correctness_formula(
     mentions the set on both sides of the minimality conjunction, which
     would break the polarity the rollback argument relies on.  A top-valued
     atom must satisfy the membership condition.
-    """
-    if u.kind == "unknown":
-        return TOP
-    if isinstance(e, CanonTerm):
-        if u.kind != "num":
-            raise SubstitutionError("incompatible value for a canonical term")
-        omega = ctx.omega_sym if ctx is not None else None
-        head = instantiate_index(e.sym, u.n, e.args)
-        if rank_of(e, omega).is_omega:
-            return head
-        parts = [head] + [
-            not_(instantiate_index(e.sym, w, e.args)) for w in range(u.n)
-        ]
-        return conjoin(parts)
-    if u.kind != "top":
-        raise SubstitutionError("incompatible value for a membership atom")
-    if ctx is None:
-        raise SubstitutionError("membership atoms need an inductive clause")
-    return ctx.a_formula(e.n)
 
-
-def correctness(
-    e: Canon, u: Value, view, ctx: InductiveContext | None = None
-) -> bool | None:
-    """truth(correctness_formula(e, u, ctx), view), without building it.
-
-    A valued term's minimality condition is a loop over its instances: the
-    head at u, then each w < u, every one evaluated in the order the
-    conjunction lists them, so the reads are the formula's; an undecided
-    instance leaves the whole condition undecided.
+    A valued term's condition is a loop over its index instances: the head
+    at u, then the negation at each w < u, all evaluated in that order; an
+    undecided instance leaves the whole condition undecided.
     """
     if u.kind == "unknown":
         return True
@@ -777,13 +720,8 @@ def refutes(
     )
 
 
-def is_cc(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
-    """Computational consistency: no refuted entry, no witness conflict."""
-    if member_conflict(sub, ctx):
-        return False
-    return not any(refutes(sub, e, u, ctx) for e, u in sub.items())
-
-
 def is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
-    return not is_cc(sub, ctx)
-
+    """Computational inconsistency: a refuted entry or a witness conflict."""
+    return member_conflict(sub, ctx) or any(
+        refutes(sub, e, u, ctx) for e, u in sub.items()
+    )

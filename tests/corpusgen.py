@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from epsengine.language import num, substitute, to_sexpr
 from epsengine.problems import parse_problem
-from epsengine.substitution import Substitution, models
+from epsengine.substitution import Substitution
+from reference import models
 
 N_MAX = 4
 

@@ -12,7 +12,10 @@ Beside it sit the earlier forms of engine paths the tests compare with:
 the goal report that builds and evaluates instance trees, the
 serialization that sorts every entry, the walks written out by hand for
 every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`), and
-the reader that tokenizes first and then recurses.  Last come the small
+the reader that tokenizes first and then recurses.  Then come the correctness
+condition written out as a formula (`correctness_formula`), `models`, and
+the views of maps and recordings that only the tests ask for (`domain`,
+`sorted_items`, `positive_omega`, `consulted`, `leaked`); last the small
 builders and readers of canonical expressions that only the tests use.
 """
 
@@ -43,11 +46,13 @@ from epsengine.language import (
     canon_sexpr,
     fn,
     in_set,
+    instantiate_index,
     is_formula,
     is_term,
     not_,
     num,
     or_,
+    rank_of,
     rank_sort_key,
     rel,
     skolem,
@@ -59,8 +64,7 @@ from epsengine.process import Goal, ProcessInvariantError, _reduce_numeral
 from epsengine.substitution import (
     Substitution,
     SubstitutionError,
-    correctness_formula,
-    models,
+    entry_is_positive,
     truth,
 )
 
@@ -397,6 +401,82 @@ def recursive_read_forms(text: str) -> list:
         form, at = _read(toks, at)
         forms.append(form)
     return forms
+
+
+# ---------------------------------------------------------------------------
+# The correctness condition as a formula, and views of maps and recordings
+
+def models(sub, phi: Expr) -> bool:
+    """Whether sub decides phi true."""
+    return truth(phi, sub) is True
+
+
+def conjoin(parts: list[Expr]) -> Expr:
+    """Balanced conjunction of a list; keeps tree depth logarithmic."""
+    if not parts:
+        return TOP
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return and_(conjoin(parts[:mid]), conjoin(parts[mid:]))
+
+
+def correctness_formula(
+    e: Canon, u, ctx: InductiveContext | None = None
+) -> Expr:
+    """The condition a pair (e, u) must satisfy to sit in a correct map;
+    `substitution.correctness` evaluates it without building it.
+
+    Indeterminate values are unconditionally fine.  A valued term must
+    witness its index formula minimally, except for the rank-Omega witness
+    terms, whose condition is the bare negated-clause instance: their index
+    mentions the set on both sides of the minimality conjunction, which
+    would break the polarity the rollback argument relies on.  A top-valued
+    atom must satisfy the membership condition.
+    """
+    if u.kind == "unknown":
+        return TOP
+    if isinstance(e, CanonTerm):
+        if u.kind != "num":
+            raise SubstitutionError("incompatible value for a canonical term")
+        omega = ctx.omega_sym if ctx is not None else None
+        head = instantiate_index(e.sym, u.n, e.args)
+        if rank_of(e, omega).is_omega:
+            return head
+        parts = [head] + [
+            not_(instantiate_index(e.sym, w, e.args)) for w in range(u.n)
+        ]
+        return conjoin(parts)
+    if u.kind != "top":
+        raise SubstitutionError("incompatible value for a membership atom")
+    if ctx is None:
+        raise SubstitutionError("membership atoms need an inductive clause")
+    return ctx.a_formula(e.n)
+
+
+def domain(sub: Substitution) -> set[Canon]:
+    return {e for e, _ in sub.items()}
+
+
+def sorted_items(sub: Substitution) -> list:
+    """The entries (e, u) in serialization order."""
+    return [(e, u) for _, _, e, u in sub._rows_in_order()]
+
+
+def positive_omega(sub: Substitution) -> Substitution:
+    """The rank-Omega entries of positive polarity."""
+    layer = sub.split_omega()[1]
+    return sub.derive([r for r in layer if entry_is_positive(r[2], r[3])])
+
+
+def consulted(rec) -> set[Canon]:
+    """The expressions a `RecordingSubstitution` was asked about."""
+    return set(rec.reads)
+
+
+def leaked(rec) -> set[Canon]:
+    """Those of them absent from the underlying map."""
+    return {e for e, u in rec.reads.items() if u is None}
 
 
 # ---------------------------------------------------------------------------

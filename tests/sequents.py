@@ -41,11 +41,10 @@ from epsengine.process import (
 from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
-    correctness_formula,
     entry_is_positive,
     is_ci,
 )
-from reference import reduce_formula
+from reference import correctness_formula, leaked, reduce_formula, sorted_items
 
 
 
@@ -190,7 +189,7 @@ def h_step_applies(
         plan = compute_plan(theta.hs, crs, ctx, ext=recorder)
     except ProcessInvariantError:
         return False
-    if plan is None or recorder.leaked:
+    if plan is None or leaked(recorder):
         return False
     e = plan.e
     if plan.rank.is_omega and ctx is not None:
@@ -282,7 +281,7 @@ def formula_family(
     seen: dict[str, Expr] = {}
     for phi in c:
         seen.setdefault(_to_sexpr(phi), phi)
-    for e, u in theta.sub.sorted_items():
+    for e, u in sorted_items(theta.sub):
         if isinstance(e, CanonTerm):
             f = correctness_formula(e, u, ctx)
             seen.setdefault(_to_sexpr(f), f)

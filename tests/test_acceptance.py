@@ -49,9 +49,7 @@ from epsengine.substitution import (
     Substitution,
     TOP_VAL,
     UNKNOWN,
-    correctness_formula,
     entry_is_positive,
-    models,
     num_val,
     serialize,
 )
@@ -64,7 +62,7 @@ from genexpr import (
     random_substitution,
     random_term,
 )
-from reference import reduce_formula, reduce_term
+from reference import correctness_formula, models, reduce_formula, reduce_term
 from sequents import Sequent, nu
 
 MAX_STEPS = 10**4

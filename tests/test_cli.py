@@ -291,13 +291,29 @@ def test_a_formula_too_deep_to_compile_ends_with_its_exit_code(write, tmp_path, 
     assert main(["run", path, "--trace", str(trace)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert "internal-error: formula nesting too deep" in captured.out
-    assert main(["explain", path, "0"]) == EXIT_INPUT
+    assert main(["explain", path, "0"]) == EXIT_INTERNAL
+    assert main(["explain", path, "1"]) == EXIT_INTERNAL
     assert main(["check", str(trace), path]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: step 0 out of range (process ran 0 steps)",
+        "internal-error: formula nesting too deep",
+        "internal-error: formula nesting too deep",
         "replay failed invariants: formula nesting too deep",
+    ]
+
+
+def test_a_goal_too_deep_to_compile_ends_with_its_exit_code(write, capsys):
+    deep = "(not " * DEEP_NOT + "(= x 1)" + ")" * DEEP_NOT
+    path = write("p.eps", f"(goal (exists (x) {deep}))\n")
+    parse_problem(pathlib.Path(path).read_text())  # the parser takes it
+    assert main(["run", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "solved in 0 steps",
+        "final substitution: {}",
+        "internal-error: formula nesting too deep",
     ]
 
 
@@ -307,9 +323,12 @@ def test_a_formula_too_deep_to_compile_ends_with_its_exit_code(write, tmp_path, 
 def explain_reference(path: str, k: int) -> tuple[int, str, str]:
     problem = parse_problem(pathlib.Path(path).read_text(encoding="utf-8"))
     crs, ctx = problem.crits, problem.ctx
-    full = run(crs, ctx, max_steps=problem.option("max-steps", DEFAULT_MAX_STEPS))
+    max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    full = run(crs, ctx, max_steps=max_steps)
     if k == len(full.steps) and full.solved:
         return EXIT_SOLVED, "already solving\n", ""
+    if len(full.steps) <= k < max_steps and full.status == "internal-error":
+        return EXIT_INTERNAL, "", f"internal-error: {full.diagnostics}\n"
     if not 0 <= k < len(full.steps):
         err = f"error: step {k} out of range (process ran {len(full.steps)} steps)\n"
         return EXIT_INPUT, "", err
@@ -363,7 +382,8 @@ def test_explain_matches_slow_path(tmp_path, monkeypatch, capsys):
 
 
 def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, capsys):
-    # a process that fails at step 2 ran only two steps
+    # a process that fails at step 2 ran only two steps; explain of step 2
+    # and of any later step reports the failure
     real_step = process.h_step
 
     def failing(hs, crs, ctx, step_index=0, verdicts=None):

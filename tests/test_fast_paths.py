@@ -68,10 +68,8 @@ from epsengine.substitution import (
     change,
     compiled,
     correctness,
-    correctness_formula,
     is_ci,
     is_correct,
-    models,
     num_val,
     refutes,
     serialize,
@@ -80,9 +78,13 @@ from epsengine.substitution import (
 )
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
 from reference import (
+    correctness_formula,
+    domain,
+    models,
     reference_serialize,
     reference_truth,
     reference_witness_line,
+    sorted_items,
     to_formula,
     to_term,
 )
@@ -149,7 +151,7 @@ def test_canon_sexpr_matches_the_serialized_expression(runs):
     for _, _, states in runs:
         for hs in states:
             for sub in (hs.sub, *hs.v.values()):
-                for c in sub.domain():
+                for c in domain(sub):
                     expr = to_formula(c) if isinstance(c, CanonForm) else to_term(c)
                     assert canon_sexpr(c) == to_sexpr(expr)
                     seen += 1
@@ -236,7 +238,7 @@ def _mutations(sub: Substitution, ctx):
     """
     if not len(sub):
         return
-    top = max(sub.rank_of(e) for e in sub.domain())
+    top = max(sub.rank_of(e) for e in domain(sub))
     for e, u in sub.items():
         if isinstance(e, CanonTerm) and u.kind == "num" and sub.rank_of(e) == top:
             kind = "bump-omega" if top.is_omega else "bump-finite"
@@ -623,7 +625,7 @@ def _brute_change(before, after):
     of the step record's added and removed entries."""
     exprs = {
         e
-        for e in before.domain() | after.domain()
+        for e in domain(before) | domain(after)
         if before.raw(e) != after.raw(e)
     }
     b = {canon_sexpr(e): str(u) for e, u in before.items()}
@@ -652,7 +654,7 @@ def test_change_set_is_the_symmetric_difference_of_the_maps(runs):
         assert set(delta.exprs) == exprs, name
         assert (delta.added, delta.removed) == diff, name
         assert [(r[2], r[3]) for r in delta.rows] == [
-            (e, u) for e, u in after.sorted_items() if before.raw(e) != u
+            (e, u) for e, u in sorted_items(after) if before.raw(e) != u
         ], name
         assert delta.omega == any(after.rank_of(e).is_omega for e in exprs), name
         kinds.add((bool(delta.added), bool(delta.removed), delta.omega))
@@ -670,7 +672,7 @@ def test_serialize_matches_the_sorting_reference(runs):
                 rng.shuffle(items)
                 rebuilt = Substitution(dict(items), omega_sym=sub.omega_sym)
                 assert serialize(rebuilt) == serialize(sub), name
-                assert rebuilt.sorted_items() == sub.sorted_items(), name
+                assert sorted_items(rebuilt) == sorted_items(sub), name
                 seen += 1
         for _, _, mutated in _mutations(states[-1].sub, p.ctx):
             assert serialize(mutated) == reference_serialize(mutated), name
@@ -687,7 +689,7 @@ def test_rank_filters_are_slices_of_the_ordered_rows(runs):
     }
     for name, p, states in runs:
         sub = states[-1].sub
-        ranks = {sub.rank_of(e) for e in sub.domain()} | {OMEGA}
+        ranks = {sub.rank_of(e) for e in domain(sub)} | {OMEGA}
         for r in ranks:
             for op, test in ops.items():
                 got = sub.filter_rank(op, r)

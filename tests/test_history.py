@@ -63,7 +63,7 @@ def test_adding_members_never_falsifies_admissibility(ctx):
     # substitution keeps each justification true
     rng = random.Random(12)
     from epsengine.language import num
-    from epsengine.substitution import models
+    from reference import models
 
     for _ in range(100):
         p = tuple(rng.sample(range(0, 5), rng.randint(1, 4)))

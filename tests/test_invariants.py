@@ -28,7 +28,6 @@ from epsengine.process import (
 from epsengine.substitution import (
     Substitution,
     UNKNOWN,
-    correctness_formula,
     is_correct,
     num_val,
 )
@@ -40,7 +39,14 @@ from genexpr import (
     random_formula,
     random_substitution,
 )
-from reference import decides, is_computing, reduce_formula, reduce_term, to_term
+from reference import (
+    correctness_formula,
+    decides,
+    is_computing,
+    reduce_formula,
+    reduce_term,
+    to_term,
+)
 from sequents import Sequent, classify_axiom, d
 
 

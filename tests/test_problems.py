@@ -221,3 +221,42 @@ def test_untagged_crit_in_file(ctx):
     assert isinstance(p.crits[0], EpsilonCF)
     out = run(p.crits, p.ctx)
     assert out.solved
+
+
+# nests of each shape, and the statements that hold them
+NESTS = {
+    "not": lambda d: "(not " * d + "(= 0 0)" + ")" * d,
+    "s": lambda d: "(= " + "(s " * d + "x" + ")" * d + " 1)",  # does not fold
+    "and": lambda d: "(and true " * d + "true" + ")" * d,
+}
+HOLDERS = [
+    lambda f: f"(crit eps 0 (exists (x) (or (= x 0) {f})))\n",
+    lambda f: f"(goal (exists (x) (or (= x 0) {f})))\n",
+    # a symbol nested in another: the outer one's rank walks the nest
+    lambda f: f"(crit eps 0 (exists (x) (or (= x 0) (exists (y) (and (= y x) {f})))))\n",
+    # a closure puts its formula for the set throughout the clause
+    lambda f: f"(clause (y x X) (or (in y X) (or (= y x) {f})))\n(crit closure (z) (< z 1))\n",
+]
+
+
+def parses(text: str) -> bool:
+    try:
+        parse_problem(text)
+    except RecursionError:
+        return False
+    return True
+
+
+def test_every_shape_nests_as_deep():
+    # each level of every shape, in every statement, costs the parser and
+    # the walks one frame, on every Python (3.12 counts a call made through
+    # map() against a separate, lower limit)
+    lo, hi = 1, 4000  # the deepest plain (not ...) nest, by bisection
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if parses(HOLDERS[0](NESTS["not"](mid))) else (lo, mid - 1)
+    assert lo > 500
+    for i, holder in enumerate(HOLDERS):
+        for name, nest in NESTS.items():
+            assert parses(holder(nest(lo - 8))), (i, name, lo)
+            assert not parses(holder(nest(lo + 8))), (i, name, lo)

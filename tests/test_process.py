@@ -39,6 +39,7 @@ from epsengine.substitution import (
     serialize,
 )
 from genexpr import SYM_R1C
+from reference import domain
 
 HS0 = HistoricalSubstitution.initial()
 
@@ -153,7 +154,7 @@ def test_low_case_resets_history(ctx):
     assert rec.case == "low"
     assert hs2.p == () and not hs2.v
     # everything above the step rank is gone
-    assert hs2.sub.domain() == {CanonTerm(eps.sym, (1,))}
+    assert domain(hs2.sub) == {CanonTerm(eps.sym, (1,))}
 
 
 def test_high_case_keeps_history(ctx):
@@ -199,7 +200,7 @@ def test_omega_pos_keeps_positive_omega_and_lower(ctx):
     )
     hs2, rec = h_step(hs, [idf], ctx)
     assert rec.case == "omega-pos"
-    assert hs2.sub.domain() == {CanonForm(0), CanonForm(1), ctx.c_n(2), fin}
+    assert domain(hs2.sub) == {CanonForm(0), CanonForm(1), ctx.c_n(2), fin}
     assert hs2.p == (0, 1)
 
 
@@ -226,7 +227,7 @@ def test_omega_neg_three_member_rollback(ctx):
     # recorded when 2 entered, and the new pair
     assert hs2.p == (0,)
     assert set(hs2.v) == {0}
-    assert hs2.sub.domain() == {
+    assert domain(hs2.sub) == {
         fin,
         CanonForm(0),
         ctx.c_n(0),
@@ -343,7 +344,7 @@ def test_run_is_deterministic(ctx):
     ]
     a = run(crs, ctx, check=True)
     b = run(crs, ctx, check=True)
-    assert [s.__dict__ for s in a.steps] == [s.__dict__ for s in b.steps]
+    assert [s._asdict() for s in a.steps] == [s._asdict() for s in b.steps]
     assert serialize(a.hs.sub) == serialize(b.hs.sub)
 
 

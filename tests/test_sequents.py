@@ -40,7 +40,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import SYM_R1A, SYM_R1C
-from reference import to_term
+from reference import domain, leaked, to_term
 
 
 def sequent_of(ctx, entries, p=(), v=None, flags=None):
@@ -81,10 +81,10 @@ def test_views(ctx):
             CanonTerm(SYM_R1C, (0,)): "f",
         },
     )
-    assert s.temporary().domain() == {CanonForm(0), ctx.c_n(2)}
-    assert s.fixed().domain() == {ctx.c_n(0), CanonTerm(SYM_R1C, (0,))}
+    assert domain(s.temporary()) == {CanonForm(0), ctx.c_n(2)}
+    assert domain(s.fixed()) == {ctx.c_n(0), CanonTerm(SYM_R1C, (0,))}
     # stable part: negatives, member facts, and witnesses of present members
-    assert s.stable_omega(ctx).domain() == {
+    assert domain(s.stable_omega(ctx)) == {
         CanonForm(0),
         ctx.c_n(0),
         ctx.c_n(2),
@@ -263,7 +263,7 @@ def _saturate(hs, crs, ctx, cap=60):
         plan = compute_plan(hs, crs, ctx, ext=rec)
         if plan is None:
             return None
-        missing = set(rec.leaked)
+        missing = leaked(rec)
         if ctx is not None and plan.rank.is_omega:
             if isinstance(plan.e, CanonTerm):
                 n = ctx.member_of(plan.e)
