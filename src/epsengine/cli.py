@@ -16,7 +16,6 @@ from .process import (
     Outcome,
     ProcessInvariantError,
     extract_witness,
-    h_step,
     run,
 )
 from .substitution import Substitution, compiled, serialize
@@ -161,9 +160,19 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     finally:
         if fh is not None:
             fh.close()
+    reports, overflow = [], False  # in either format, for the exit code
+    if outcome.solved:
+        try:  # compiling a goal may overflow, as compiling a formula may
+            for spec in problem.goals:
+                reports.append(witness_line(outcome.hs.sub, spec.goal))
+        except RecursionError:
+            reports.append("internal-error: formula nesting too deep")
+            overflow = True
     if cfg.fmt == "structured":
         for line in lines:
             print(line, file=out)
+        if overflow:  # stdout keeps exactly the trace
+            print(reports[-1], file=err)
     else:
         for s in outcome.steps:
             print(
@@ -176,13 +185,10 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
         else:
             print(f"{outcome.status}: {outcome.diagnostics}", file=out)
         print(f"final substitution: {serialize(outcome.hs.sub)}", file=out)
-        if outcome.solved:
-            try:  # compiling a goal may overflow, as compiling a formula may
-                for spec in problem.goals:
-                    print(witness_line(outcome.hs.sub, spec.goal), file=out)
-            except RecursionError:
-                print("internal-error: formula nesting too deep", file=out)
-                return EXIT_INTERNAL
+        for line in reports:
+            print(line, file=out)
+    if overflow:
+        return EXIT_INTERNAL
     if outcome.status == "solved":
         return EXIT_SOLVED
     if outcome.status == "step-limit":
@@ -263,7 +269,7 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
 
 
 def cmd_explain(path: str, step_index: int, out=None, err=None) -> int:
-    """Describe step K: run up to it, then take that one step."""
+    """Describe step K: run through it, and read it from the run."""
     out = out or sys.stdout
     err = err or sys.stderr
     loaded = _load(path, err)
@@ -277,38 +283,32 @@ def cmd_explain(path: str, step_index: int, out=None, err=None) -> int:
     outcome = run(
         problem.crits,
         problem.ctx,
-        max_steps=step_index if in_range else max_steps,
+        max_steps=step_index + 1 if in_range else max_steps,
     )
-    if step_index == len(outcome.steps) and outcome.solved:
+    steps = outcome.steps
+    if step_index == len(steps) and outcome.solved:
         print("already solving", file=out)
         return EXIT_SOLVED
-    record, failure = None, outcome.diagnostics
-    if in_range and outcome.status == "step-limit":
-        try:
-            after, record = h_step(outcome.hs, problem.crits, problem.ctx, step_index)
-        except ProcessInvariantError as e:
-            failure = str(e)
-        except RecursionError:
-            failure = "formula nesting too deep"
-    if in_range and record is None and outcome.status != "solved":
+    if in_range and outcome.status == "internal-error":
         # the process fails at step K or before it: say why
-        print(f"internal-error: {failure}", file=err)
+        print(f"internal-error: {outcome.diagnostics}", file=err)
         return EXIT_INTERNAL
-    if record is None:
+    if not in_range or len(steps) <= step_index:
         print(
             f"error: step {step_index} out of range "
-            f"(process ran {len(outcome.steps)} steps)",
+            f"(process ran {len(steps)} steps)",
             file=err,
         )
         return EXIT_INPUT
+    record, before, after = steps[-1], outcome.before, outcome.hs
     cf = problem.crits[record.cr_index]
     print(f"step {step_index}", file=out)
     print(f"  chosen Cr[{record.cr_index}]: {cf.kind} {to_sexpr(cf.formula)}", file=out)
     print(f"  analysis: {cf.kind} names {record.e} with value {record.v}", file=out)
     print(f"  rank {record.rank}, case {record.case}", file=out)
-    print(f"  before: {serialize(outcome.hs.sub)}", file=out)
+    print(f"  before: {serialize(before.sub)}", file=out)
     print(f"  after:  {serialize(after.sub)}", file=out)
-    print(f"  P: {list(outcome.hs.p)} -> {list(after.p)}", file=out)
+    print(f"  P: {list(before.p)} -> {list(after.p)}", file=out)
     return EXIT_SOLVED
 
 

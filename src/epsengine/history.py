@@ -34,9 +34,6 @@ class HistoricalSubstitution:
     sub: Substitution
     p: tuple[int, ...] = ()
     v: Mapping[int, Substitution] = field(default_factory=dict)
-    # whether sub is computationally inconsistent, as found by the process
-    # step that produced this state; None for a state built any other way
-    ci: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "v", MappingProxyType(dict(self.v)))

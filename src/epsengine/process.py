@@ -57,6 +57,7 @@ from .substitution import (
     is_correct,
     member_conflict,
     num_val,
+    pending,
     refutes,
     serialize,
     truth,
@@ -333,14 +334,11 @@ def is_solving(
     verdicts: Verdicts | None = None,
 ) -> bool:
     """Every critical formula holds; with a table, keyed by its index, and
-    only the formulas on the table's agenda are tested."""
+    the formulas known to hold are skipped."""
     ext = sub.extended()
-    todo = range(len(crs)) if verdicts is None else sorted(
-        verdicts.agenda_on(sub, len(crs))
-    )
     return all(
         truth_with(verdicts, i, ext, lambda v: truth(crs[i].formula, v)) is True
-        for i in todo
+        for i in pending(verdicts, ext, range(len(crs)))
     )
 
 
@@ -371,24 +369,23 @@ def compute_plan(
     only formulas that can still win are tested and searched.  A table
     answers the satisfaction tests under the keys `is_solving` uses, keeps
     the order, which is fixed for its list of formulas, and spares the
-    formulas off its agenda: they hold, and one that holds is never the plan.
+    formulas known to hold: one that holds is never the plan.
     """
     if ext is None:
         ext = hs.sub.extended()
     omega = hs.sub.omega_sym
-    order = agenda = None
-    if verdicts is not None:
-        order, agenda = verdicts.order, verdicts.agenda_on(hs.sub, len(crs))
+    order = None if verdicts is None else verdicts.order
     if order is None:
         order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
         if verdicts is not None:
             verdicts.order = order
+    known = () if verdicts is None else verdicts.follow(ext)
     best: tuple[Rank, int, Canon, Value] | None = None
     for key in order:
         if best is not None and key > best[:2]:
             break
         i = key[1]
-        if agenda is not None and i not in agenda:
+        if i in known:
             continue
         cf = crs[i]
         holds = truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
@@ -567,9 +564,14 @@ def h_step(
     A table carried from step to step (one per list of critical formulas)
     spares the evaluations whose reads the previous step left unchanged: the
     step tells it the change, so it re-reads nothing the step did not touch.
+    It also keeps the guard's verdict on the state the step made, so the
+    next step need not run the full guard.
     """
-    inconsistent = is_ci(hs.sub, ctx) if hs.ci is None else hs.ci
-    if inconsistent:
+    ci = None
+    if verdicts is not None:
+        verdicts.follow(hs.sub)
+        ci = verdicts.ci
+    if is_ci(hs.sub, ctx) if ci is None else ci:
         raise ProcessInvariantError(
             "refusing to step a computationally inconsistent substitution"
         )
@@ -580,7 +582,7 @@ def h_step(
     delta = change(hs.sub, hs2.sub)
     if verdicts is not None:
         verdicts.advance(hs.sub, hs2.sub, delta)
-    object.__setattr__(hs2, "ci", _step_ci(hs2.sub, delta, ctx, verdicts))
+        verdicts.ci = _step_ci(hs2.sub, delta, ctx, verdicts)
     v_added = {
         m: serialize(snap)
         for m, snap in hs2.v.items()
@@ -613,6 +615,7 @@ class Outcome:
     hs: HistoricalSubstitution
     steps: list[HStep]
     diagnostics: str | None = None
+    before: HistoricalSubstitution | None = None  # where the last step began
 
     @property
     def solved(self) -> bool:
@@ -640,44 +643,39 @@ def run(
     last admissible P are tested again.
     """
     omega = ctx.omega_sym if ctx is not None else None
-    hs = HistoricalSubstitution.initial(omega)
+    hs, before = HistoricalSubstitution.initial(omega), None
     steps: list[HStep] = []
     verdicts = Verdicts()
     admitted: tuple[int, ...] = ()
+    status, diagnostics = "solved", None
     try:  # the first evaluation compiles the formulas, and may overflow too
         solving = is_solving(hs.sub, crs, verdicts)
         while not solving:
             if len(steps) >= max_steps:
-                return Outcome(
-                    "step-limit", hs, steps, f"no solution within {max_steps} steps"
-                )
-            hs, record = h_step(
+                status = "step-limit"
+                diagnostics = f"no solution within {max_steps} steps"
+                break
+            after, record = h_step(
                 hs, crs, ctx, step_index=len(steps), verdicts=verdicts
             )
+            before, hs = hs, after
             steps.append(record)
             if check:
                 if not is_correct(hs.sub, ctx, verdicts):
-                    return Outcome(
-                        "internal-error",
-                        hs,
-                        steps,
-                        f"step {record.index}: substitution is not correct",
-                    )
-                issues = validate(hs, ctx, admitted)
+                    issues = ["substitution is not correct"]
+                else:
+                    issues = validate(hs, ctx, admitted)
                 if issues:
-                    return Outcome(
-                        "internal-error",
-                        hs,
-                        steps,
-                        f"step {record.index}: {'; '.join(issues)}",
-                    )
+                    status = "internal-error"
+                    diagnostics = f"step {record.index}: {'; '.join(issues)}"
+                    break
                 admitted = hs.p
             solving = record.solving
     except ProcessInvariantError as err:
-        return Outcome("internal-error", hs, steps, str(err))
+        status, diagnostics = "internal-error", str(err)
     except RecursionError:
-        return Outcome("internal-error", hs, steps, "formula nesting too deep")
-    return Outcome("solved", hs, steps)
+        status, diagnostics = "internal-error", "formula nesting too deep"
+    return Outcome(status, hs, steps, diagnostics, before)
 
 
 # ---------------------------------------------------------------------------

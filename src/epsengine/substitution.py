@@ -13,9 +13,9 @@ import hashlib
 import operator
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, filterfalse
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .language import (
     And,
@@ -364,7 +364,7 @@ class RecordingSubstitution:
 
 class Verdicts:
     """Verdicts of three-valued evaluators, each kept with the reads it
-    rests on.
+    rests on, and what the table knows of the one state it follows.
 
     An evaluation is a deterministic function of the values its lookups
     return, so a stored verdict is returned again only while every
@@ -374,43 +374,39 @@ class Verdicts:
 
     The table follows one state, the map of the last view it was asked
     about.  ``_current`` holds the keys whose reads are known to agree with
-    that state, and ``_readers`` maps each canonical expression to the keys
-    whose recorded reads include it.  `advance` moves the table along a step
-    whose `Change` it is told: exactly the keys that read a changed
-    expression leave ``_current``.  A key in ``_current`` is answered
-    without re-reading; any other key, and any key on a state the table
-    did not follow, is validated by its reads.
-
-    Integer keys are the satisfaction tests of the table's one list of
-    formulas (see `process.is_solving`).  ``agenda`` holds the indices not
-    known to hold on the followed state, or is None when that is all of
-    them; ``order`` keeps the planner's visiting order (see
-    `process.compute_plan`).
+    that state, ``known`` those of them whose verdict is True, and
+    ``_readers`` maps each canonical expression to the keys whose recorded
+    reads include it.  `advance` moves the table along a step whose
+    `Change` it is told: exactly the keys that read a changed expression
+    leave ``_current`` and ``known``.  A key in ``_current`` is answered
+    without re-reading, and callers skip the keys in ``known`` (see
+    `pending`); any other key, and any key on a state the table did not
+    follow, is validated by its reads.  ``ci`` is the guard's verdict on
+    the followed state, as the step that made it found it (see
+    `process.h_step`), or None; ``order`` keeps the planner's visiting
+    order (see `process.compute_plan`).
     """
 
-    __slots__ = ("_memo", "_readers", "_state", "_current", "agenda", "order")
+    __slots__ = ("_memo", "_readers", "_state", "_current", "known", "ci", "order")
 
     def __init__(self) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
         self._readers: defaultdict[Canon, set] = defaultdict(set)
         self._state: dict | None = None
         self._current: set = set()
-        self.agenda: set[int] | None = None
+        self.known: set = set()
+        self.ci: bool | None = None
         self.order: list | None = None
 
-    def follow(self, sub: Substitution) -> None:
-        """Follow sub's map; a map the table did not follow starts afresh."""
+    def follow(self, sub: Substitution) -> set:
+        """Follow sub's map, and return the keys known to hold on it; a map
+        the table did not follow starts afresh."""
         if sub._entries is not self._state:
             self._state = sub._entries
-            self._current = set()
-            self.agenda = None
-
-    def agenda_on(self, sub: Substitution, n: int) -> set[int]:
-        """The indices among range(n) not known to hold on sub."""
-        self.follow(sub)
-        if self.agenda is None:
-            self.agenda = set(range(n))
-        return self.agenda
+            self._current.clear()
+            self.known.clear()
+            self.ci = None
+        return self.known
 
     def advance(self, before: Substitution, after: Substitution, delta: Change) -> None:
         """Follow the step from before to after, whose change is delta."""
@@ -424,9 +420,9 @@ class Verdicts:
             if keys:
                 stale |= keys
         self._current -= stale
-        if self.agenda is not None:
-            self.agenda.update(k for k in stale if type(k) is int)
+        self.known -= stale
         self._state = after._entries
+        self.ci = None
 
     def truth(
         self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
@@ -450,8 +446,8 @@ class Verdicts:
                 readers[e].add(key)
             self._memo[key] = (verdict, reads, tuple(rec.reads.values()))
         self._current.add(key)
-        if verdict is True and type(key) is int and self.agenda is not None:
-            self.agenda.discard(key)
+        if verdict is True:
+            self.known.add(key)
         return verdict
 
 
@@ -465,6 +461,14 @@ def truth_with(
     if verdicts is None:
         return evaluate(view)
     return verdicts.truth(key, view, evaluate)
+
+
+def pending(verdicts: Verdicts | None, view, keys: Iterable) -> Iterable:
+    """The keys not known to hold on view's map, lazily; all of them
+    without a table."""
+    if verdicts is None:
+        return keys
+    return filterfalse(verdicts.follow(view).__contains__, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +682,15 @@ def is_correct(
 ) -> bool:
     """Every entry satisfies its correctness formula in the standard extension.
 
-    With a table, each entry's verdict is kept under ("correct", e, u).
+    With a table, each entry's verdict is kept under ("correct", e, u), and
+    the entries known to hold are skipped.
     """
     ext = sub.extended()
+    keys = [("correct", e, u) for e, u in sub.items()]
     return all(
-        truth_with(
-            verdicts, ("correct", e, u), ext, lambda v: correctness(e, u, v, ctx)
-        )
+        truth_with(verdicts, k, ext, lambda v: correctness(k[1], k[2], v, ctx))
         is True
-        for e, u in sub.items()
+        for k in pending(verdicts, ext, keys)
     )
 
 
@@ -710,13 +714,12 @@ def refutes(
 ) -> bool:
     """Whether the stored entries of sub decide the pair (e, u) incorrect.
 
-    With a table, the verdict is kept under ("refutes", e, u).
+    With a table, the verdict is kept under ("refutes", e, u), and a pair
+    known to hold is not asked about.
     """
-    return (
-        truth_with(
-            verdicts, ("refutes", e, u), sub, lambda v: correctness(e, u, v, ctx)
-        )
-        is False
+    return any(
+        truth_with(verdicts, k, sub, lambda v: correctness(e, u, v, ctx)) is False
+        for k in pending(verdicts, sub, [("refutes", e, u)])
     )
 
 

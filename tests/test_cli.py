@@ -20,10 +20,11 @@ from epsengine.cli import (
     cmd_run,
     main,
 )
+from epsengine.history import HistoricalSubstitution
 from epsengine.language import to_sexpr
 from epsengine.problems import parse_problem
 from epsengine.process import ProcessInvariantError, compute_plan, run
-from epsengine.substitution import serialize
+from epsengine.substitution import num_val, serialize
 
 PROBLEMS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.eps")
@@ -304,6 +305,7 @@ def test_a_formula_too_deep_to_compile_ends_with_its_exit_code(write, tmp_path, 
 
 
 def test_a_goal_too_deep_to_compile_ends_with_its_exit_code(write, capsys):
+    """In either output format: the exit code does not depend on it."""
     deep = "(not " * DEEP_NOT + "(= x 1)" + ")" * DEEP_NOT
     path = write("p.eps", f"(goal (exists (x) {deep}))\n")
     parse_problem(pathlib.Path(path).read_text())  # the parser takes it
@@ -315,6 +317,60 @@ def test_a_goal_too_deep_to_compile_ends_with_its_exit_code(write, capsys):
         "final substitution: {}",
         "internal-error: formula nesting too deep",
     ]
+    assert main(["run", path, "--format", "structured"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == "internal-error: formula nesting too deep\n"
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["type"] for r in records] == ["header", "summary"]
+
+
+# ---------------------------------------------------------------------------
+# check mode against a step that breaks an invariant
+
+NON_MINIMAL = "(crit eps 5 (exists (x) (< 1 x)))\n"  # least witness 2
+
+
+def _not_minimal(hs, plan):
+    """The step's witness, one above the least."""
+    return HistoricalSubstitution(hs.sub.with_entry(plan.e, num_val(plan.v.n + 1)))
+
+
+def _bad_history(hs, plan):
+    """A member that has no entry, no V snapshot and no justification."""
+    return HistoricalSubstitution(hs.sub, (7,))
+
+
+@pytest.mark.parametrize(
+    "breaks, issue",
+    [
+        (_not_minimal, "substitution is not correct"),
+        (
+            _bad_history,
+            "P does not order the top-valued membership entries "
+            "(P=[7], entries=[]); V is not keyed exactly by the members of P; "
+            "P is not admissible for the inductive clause",
+        ),
+    ],
+)
+def test_check_mode_stops_at_a_step_that_breaks_an_invariant(
+    write, monkeypatch, capsys, breaks, issue
+):
+    path, trace = write("p.eps", NON_MINIMAL), write("t.jsonl", "")
+    assert main(["run", path, "--trace", trace]) == EXIT_SOLVED
+    real_apply = process.apply_plan
+    monkeypatch.setattr(
+        process, "apply_plan", lambda hs, plan, ctx: breaks(real_apply(hs, plan, ctx), plan)
+    )
+    problem = parse_problem(NON_MINIMAL)
+    assert run(problem.crits, problem.ctx).solved  # unchecked, nothing is seen
+    outcome = run(problem.crits, problem.ctx, check=True)
+    assert outcome.status == "internal-error" and len(outcome.steps) == 1
+    assert outcome.diagnostics == f"step 0: {issue}"
+    capsys.readouterr()
+    assert main(["run", path, "--check"]) == EXIT_INTERNAL
+    assert f"internal-error: step 0: {issue}" in capsys.readouterr().out.splitlines()
+    assert main(["check", trace, path]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"replay failed invariants: step 0: {issue}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +448,6 @@ def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, caps
         return real_step(hs, crs, ctx, step_index, verdicts)
 
     monkeypatch.setattr(process, "h_step", failing)
-    monkeypatch.setattr(cli, "h_step", failing)
     path = tmp_path / "p.eps"
     path.write_text(ROLLBACK)
     check_explain_matches_reference(str(path), monkeypatch, capsys)

@@ -9,12 +9,13 @@ and then evaluates; a compiled template evaluated at a hole stands in for
 its instance, and the `correctness` loop for the conjunction of
 `correctness_formula`; a step's change set comes from set differences of
 entry texts, `serialize` joins rows kept in order, a table that follows
-the run trusts the keys no change touched and skips the formulas off its
-agenda, and the goal report evaluates the template at the witness.  Each
+the run trusts the keys no change touched and skips the keys it knows to
+hold, and the goal report evaluates the template at the witness.  Each
 is compared with the full computation on every state reached by the
 sample problems, the acceptance corpus and the tiny benchmark families.
 """
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -222,10 +223,15 @@ def test_rank_bound_is_a_lower_bound_and_exact_but_for_closure(runs):
 
 
 def test_step_local_verdict_matches_full_guard(runs):
+    """The guard's verdict a step leaves in the table is the full guard's
+    on the state the step made; a fresh table holds none."""
+    assert Verdicts().ci is None
     for name, p, states in runs:
-        assert states[0].ci is None
-        for k, hs in enumerate(states[1:]):
-            assert hs.ci == is_ci(hs.sub, p.ctx), f"{name} step {k}"
+        verdicts, hs = Verdicts(), states[0]
+        for k, want in enumerate(states[1:]):
+            hs, _ = h_step(hs, p.crits, p.ctx, k, verdicts)
+            assert hs == want, f"{name} step {k}"
+            assert verdicts.ci == is_ci(hs.sub, p.ctx), f"{name} step {k}"
 
 
 def _mutations(sub: Substitution, ctx):
@@ -264,7 +270,7 @@ def test_step_local_verdict_on_mutations(runs):
     inconsistent: dict[str, int] = {}
     for name, p, states in runs:
         for hs in states[1:]:
-            if hs.ci:
+            if is_ci(hs.sub, p.ctx):
                 continue
             for kind, changed, mutated in _mutations(hs.sub, p.ctx):
                 verdict = is_ci(mutated, p.ctx)
@@ -292,24 +298,38 @@ def test_h_step_carries_the_verdict_to_the_next_step(monkeypatch):
     monkeypatch.setattr(
         process, "is_ci", lambda sub, ctx=None: guarded.append(len(sub)) or full_guard(sub, ctx)
     )
-    hs, _ = h_step(HistoricalSubstitution.initial(), problem.crits, None)
-    assert hs.ci is False and guarded == [0]  # the hand-built initial state
+    verdicts = Verdicts()
+    hs, _ = h_step(HistoricalSubstitution.initial(), problem.crits, None, 0, verdicts)
+    assert verdicts.ci is False and guarded == [0]  # the hand-built initial state
     monkeypatch.setattr(
         process, "_step_ci", lambda after, delta, ctx, verdicts=None: True
     )
-    hs, _ = h_step(hs, problem.crits, None)
-    assert hs.ci is True and guarded == [0]
+    hs, _ = h_step(hs, problem.crits, None, 1, verdicts)
+    assert verdicts.ci is True and guarded == [0]
     with pytest.raises(ProcessInvariantError, match="inconsistent"):
-        h_step(hs, problem.crits, None)
+        h_step(hs, problem.crits, None, 2, verdicts)
     assert guarded == [0]
+    # without a table, every step runs the full guard
+    h_step(HistoricalSubstitution.initial(), problem.crits, None)
+    assert guarded == [0, 0]
 
 
 def test_verdict_stays_out_of_construction_equality_and_repr(runs):
-    _, _, states = next(r for r in runs if len(r[2]) > 1)
-    made = states[-1]
+    """A state is plain data: the guard's verdict lives in the table, for
+    the map it follows, and a map it did not follow has none."""
+    assert [f.name for f in dataclasses.fields(HistoricalSubstitution)] == [
+        "sub", "p", "v"
+    ]
+    _, p, states = next(r for r in runs if len(r[2]) > 1)
+    verdicts, made = Verdicts(), states[0]
+    for k in range(len(states) - 1):
+        made, _ = h_step(made, p.crits, p.ctx, k, verdicts)
     built = HistoricalSubstitution(made.sub, made.p, dict(made.v))
-    assert made.ci is False and built.ci is None
     assert built == made and repr(built) == repr(made)
+    verdicts.follow(built.sub)  # the same map
+    assert verdicts.ci is False
+    verdicts.follow(Substitution(dict(made.sub.items()), omega_sym=p.omega_sym))
+    assert verdicts.ci is None and not verdicts.known
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +637,7 @@ def test_a_dropped_problem_frees_its_compiled_formulas():
 
 
 # ---------------------------------------------------------------------------
-# Ordered rows, the change set, the followed table and its agenda
+# Ordered rows, the change set, the followed table and what it knows
 
 
 def _brute_change(before, after):
@@ -741,19 +761,24 @@ def _followed_run(p, followed, by_reads, check_step):
 
 def test_followed_table_agrees_with_validation_by_reads(runs):
     """Along every run: each verdict of the followed table is the one a
-    table validating by reads gives, every formula off the agenda holds
-    when evaluated from scratch, and the plan is the plan computed without
-    a table.  `h_step` compares the two runs record for record."""
-    stats = {"current": 0, "off_agenda": 0}
+    table validating by reads gives, every key it knows to hold (formula,
+    correctness and refutation keys alike) holds when evaluated from
+    scratch, and the plan is the plan computed without a table.  `h_step`
+    compares the two runs record for record."""
+    stats = {"current": 0, "known": 0}
+    kinds = set()
     for name, p, _ in runs:
         followed, by_reads = Verdicts(), ByReads()
 
         def check_step(hs):
-            sub, ext = hs.sub, hs.sub.extended()
-            assert followed.agenda is not None, name
-            for i in set(range(len(p.crits))) - followed.agenda:
-                assert truth(p.crits[i].formula, ext) is True, (name, i)
-                stats["off_agenda"] += 1
+            sub = hs.sub
+            known = followed.follow(sub)
+            assert known <= followed._current, name
+            for key in known:
+                view, evaluate = _table_key_evaluator(p, sub, key)
+                assert evaluate(view) is True, (name, key)
+                kinds.add(key if type(key) is int else key[0])
+                stats["known"] += 1
             for key in list(followed._memo):
                 view, evaluate = _table_key_evaluator(p, sub, key)
                 stats["current"] += key in followed._current
@@ -763,11 +788,12 @@ def test_followed_table_agrees_with_validation_by_reads(runs):
 
         _followed_run(p, followed, by_reads, check_step)
     assert min(stats.values()) > 1000
+    assert {"correct", "refutes"} <= kinds and 0 in kinds
 
 
-def test_table_resets_its_agenda_on_a_state_it_did_not_follow(runs):
+def test_table_forgets_what_it_knows_on_a_state_it_did_not_follow(runs):
     """One table over each problem's states in shuffled order, never
-    advanced: the agenda must not carry over from one state to another."""
+    advanced: what it knows must not carry over from one state to another."""
     rng = random.Random(11)
     for name, p, states in runs:
         verdicts = Verdicts()
@@ -780,12 +806,44 @@ def test_table_resets_its_agenda_on_a_state_it_did_not_follow(runs):
             assert compute_plan(hs, p.crits, p.ctx, verdicts=verdicts) == (
                 compute_plan(hs, p.crits, p.ctx)
             ), name
+            assert is_correct(hs.sub, p.ctx, verdicts), name
+
+
+def test_followed_table_after_a_mutation_knows_only_what_holds(runs):
+    """A table that has evaluated everything on a reached state, advanced
+    by the change of a one-entry mutation, answers `is_correct` and
+    `refutes` as the evaluation without a table does, and every key it
+    still knows to hold holds from scratch.  Some mutated states are not
+    correct, so a table that kept a stale correctness key would say they
+    are."""
+    incorrect, refuted = 0, 0
+    for name, p, states in runs:
+        for hs in states[1:]:
+            for kind, _, mutated in _mutations(hs.sub, p.ctx):
+                verdicts = Verdicts()
+                assert is_correct(hs.sub, p.ctx, verdicts), name
+                for e, u in hs.sub.items():
+                    refutes(hs.sub, e, u, p.ctx, verdicts)
+                is_solving(hs.sub, p.crits, verdicts)
+                verdicts.advance(hs.sub, mutated, change(hs.sub, mutated))
+                for key in verdicts.follow(mutated):
+                    view, evaluate = _table_key_evaluator(p, mutated, key)
+                    assert evaluate(view) is True, (name, kind, key)
+                want = is_correct(mutated, p.ctx)
+                assert is_correct(mutated, p.ctx, verdicts) == want, (name, kind)
+                for e, u in mutated.items():
+                    got = refutes(mutated, e, u, p.ctx, verdicts)
+                    assert got == refutes(mutated, e, u, p.ctx), (name, kind, e)
+                    refuted += got
+                incorrect += not want
+    assert incorrect > 0 and refuted > 0
 
 
 def test_a_step_looks_up_a_constant_number_of_verdicts(monkeypatch):
     """Counted, not timed: a chain of n eps axioms takes n steps, and each
     step asks the table the same number of times whatever n is, where a
-    table that re-read every formula would ask about O(n) per step."""
+    table that re-read every formula would ask about O(n) per step; with
+    check, `is_correct` asks only about the entry the step added."""
     calls = []
     real_truth = Verdicts.truth
 
@@ -794,16 +852,19 @@ def test_a_step_looks_up_a_constant_number_of_verdicts(monkeypatch):
         return real_truth(self, *args)
 
     monkeypatch.setattr(Verdicts, "truth", counted)
-    per_step = set()
-    for n in (32, 64, 128):
-        problem = parse_problem(
-            "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in range(1, n + 1))
-        )
-        calls.clear()
-        outcome = run(problem.crits, problem.ctx)
-        assert outcome.solved and len(outcome.steps) == n
-        per_step.add(len(calls) / n)
-    assert len(per_step) == 1 and per_step.pop() <= 4
+    for check, bound in ((False, 4), (True, 5)):
+        per_step = set()
+        for n in (32, 64, 128):
+            problem = parse_problem(
+                "".join(
+                    f"(crit eps {k} (exists (x) (= x {k})))\n" for k in range(1, n + 1)
+                )
+            )
+            calls.clear()
+            outcome = run(problem.crits, problem.ctx, check=check)
+            assert outcome.solved and len(outcome.steps) == n
+            per_step.add(len(calls) / n)
+        assert len(per_step) == 1 and per_step.pop() <= bound, check
 
 
 def test_witness_line_matches_the_instance_tree_report(runs):
