@@ -6,7 +6,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from .language import num, substitute, to_sexpr
 from .problems import ParseError, Problem, parse_problem
@@ -29,16 +28,17 @@ DEFAULT_MAX_STEPS = 10**6
 TRACE_FORMAT = 1  # the header's "format"; `check` replays no other
 
 
-@dataclass
 class RunConfig:
-    max_steps: int | None = None  # None: the problem's max-steps option
-    check: bool = False
-    trace: str | None = None
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.max_steps is not None and self.max_steps < 1:
+    def __init__(
+        self,
+        max_steps: int | None = None,  # None: the problem's max-steps option
+        check: bool = False,
+        trace: str | None = None,
+        fmt: str = "text",
+    ) -> None:
+        if max_steps is not None and max_steps < 1:
             raise ValueError("max-steps must be at least 1")
+        self.max_steps, self.check, self.trace, self.fmt = max_steps, check, trace, fmt
 
 
 def _problem_digest(text: str) -> str:
@@ -196,6 +196,22 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     return EXIT_INTERNAL
 
 
+def _layout_error(types: list) -> str | None:
+    """What breaks the layout `run` writes, one header, the steps, and at
+    most one summary, last; None when nothing does.  A trace without a
+    summary passes, as a killed run leaves one."""
+    seen = set()
+    for i, t in enumerate(types):
+        if t not in ("header", "step", "summary"):
+            return f"record {i} has unknown type {json.dumps(t)}"
+        if t != "step" and t in seen:
+            return f"record {i} is a second {t}"
+        if "summary" in seen:
+            return f"record {i} follows the summary"
+        seen.add(t)
+    return None
+
+
 def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     """Replay a trace: re-derive every step and compare record for record."""
     out = out or sys.stdout
@@ -228,6 +244,10 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
         return EXIT_INPUT
     if recorded[0].get("problem") != _problem_digest(text):
         print("trace: header does not match the problem file", file=err)
+        return EXIT_INPUT
+    layout = _layout_error([r.get("type") for r in recorded])
+    if layout is not None:
+        print(f"trace: {layout}", file=err)
         return EXIT_INPUT
     rec_steps = [r for r in recorded if r.get("type") == "step"]
     rec_summary = [r for r in recorded if r.get("type") == "summary"]

@@ -8,9 +8,8 @@ process restores exactly those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .language import CanonForm, InductiveContext
 from .substitution import (
@@ -22,21 +21,24 @@ from .substitution import (
 )
 
 
-@dataclass(frozen=True)
-class HistoricalSubstitution:
+class _History(NamedTuple):
+    sub: Substitution
+    p: tuple[int, ...]
+    v: Mapping[int, Substitution]
+
+
+class HistoricalSubstitution(_History):
     """A substitution together with its membership history (P, V).
 
     P lists the members n with (n in I, top) present, in insertion order; V
     maps each of them to the negative rank-Omega entries removed when it was
-    added.
+    added, as a read-only copy of the mapping it is built from.
     """
 
-    sub: Substitution
-    p: tuple[int, ...] = ()
-    v: Mapping[int, Substitution] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", MappingProxyType(dict(self.v)))
+    def __new__(cls, sub, p=(), v=MappingProxyType({})):
+        return tuple.__new__(cls, (sub, p, MappingProxyType(dict(v))))
 
     @staticmethod
     def initial(omega_sym=None) -> "HistoricalSubstitution":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -23,7 +22,6 @@ class LanguageError(Exception):
 # ---------------------------------------------------------------------------
 # Expression nodes
 
-@dataclass(frozen=True)
 class Expr:
     """A term or formula node.
 
@@ -33,100 +31,131 @@ class Expr:
     constructors below, so arithmetic over numerals folds.  ``head`` is the
     node's operator as printed (a leaf's whole text); a membership atom
     prints its set's name after its argument instead.
+
+    A node's fields are its class's own slots, immutable by contract.
+    ``_code``, not a field, is None until `substitution.compiled` writes
+    the node's evaluator there on its first evaluation.
     """
 
+    __slots__ = ("_code", "__weakref__")
     kids = ()
     remake = lambda self, kids: self
-    # the node's evaluator, compiled on its first evaluation and kept here
-    # by `substitution.compiled`; not a field, so not compared or printed
-    _code = None
+
+    def __init__(self) -> None:
+        self._code = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
 class Numeral(Expr):
-    value: int
+    __slots__ = ("value",)
     head = property(lambda self: str(self.value))
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+    def __init__(self, value: int) -> None:
+        if value < 0:
             raise LanguageError("numerals are naturals")
+        self.value, self._code = value, None
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int
+    __slots__ = ("index",)
     head = property(lambda self: f"v{self.index}")
 
+    def __init__(self, index: int) -> None:
+        self.index, self._code = index, None
 
-@dataclass(frozen=True)
+
 class FnApp(Expr):
-    fn: str
-    args: tuple[Expr, ...]
+    __slots__ = ("fn", "args")
     head = property(attrgetter("fn"))
     kids = property(attrgetter("args"))
     remake = lambda self, kids: fn(self.fn, *kids)
 
+    def __init__(self, fn: str, args: tuple[Expr, ...]) -> None:
+        self.fn, self.args, self._code = fn, args, None
 
-@dataclass(frozen=True)
+
 class SkolemApp(Expr):
-    sym: "SkolemSymbol"
-    args: tuple[Expr, ...]
+    __slots__ = ("sym", "args")
     head = property(lambda self: f"(c {self.sym.text})")
     kids = property(attrgetter("args"))
     remake = lambda self, kids: skolem(self.sym, kids)
 
+    def __init__(self, sym: "SkolemSymbol", args: tuple[Expr, ...]) -> None:
+        self.sym, self.args, self._code = sym, args, None
 
-@dataclass(frozen=True)
+
 class RelAtom(Expr):
-    rel: str
-    args: tuple[Expr, ...]
+    __slots__ = ("rel", "args")
     head = property(attrgetter("rel"))
     kids = property(attrgetter("args"))
     remake = lambda self, kids: rel(self.rel, *kids)
 
+    def __init__(self, rel: str, args: tuple[Expr, ...]) -> None:
+        self.rel, self.args, self._code = rel, args, None
 
-@dataclass(frozen=True)
+
 class InSet(Expr):
     """Membership atom for the inductively defined set."""
 
-    arg: Expr
+    __slots__ = ("arg",)
     kids = property(lambda self: (self.arg,))
     remake = lambda self, kids: in_set(*kids)
 
+    def __init__(self, arg: Expr) -> None:
+        self.arg, self._code = arg, None
 
-@dataclass(frozen=True)
+
 class Not(Expr):
-    body: Expr
+    __slots__ = ("body",)
     head = "not"
     kids = property(lambda self: (self.body,))
     remake = lambda self, kids: not_(*kids)
 
+    def __init__(self, body: Expr) -> None:
+        self.body, self._code = body, None
 
-@dataclass(frozen=True)
+
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
     head = "and"
     kids = property(attrgetter("left", "right"))
     remake = lambda self, kids: and_(*kids)
 
+    def __init__(self, left: Expr, right: Expr) -> None:
+        self.left, self.right, self._code = left, right, None
 
-@dataclass(frozen=True)
+
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
     head = "or"
     kids = property(attrgetter("left", "right"))
     remake = lambda self, kids: or_(*kids)
 
+    def __init__(self, left: Expr, right: Expr) -> None:
+        self.left, self.right, self._code = left, right, None
 
-@dataclass(frozen=True)
+
 class Top(Expr):
+    __slots__ = ()
     head = "true"
 
 
-@dataclass(frozen=True)
 class Bottom(Expr):
+    __slots__ = ()
     head = "false"
 
 
@@ -541,7 +570,7 @@ class InductiveContext:
     member candidate x, and InSet atoms for the set placeholder X.  From it
     we fix the rank-Omega witness symbol, the membership-condition template,
     and the clause instantiations used by admissibility and correctness
-    checks.
+    checks.  Contexts compare and hash by their clause, which decides the rest.
     """
 
     def __init__(self, clause: Expr):
@@ -565,6 +594,12 @@ class InductiveContext:
         witness = skolem(sym, raw_args)
         a_raw = substitute(clause, {0: witness})
         self.a_template = substitute(a_raw, {1: Var(0)})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, InductiveContext) and self.clause == other.clause
+
+    def __hash__(self) -> int:
+        return hash(self.clause)
 
     def c_n(self, n: int) -> CanonTerm:
         """The rank-Omega canonical witness term for membership of n."""

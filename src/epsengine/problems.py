@@ -21,8 +21,7 @@ body the declared set name replaces I and quantifiers are not allowed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .language import (
     BOTTOM,
@@ -246,21 +245,19 @@ def _check_positive(e: Expr, positive: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Problems
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(NamedTuple):
     goal: Goal
     candidates: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     clause: Expr | None
     set_name: str
     crits: tuple[CriticalFormula, ...]
     goals: tuple[GoalSpec, ...]
     options: tuple[tuple[str, int], ...] = ()
     explicit_crits: int = 0  # prefix of crits written out; the rest came from goals
-    ctx: InductiveContext | None = field(default=None, compare=False)
+    ctx: InductiveContext | None = None  # equal for equal clauses
 
     @property
     def omega_sym(self):

@@ -10,7 +10,6 @@ member entered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .language import (
@@ -74,8 +73,7 @@ class ProcessInvariantError(Exception):
 # and keeps the witness symbols alongside the closed formula; analysis only
 # ever reduces the stored argument templates.
 
-@dataclass(frozen=True)
-class PredCF:
+class PredCF(NamedTuple):
     s: Expr
     sym: SkolemSymbol
     args: tuple[Expr, ...]
@@ -83,8 +81,7 @@ class PredCF:
     kind: str = "pred"
 
 
-@dataclass(frozen=True)
-class EpsilonCF:
+class EpsilonCF(NamedTuple):
     t: Expr
     phi: Expr  # one-hole template of the matrix
     sym: SkolemSymbol
@@ -93,8 +90,7 @@ class EpsilonCF:
     kind: str = "epsilon"
 
 
-@dataclass(frozen=True)
-class InductionCF:
+class InductionCF(NamedTuple):
     t: Expr
     phi: Expr
     sym: SkolemSymbol
@@ -103,15 +99,13 @@ class InductionCF:
     kind: str = "induction"
 
 
-@dataclass(frozen=True)
-class InductiveDefCF:
+class InductiveDefCF(NamedTuple):
     t: Expr
     formula: Expr
     kind: str = "inddef"
 
 
-@dataclass(frozen=True)
-class ClosureCF:
+class ClosureCF(NamedTuple):
     phi: Expr  # one-hole template of the target formula
     premise_sym: SkolemSymbol
     premise_args: tuple[Expr, ...]
@@ -609,8 +603,7 @@ def h_step(
     return hs2, record
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     status: str  # 'solved' | 'step-limit' | 'internal-error'
     hs: HistoricalSubstitution
     steps: list[HStep]
@@ -681,8 +674,7 @@ def run(
 # ---------------------------------------------------------------------------
 # Witness extraction
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
     phi: Expr  # one-hole template
     sym: SkolemSymbol
     args: tuple[Expr, ...]

@@ -489,7 +489,7 @@ def compiled(e: Expr) -> Code:
     code = e._code
     if code is None:
         code = _compile(e)
-        object.__setattr__(e, "_code", code)
+        e._code = code
     return code
 
 

@@ -190,6 +190,36 @@ def test_check_refuses_other_trace_formats(write, tmp_path, capsys, fmt):
     assert captured.err.splitlines() == [f"trace: unsupported format {json.dumps(fmt)}"]
 
 
+def _layouts(lines: list[str]) -> dict:
+    """Traces `run` never writes, from the lines of a one-step trace."""
+    header, step, summary = lines
+    bogus = json.dumps({**json.loads(summary), "status": "bogus"})
+    return {
+        "record 3 is a second summary": [header, step, summary, bogus],
+        'record 1 has unknown type "junk"': [header, '{"type":"junk"}', step, summary],
+        "record 2 follows the summary": [header, summary, step],
+        "record 3 is a second header": [header, step, summary, header],
+    }
+
+
+def test_check_refuses_a_layout_run_never_writes(write, tmp_path, capsys):
+    path = write("p.eps", EPSILON)
+    trace = tmp_path / "t.jsonl"
+    cmd_run(path, RunConfig(trace=str(trace)))
+    lines = trace.read_text().splitlines()
+    for message, layout in _layouts(lines).items():
+        trace.write_text("\n".join(layout) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace), path]) == EXIT_INPUT, message
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"trace: {message}"]
+    # a killed run leaves no summary: the steps are still checked
+    trace.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["check", str(trace), path]) == EXIT_SOLVED
+    assert capsys.readouterr().out == "trace verified: 1 steps\n"
+
+
 def test_explain_rollback_step(write, capsys):
     path = write("p.eps", ROLLBACK)
     assert cmd_explain(path, 4) == EXIT_SOLVED

@@ -4,19 +4,24 @@ Canonical expressions, values, ranks, plans and step records are tuples,
 so they are built, hashed and compared in C.  A tuple equals any tuple of
 equal items, so these tests pin what the engine relies on: values of
 different kinds never meet as equal keys, ranks sort in ordinal order, and
-no field can be assigned.
+no field can be assigned.  The larger records (critical formulas, goals,
+problems, histories) are tuples too, and no engine class is a dataclass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from epsengine.history import HistoricalSubstitution
+from epsengine.cli import RunConfig
 from epsengine.language import (
     OMEGA,
     CanonForm,
@@ -26,9 +31,20 @@ from epsengine.language import (
     Var,
     canon_sexpr,
     eq,
+    lt,
+    num,
 )
 from epsengine.problems import parse_problem
-from epsengine.process import HStep, StepPlan, compute_plan, h_step, is_solving
+from epsengine.process import (
+    HStep,
+    InductionCF,
+    StepPlan,
+    compute_plan,
+    h_step,
+    is_solving,
+    make_epsilon,
+    run,
+)
 from epsengine.substitution import (
     TOP_VAL,
     UNKNOWN,
@@ -41,7 +57,8 @@ from epsengine.substitution import (
 )
 from genexpr import SYM_OMEGA_PLUS, SYM_R1A
 
-CASCADE = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rebuild_cascade.eps"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CASCADE = ROOT / "problems" / "rebuild_cascade.eps"
 SYM_0 = SkolemSymbol(eq(Var(0), Var(0)), 0)  # no arguments: CanonTerm(SYM_0, ())
 
 
@@ -161,3 +178,40 @@ def test_values_print_as_before():
     assert canon_sexpr(CanonTerm(SYM_R1A, (1,))) == "((c (= v0 v1)) 1)"
     assert canon_sexpr(CanonTerm(SYM_0, ())) == "(c (= v0 v0))"
     assert serialize(Substitution({CanonForm(1): TOP_VAL})) == "{((in 1 I) top)}"
+
+
+def test_the_command_line_loads_no_dataclass_machinery():
+    code = "import sys, epsengine.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_critical_formulas_of_different_kinds_are_never_equal():
+    cf = make_epsilon(num(2), lt(num(1), Var(0)))
+    other = InductionCF(cf.t, cf.phi, cf.sym, cf.args, cf.formula)
+    assert cf[:-1] == other[:-1]  # the same parts
+    assert cf != other and other != cf and len({cf, other}) == 2
+
+
+def test_a_membership_history_is_read_only():
+    problem = parse_problem(CASCADE.read_text())
+    outcome = run(problem.crits, problem.ctx)
+    hs = next(s for s in (outcome.hs, outcome.before) if s.v)
+    with pytest.raises(TypeError):
+        hs.v[hs.p[0]] = Substitution({})
+    built = {0: Substitution({})}
+    hs = HistoricalSubstitution(hs.sub, (0,), built)
+    built[1] = Substitution({})  # the history keeps its own copy
+    assert list(hs.v) == [0]
+    with pytest.raises(TypeError):
+        hs.v[0] = Substitution({})
+    assert HistoricalSubstitution(hs.sub).v == {}
+
+
+def test_a_run_needs_at_least_one_step():
+    assert RunConfig().max_steps is None
+    with pytest.raises(ValueError, match="^max-steps must be at least 1$"):
+        RunConfig(max_steps=0)

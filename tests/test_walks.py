@@ -11,7 +11,6 @@ same argument order, same forms and positions, same error messages.
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 import random
 
@@ -21,6 +20,7 @@ from conftest import bench_imports
 from corpusgen import build_corpus
 from epsengine.language import (
     Expr,
+    Numeral,
     Var,
     abstract_closed_terms,
     is_closed,
@@ -63,11 +63,11 @@ TEXTS = _texts()
 def _subexprs(e: Expr, out: list[Expr]) -> list[Expr]:
     """e and everything below it, index formulas of its symbols included.
 
-    Read off the dataclass fields, so it does not lean on `kids`.
+    Read off the node's field slots, so it does not lean on `kids`.
     """
     out.append(e)
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
+    for name in type(e).__slots__:
+        v = getattr(e, name)
         for k in v if isinstance(v, tuple) else (v,):
             if isinstance(k, Expr):
                 _subexprs(k, out)
@@ -84,7 +84,7 @@ def _problem_exprs() -> list[Expr]:
         if p.ctx is not None:
             roots.append(p.ctx.a_template)
         for cf in p.crits:
-            roots += [v for v in vars(cf).values() if isinstance(v, Expr)]
+            roots += [v for v in cf if isinstance(v, Expr)]
         roots += [g.goal.phi for g in p.goals]
         for root in roots:
             for e in _subexprs(root, []):
@@ -140,6 +140,35 @@ def test_abstraction_matches_in_index_and_argument_order():
         want_index, want_args = hand_abstract_closed_terms(e)
         assert index == want_index and args == want_args, e
         assert [hand_to_sexpr(a) for a in args] == [hand_to_sexpr(a) for a in want_args]
+
+
+def _rebuilt(e: Expr) -> Expr:
+    """A fresh copy of e, node by node, through the node classes."""
+    values = []
+    for name in type(e).__slots__:
+        v = getattr(e, name)
+        if isinstance(v, Expr):
+            v = _rebuilt(v)
+        elif isinstance(v, tuple):
+            v = tuple(map(_rebuilt, v))
+        values.append(v)
+    return type(e)(*values)
+
+
+def test_equality_and_hash_agree_with_the_kind_and_the_text():
+    def key(e):
+        return type(e), hand_to_sexpr(e)
+
+    items = EXPRS[::8] + [_rebuilt(e) for e in EXPRS[::8]]
+    keys = list(map(key, items))
+    for a, ka in zip(items, keys):
+        for b, kb in zip(items, keys):
+            assert (a == b) == (ka == kb), (a, b)
+            assert a != b or hash(a) == hash(b), (a, b)
+    table = {e: key(e) for e in EXPRS}  # every node, compared where hashes meet
+    assert len(table) == len(set(map(key, EXPRS)))
+    assert all(table[_rebuilt(e)] == key(e) for e in EXPRS)
+    assert Var(0) != Numeral(0) and Numeral(0) != Var(0)
 
 
 # ---------------------------------------------------------------------------
