@@ -77,12 +77,12 @@ def is_admissible(
 def validate(
     hs: HistoricalSubstitution,
     ctx: InductiveContext | None = None,
-    admitted: tuple[int, ...] = (),
+    last: HistoricalSubstitution | None = None,
 ) -> list[str]:
     """Invariant violations of a historical substitution; empty when valid.
 
-    ``admitted`` is a membership order already found admissible, as in
-    `is_admissible`.
+    ``last`` is a state already found valid: its membership order is not
+    tested again, as in `is_admissible`, nor is a snapshot it holds too.
     """
     problems: list[str] = []
     if len(set(hs.p)) != len(hs.p):
@@ -95,13 +95,16 @@ def validate(
         )
     if set(hs.v) != set(hs.p):
         problems.append("V is not keyed exactly by the members of P")
+    checked = {} if last is None else last.v
     for n, snap in hs.v.items():
+        if checked.get(n) is snap:
+            continue
         for e, u in snap.items():
             if not snap.rank_of(e).is_omega or entry_is_positive(e, u):
                 problems.append(
                     f"V({n}) holds a non-negative-Omega entry {serialize(snap)}"
                 )
                 break
-    if not is_admissible(hs.p, ctx, admitted):
+    if not is_admissible(hs.p, ctx, () if last is None else last.p):
         problems.append("P is not admissible for the inductive clause")
     return problems

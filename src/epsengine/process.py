@@ -331,7 +331,8 @@ def is_solving(
     the formulas known to hold are skipped."""
     ext = sub.extended()
     return all(
-        truth_with(verdicts, i, ext, lambda v: truth(crs[i].formula, v)) is True
+        truth_with(verdicts, i, ext, lambda v: compiled(crs[i].formula)((), v))
+        is True
         for i in pending(verdicts, ext, range(len(crs)))
     )
 
@@ -382,7 +383,10 @@ def compute_plan(
         if i in known:
             continue
         cf = crs[i]
-        holds = truth_with(verdicts, i, ext, lambda v: truth(cf.formula, v)) is True
+        holds = (
+            truth_with(verdicts, i, ext, lambda v: compiled(cf.formula)((), v))
+            is True
+        )
         pair = analyze(cf, hs, ctx, ext, holds)
         if pair is None:
             continue
@@ -632,14 +636,16 @@ def run(
     the process is supposed to preserve: correctness of each entry and
     validity (including admissibility) of the history.  An entry's verdict
     is reused only while every entry its correctness formula read is
-    unchanged, and only the members past the longest prefix shared with the
-    last admissible P are tested again.
+    unchanged, or taken from the guard's when that held on the stored map;
+    only the members past the longest prefix shared with the last valid
+    state's P, and only the snapshots that state does not hold, are tested
+    again.
     """
     omega = ctx.omega_sym if ctx is not None else None
     hs, before = HistoricalSubstitution.initial(omega), None
     steps: list[HStep] = []
     verdicts = Verdicts()
-    admitted: tuple[int, ...] = ()
+    valid = None  # the last state checked valid
     status, diagnostics = "solved", None
     try:  # the first evaluation compiles the formulas, and may overflow too
         solving = is_solving(hs.sub, crs, verdicts)
@@ -657,12 +663,12 @@ def run(
                 if not is_correct(hs.sub, ctx, verdicts):
                     issues = ["substitution is not correct"]
                 else:
-                    issues = validate(hs, ctx, admitted)
+                    issues = validate(hs, ctx, valid)
                 if issues:
                     status = "internal-error"
                     diagnostics = f"step {record.index}: {'; '.join(issues)}"
                     break
-                admitted = hs.p
+                valid = hs
             solving = record.solving
     except ProcessInvariantError as err:
         status, diagnostics = "internal-error", str(err)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress, filterfalse
@@ -348,15 +349,16 @@ class RecordingSubstitution:
     with ``lazy`` off, as the stored map does (None when absent).
     """
 
-    __slots__ = ("base", "lazy", "reads")
+    __slots__ = ("base", "lazy", "reads", "_raw")
 
     def __init__(self, base: Substitution, lazy: bool = True):
         self.base = base
         self.lazy = lazy
         self.reads: dict[Canon, Value | None] = {}
+        self._raw = base._entries.get
 
     def get(self, e: Canon) -> Value | None:
-        u = self.reads[e] = self.base.raw(e)
+        u = self.reads[e] = self._raw(e)
         if u is None and self.lazy:
             return UNKNOWN
         return u
@@ -428,22 +430,24 @@ class Verdicts:
         self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
     ) -> bool | None:
         """evaluate(view); evaluate is called only on a miss."""
-        if view._entries is not self._state:
+        entries = view._entries
+        if entries is not self._state:
             self.follow(view)
         if key in self._current:
             return self._memo[key][0]
         memo = self._memo.get(key)
-        if memo is not None and tuple(map(view._entries.get, memo[1])) == memo[2]:
+        if memo is not None and tuple(map(entries.get, memo[1])) == memo[2]:
             verdict = memo[0]
         else:
             rec = RecordingSubstitution(view, view.lazy)
             verdict = evaluate(rec)
-            reads = tuple(rec.reads)
-            readers = self._readers
-            for e in memo[1] if memo is not None else ():
-                readers[e].discard(key)
-            for e in reads:
-                readers[e].add(key)
+            reads, old = tuple(rec.reads), () if memo is None else memo[1]
+            if reads != old:  # an evaluation mostly reads what it read before
+                readers = self._readers
+                for e in old:
+                    readers[e].discard(key)
+                for e in reads:
+                    readers[e].add(key)
             self._memo[key] = (verdict, reads, tuple(rec.reads.values()))
         self._current.add(key)
         if verdict is True:
@@ -479,9 +483,20 @@ def pending(verdicts: Verdicts | None, view, keys: Iterable) -> Iterable:
 # both sides of every connective are evaluated, in order, so which parts
 # are evaluated never depends on the values read; None means a lookup left
 # the expression undecided, and then so is all that contains it.
+#
+# A few shapes compile to one closure where a tree of them would do
+# (Proebsting's superoperators): an implication (or (not A) B) and its
+# negation, and every node over terms reading a numeral or variable operand
+# in place, as `_operand` spells out.  A Skolem application or membership
+# atom over numerals builds its key once, here; other keys are built by
+# tuple.__new__, without a Python frame.  Each node's closure is kept on it,
+# so a subtree shared by several trees is compiled once, and binds what it
+# reads as default arguments: one tuple where cells would be one object each.
 
 Code = Callable[[tuple, object], "int | bool | None"]
 _BINARY = {"+": operator.add, "*": operator.mul}
+_new = tuple.__new__
+_PAST = sys.maxsize  # an index past the end of every env
 
 
 def compiled(e: Expr) -> Code:
@@ -500,6 +515,18 @@ def _compile(e: Expr) -> Code:
     return make(e)
 
 
+def _operand(t: Expr) -> tuple:
+    """How a node reads its term operand t, as (f, i, d): the value is
+    f(env, view) when f is set, else env[i], or d when env is too short.
+    A variable is undecided past env's end; a numeral lies past every
+    env's end, so it reads as its value."""
+    if t.__class__ is Var:
+        return None, t.index, None
+    if t.__class__ is Numeral:
+        return None, _PAST, t.value
+    return compiled(t), 0, None
+
+
 def _numeral(t: Numeral) -> Code:
     n = t.value
     return lambda env, view: n
@@ -507,58 +534,78 @@ def _numeral(t: Numeral) -> Code:
 
 def _var(t: Var) -> Code:
     i = t.index
-
-    def var(env, view):
-        try:
-            return env[i]
-        except IndexError:
-            return None
-
-    return var
+    return lambda env, view: env[i] if i < len(env) else None
 
 
 def _fn_app(t: FnApp) -> Code:
     if t.fn == "s":
-        (a,) = map(_compile, t.args)
+        ((f, i, d),) = map(_operand, t.args)
 
-        def succ(env, view):
-            x = a(env, view)
+        def succ(env, view, f=f, i=i, d=d):
+            x = f(env, view) if f is not None else env[i] if i < len(env) else d
             return None if x is None else x + 1
 
         return succ
-    a, b = map(_compile, t.args)
+    (fa, ia, da), (fb, ib, db) = map(_operand, t.args)
     op = _BINARY.get(t.fn)
     if op is None:
         raise LanguageError(f"unknown function symbol {t.fn!r}")
 
-    def binary(env, view):
-        x, y = a(env, view), b(env, view)
+    def binary(env, view, fa=fa, ia=ia, da=da, fb=fb, ib=ib, db=db, op=op):
+        x = fa(env, view) if fa is not None else env[ia] if ia < len(env) else da
+        y = fb(env, view) if fb is not None else env[ib] if ib < len(env) else db
         return None if x is None or y is None else op(x, y)
 
     return binary
 
 
 def _skolem_app(t: SkolemApp) -> Code:
-    sym, args = t.sym, [_compile(a) for a in t.args]
+    sym, args = t.sym, list(map(_operand, t.args))
+    numerals = tuple([d for _, _, d in args])
+    if None not in numerals:  # the key is built here, once
 
-    def app(env, view):
-        vals = tuple([a(env, view) for a in args])
-        if None in vals:
-            return None
-        u = view.get(CanonTerm(sym, vals))
-        if u is None:
-            return None
-        return 0 if u.kind == "unknown" else u.n
+        def constant_app(env, view, key=_new(CanonTerm, (sym, numerals))):
+            u = view.get(key)
+            return None if u is None else 0 if u.kind == "unknown" else u.n
 
-    return app
+        return constant_app
+    if len(args) > 2:
+
+        def app(env, view, sym=sym, args=args):
+            vals = tuple(
+                [f(env, view) if f is not None else env[i] if i < len(env) else d
+                 for f, i, d in args]
+            )
+            if None in vals:
+                return None
+            u = view.get(_new(CanonTerm, (sym, vals)))
+            return None if u is None else 0 if u.kind == "unknown" else u.n
+
+        return app
+    # one or two operands, read without a loop; a lone one's pair goes unused
+    pair = len(args) == 2
+    (fa, ia, da), (fb, ib, db) = args if pair else (*args, (None, _PAST, 0))
+
+    def small_app(
+        env, view, fa=fa, ia=ia, da=da, fb=fb, ib=ib, db=db, sym=sym, pair=pair
+    ):
+        x = fa(env, view) if fa is not None else env[ia] if ia < len(env) else da
+        y = fb(env, view) if fb is not None else env[ib] if ib < len(env) else db
+        if x is None or y is None:
+            return None
+        u = view.get(_new(CanonTerm, (sym, (x, y) if pair else (x,))))
+        return None if u is None else 0 if u.kind == "unknown" else u.n
+
+    return small_app
 
 
 def _rel_atom(phi: RelAtom) -> Code:
-    a, b = map(_compile, phi.args)
+    (fa, ia, da), (fb, ib, db) = map(_operand, phi.args)
     is_eq = phi.rel == "="
 
-    def rel(env, view):
-        x, y = a(env, view), b(env, view)
+    def rel(env, view, fa=fa, ia=ia, da=da, fb=fb, ib=ib, db=db, is_eq=is_eq):
+        x = fa(env, view) if fa is not None else env[ia] if ia < len(env) else da
+        y = fb(env, view) if fb is not None else env[ib] if ib < len(env) else db
         if x is None or y is None:
             return None
         return x == y if is_eq else x < y
@@ -567,9 +614,17 @@ def _rel_atom(phi: RelAtom) -> Code:
 
 
 def _not(phi: Not) -> Code:
-    body = _compile(phi.body)
+    body = phi.body
+    if body.__class__ is Or and body.left.__class__ is Not:  # a counterexample
+        premise, conclusion = compiled(body.left.body), compiled(body.right)
 
-    def neg(env, view):
+        def counterexample(env, view, premise=premise, conclusion=conclusion):
+            x, y = premise(env, view), conclusion(env, view)
+            return None if x is None or y is None else x and not y
+
+        return counterexample
+
+    def neg(env, view, body=compiled(body)):
         v = body(env, view)
         return None if v is None else not v
 
@@ -577,10 +632,18 @@ def _not(phi: Not) -> Code:
 
 
 def _connective(phi: And | Or) -> Code:
-    left, right = _compile(phi.left), _compile(phi.right)
+    if phi.__class__ is Or and phi.left.__class__ is Not:  # as `implies` builds
+        premise, conclusion = compiled(phi.left.body), compiled(phi.right)
+
+        def implication(env, view, premise=premise, conclusion=conclusion):
+            x, y = premise(env, view), conclusion(env, view)
+            return None if x is None or y is None else not x or y
+
+        return implication
+    left, right = compiled(phi.left), compiled(phi.right)
     conj = isinstance(phi, And)
 
-    def connective(env, view):
+    def connective(env, view, left=left, right=right, conj=conj):
         x, y = left(env, view), right(env, view)
         if x is None or y is None:
             return None
@@ -590,11 +653,18 @@ def _connective(phi: And | Or) -> Code:
 
 
 def _in_set(phi: InSet) -> Code:
-    arg = _compile(phi.arg)
+    f, i, d = _operand(phi.arg)
+    if d is not None:  # a numeral: the key is built here, once
 
-    def member(env, view):
-        n = arg(env, view)
-        u = None if n is None else view.get(CanonForm(n))
+        def constant_member(env, view, key=_new(CanonForm, (d,))):
+            u = view.get(key)
+            return None if u is None else u.kind == "top"
+
+        return constant_member
+
+    def member(env, view, f=f, i=i, d=d):
+        n = f(env, view) if f is not None else env[i] if i < len(env) else d
+        u = None if n is None else view.get(_new(CanonForm, (n,)))
         return None if u is None else u.kind == "top"
 
     return member
@@ -683,14 +753,18 @@ def is_correct(
     """Every entry satisfies its correctness formula in the standard extension.
 
     With a table, each entry's verdict is kept under ("correct", e, u), and
-    the entries known to hold are skipped.
+    the entries known to hold are skipped, as are those whose ("refutes", e,
+    u) the table knows to hold: a condition decided true on the stored map
+    read only stored entries, which the standard extension reads alike.
     """
     ext = sub.extended()
+    held = () if verdicts is None else verdicts.follow(sub)
     keys = [("correct", e, u) for e, u in sub.items()]
     return all(
         truth_with(verdicts, k, ext, lambda v: correctness(k[1], k[2], v, ctx))
         is True
         for k in pending(verdicts, ext, keys)
+        if ("refutes", k[1], k[2]) not in held
     )
 
 

@@ -1,8 +1,16 @@
-"""Random expressions, canonicals and substitutions over a fixed symbol pool."""
+"""Random expressions, canonicals and substitutions over a fixed symbol pool.
+
+Formulas mix every shape the compiled evaluator fuses: implications and
+their negations, numeral and variable operands on either side, Skolem
+applications of one, two and three arguments, all numerals or mixed, and
+membership of numerals, variables and compound terms.  Templates (``nvars``
+above 0) hold variables below nvars.
+"""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from epsengine.language import (
     CanonForm,
@@ -14,6 +22,7 @@ from epsengine.language import (
     and_,
     eq,
     fn,
+    implies,
     in_set,
     lt,
     not_,
@@ -33,26 +42,34 @@ SYM_R3 = SkolemSymbol(lt(skolem(SYM_R2, (Var(1),)), Var(0)), 1)
 SYM_OMEGA_PLUS = SkolemSymbol(or_(in_set(Var(0)), eq(Var(0), Var(1))), 1)
 
 FIN_SYMS = [SYM_R1A, SYM_R1B, SYM_R1C, SYM_R2, SYM_R3]
+SYM_PAIR = SkolemSymbol(lt(Var(0), fn("+", Var(1), Var(2))), 2)
+SYM_TRIPLE = SkolemSymbol(eq(fn("*", Var(0), Var(1)), fn("+", Var(2), Var(3))), 3)
+WIDE_SYMS = [SYM_PAIR, SYM_TRIPLE]
 
 
 def fin_syms_below(r: int) -> list[SkolemSymbol]:
     return [s for s in FIN_SYMS if rank_of_symbol(s).n < r]
 
 
-def random_term(rng: random.Random, syms: list[SkolemSymbol], depth: int = 3) -> Expr:
+def random_term(
+    rng: random.Random, syms: list[SkolemSymbol], depth: int = 3, nvars: int = 0
+) -> Expr:
     if depth == 0 or rng.random() < 0.35:
+        if nvars and rng.random() < 0.5:
+            return Var(rng.randrange(nvars))
         return num(rng.randint(0, 4))
     pick = rng.random()
     if pick < 0.55 and syms:
         sym = rng.choice(syms)
         return skolem(
-            sym, tuple(random_term(rng, syms, depth - 1) for _ in range(sym.arity))
+            sym,
+            tuple(random_term(rng, syms, depth - 1, nvars) for _ in range(sym.arity)),
         )
     if pick < 0.8:
-        return succ(random_term(rng, syms, depth - 1))
-    a = random_term(rng, syms, depth - 1)
-    b = random_term(rng, syms, depth - 1)
-    return fn("+", a, b)
+        return succ(random_term(rng, syms, depth - 1, nvars))
+    a = random_term(rng, syms, depth - 1, nvars)
+    b = random_term(rng, syms, depth - 1, nvars)
+    return fn("+" if pick < 0.9 else "*", a, b)
 
 
 def random_formula(
@@ -60,19 +77,22 @@ def random_formula(
     syms: list[SkolemSymbol],
     depth: int = 3,
     allow_inset: bool = False,
+    nvars: int = 0,
 ) -> Expr:
     if depth == 0 or rng.random() < 0.3:
         if allow_inset and rng.random() < 0.4:
-            return in_set(random_term(rng, syms, 1))
-        a = random_term(rng, syms, 1)
-        b = random_term(rng, syms, 1)
+            return in_set(random_term(rng, syms, 1, nvars))
+        a = random_term(rng, syms, 1, nvars)
+        b = random_term(rng, syms, 1, nvars)
         return eq(a, b) if rng.random() < 0.5 else lt(a, b)
     pick = rng.random()
     if pick < 0.3:
-        return not_(random_formula(rng, syms, depth - 1, allow_inset))
-    left = random_formula(rng, syms, depth - 1, allow_inset)
-    right = random_formula(rng, syms, depth - 1, allow_inset)
-    return and_(left, right) if pick < 0.65 else or_(left, right)
+        return not_(random_formula(rng, syms, depth - 1, allow_inset, nvars))
+    left = random_formula(rng, syms, depth - 1, allow_inset, nvars)
+    right = random_formula(rng, syms, depth - 1, allow_inset, nvars)
+    if pick < 0.55:
+        return and_(left, right)
+    return or_(left, right) if pick < 0.8 else implies(left, right)
 
 
 def random_canon_term(
@@ -87,9 +107,10 @@ def random_substitution(
     ctx: InductiveContext | None = None,
     n_entries: int = 5,
     include_omega: bool = False,
+    extra_syms: Sequence[SkolemSymbol] = (),
 ) -> Substitution:
     entries = {}
-    syms = list(FIN_SYMS)
+    syms = FIN_SYMS + list(extra_syms)
     if include_omega:
         syms.append(SYM_OMEGA_PLUS)
     for _ in range(n_entries):

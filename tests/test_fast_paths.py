@@ -29,6 +29,13 @@ from epsengine.language import (
     OMEGA,
     CanonForm,
     CanonTerm,
+    FnApp,
+    InSet,
+    Not,
+    Numeral,
+    Or,
+    RelAtom,
+    SkolemApp,
     Var,
     and_,
     canon_sexpr,
@@ -76,11 +83,19 @@ from epsengine.substitution import (
     truth,
     value,
 )
-from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, random_formula, random_substitution
+from genexpr import (
+    FIN_SYMS,
+    SYM_OMEGA_PLUS,
+    WIDE_SYMS,
+    random_formula,
+    random_substitution,
+    random_term,
+)
 from reference import (
     correctness_formula,
     domain,
     models,
+    reduce_term,
     reference_serialize,
     reference_truth,
     reference_witness_line,
@@ -576,6 +591,99 @@ def test_compiled_templates_at_a_hole_match_their_instances(runs):
     assert {("stored", None), ("extension", True), ("extension", False)} <= verdicts
 
 
+def _subterms(e):
+    """e and every node below it."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        stack.extend(e.kids)
+        yield e
+
+
+def _reference_at(template, env, view):
+    """The reference's value of template at env: its instance there,
+    reduced and evaluated, where a variable past env's end stays a variable
+    and leaves what holds it undecided."""
+    instance = substitute(template, {i: num(v) for i, v in enumerate(env)})
+    if is_formula(instance):
+        return reference_truth(instance, view)
+    t = reduce_term(instance, view)
+    return t.value if isinstance(t, Numeral) else None
+
+
+def _fused_shapes(e):
+    """The shapes in e that the compiler fuses or reads in place."""
+    shapes = set()
+    for e in _subterms(e):
+        if isinstance(e, Or) and isinstance(e.left, Not):
+            shapes.add("implication")
+        if isinstance(e, Not) and isinstance(e.body, Or) and isinstance(e.body.left, Not):
+            shapes.add("negated implication")
+        if isinstance(e, (RelAtom, FnApp)):
+            for side, a in zip(("left", "right"), e.args):
+                if isinstance(a, (Var, Numeral)):
+                    shapes.add((e.head, side, type(a).__name__))
+        if isinstance(e, SkolemApp):
+            numerals = all(isinstance(a, Numeral) for a in e.args)
+            shapes.add(("skolem", len(e.args), "numerals" if numerals else "mixed"))
+        if isinstance(e, InSet):
+            leaf = isinstance(e.arg, (Var, Numeral))
+            shapes.add(("in", type(e.arg).__name__ if leaf else "term"))
+    return shapes
+
+
+def test_fused_shapes_match_the_reference_on_random_templates(ctx):
+    """Random templates with every fused shape, at their full environment
+    and at shorter ones, on the stored map and its standard extension: the
+    compiled closure gives the reference's value, of its type, after the
+    same lookups in the same order."""
+    rng = random.Random(15)
+    syms = FIN_SYMS + WIDE_SYMS + [SYM_OMEGA_PLUS]
+    shapes, seen = set(), set()
+    for _ in range(3000):
+        sub = random_substitution(
+            rng, ctx, rng.randint(0, 10), include_omega=True, extra_syms=WIDE_SYMS
+        )
+        nvars = rng.randint(0, 3)
+        if rng.random() < 0.75:
+            template = random_formula(rng, syms, 4, allow_inset=True, nvars=nvars)
+        else:
+            template = random_term(rng, syms, 3, nvars=nvars)
+        shapes |= _fused_shapes(template)
+        full = tuple(rng.randint(0, 4) for _ in range(nvars))
+        for env in {full, full[: rng.randint(0, nvars)]}:
+            for view, kind in ((sub, "stored"), (sub.extended(), "extension")):
+                mine, theirs = LookupLog(view), LookupLog(view)
+                got = compiled(template)(env, mine)
+                want = _reference_at(template, env, theirs)
+                where = (to_sexpr(template), env, kind)
+                assert (got, type(got)) == (want, type(want)), where
+                assert mine.lookups == theirs.lookups, where
+                seen.add((kind, len(env) < nvars, type(got).__name__))
+    operands = {
+        (head, side, leaf)
+        for head in ("=", "<", "+", "*")
+        for side in ("left", "right")
+        for leaf in ("Var", "Numeral")
+    }
+    assert shapes >= operands | {
+        "implication",
+        "negated implication",
+        ("s", "left", "Var"),
+        *[("skolem", k, m) for k in (1, 2, 3) for m in ("numerals", "mixed")],
+        ("in", "Numeral"),
+        ("in", "Var"),
+        ("in", "term"),
+    }
+    # the standard extension decides every template at its full environment
+    assert seen == {
+        (kind, short, verdict)
+        for kind in ("stored", "extension")
+        for short in (False, True)
+        for verdict in ("bool", "int", "NoneType")
+    } - {("extension", False, "NoneType")}
+
+
 def _pairs(sub, ctx):
     """Each entry of sub; each term revalued below and above its value, so
     that heads and instances below fail in turn; and, for each member, its
@@ -629,6 +737,29 @@ def test_a_dropped_problem_frees_its_compiled_formulas():
     assert all(phi._code is not None for phi in formulas)
     refs = [weakref.ref(phi) for phi in formulas]
     del problem, formulas
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_a_dropped_problem_frees_the_symbols_its_prebuilt_keys_name():
+    """A Skolem application over numerals keeps its key in its closure; the
+    key must not keep the symbol alive once the problem is gone.  The
+    clause and the target are this test's own, so no other problem shares
+    their symbols."""
+    problem = parse_problem(
+        "(clause (y x X) (or (not (< (* y 3) (+ x 7))) (in y X)))\n"
+        "(crit inddef 5)\n(crit closure (z) (< (* z 3) 11))\n"
+    )
+    apps = [
+        e
+        for cf in problem.crits
+        for e in _subterms(cf.formula)
+        if isinstance(e, SkolemApp)
+    ]
+    assert any(all(isinstance(a, Numeral) for a in e.args) for e in apps)
+    assert run(problem.crits, problem.ctx, check=True).solved
+    refs = [weakref.ref(e.sym) for e in apps]
+    del problem, apps
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
 
@@ -812,8 +943,10 @@ def test_followed_table_after_a_mutation_knows_only_what_holds(runs):
     `refutes` as the evaluation without a table does, and every key it
     still knows to hold holds from scratch.  Some mutated states are not
     correct, so a table that kept a stale correctness key would say they
-    are."""
-    incorrect, refuted = 0, 0
+    are.  `refutes` is asked first, as the guard does in a checked run, so
+    `is_correct` takes some entries from the refutation verdicts it knows
+    to hold."""
+    incorrect, refuted, reused = 0, 0, 0
     for name, p, states in runs:
         for hs in states[1:]:
             for kind, _, mutated in _mutations(hs.sub, p.ctx):
@@ -826,14 +959,19 @@ def test_followed_table_after_a_mutation_knows_only_what_holds(runs):
                 for key in verdicts.follow(mutated):
                     view, evaluate = _table_key_evaluator(p, mutated, key)
                     assert evaluate(view) is True, (name, kind, key)
-                want = is_correct(mutated, p.ctx)
-                assert is_correct(mutated, p.ctx, verdicts) == want, (name, kind)
                 for e, u in mutated.items():
                     got = refutes(mutated, e, u, p.ctx, verdicts)
                     assert got == refutes(mutated, e, u, p.ctx), (name, kind, e)
                     refuted += got
+                known = verdicts.follow(mutated)
+                reused += sum(
+                    ("refutes", e, u) in known and ("correct", e, u) not in known
+                    for e, u in mutated.items()
+                )
+                want = is_correct(mutated, p.ctx)
+                assert is_correct(mutated, p.ctx, verdicts) == want, (name, kind)
                 incorrect += not want
-    assert incorrect > 0 and refuted > 0
+    assert incorrect > 0 and refuted > 0 and reused > 0
 
 
 def test_a_step_looks_up_a_constant_number_of_verdicts(monkeypatch):

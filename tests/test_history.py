@@ -1,8 +1,9 @@
 import random
 
 from epsengine.history import HistoricalSubstitution, is_admissible, validate
-from epsengine.language import CanonForm, InductiveContext, Var, in_set
+from epsengine.language import CanonForm, CanonTerm, InductiveContext, Var, in_set
 from epsengine.substitution import Substitution, TOP_VAL, UNKNOWN, num_val
+from genexpr import SYM_R1A
 from reference import b_formula
 
 
@@ -114,3 +115,20 @@ def test_validate_accepts_good_history(ctx):
     sub = members(ctx, 0, 3).with_entry(ctx.c_n(1), UNKNOWN)
     hs = HistoricalSubstitution(sub, p=(0, 3), v={0: empty, 3: snap})
     assert validate(hs, ctx) == []
+
+
+def test_validate_walks_only_the_snapshots_the_last_valid_state_lacks(ctx):
+    """A snapshot the last valid state held too is not walked again; one put
+    in its place is, whether it holds a positive or a finite-rank entry."""
+    snap = Substitution({ctx.c_n(2): num_val(1)}, omega_sym=ctx.omega_sym)
+    last = HistoricalSubstitution(members(ctx, 0), p=(0,), v={0: snap})
+    assert validate(last, ctx) == []
+    positive = Substitution({CanonForm(1): TOP_VAL}, omega_sym=ctx.omega_sym)
+    finite = Substitution({CanonTerm(SYM_R1A, (1,)): num_val(1)}, omega_sym=ctx.omega_sym)
+    for bad in (positive, finite):
+        hs = HistoricalSubstitution(last.sub, last.p, {0: bad})
+        assert any("non-negative" in msg for msg in validate(hs, ctx, last))
+        # the same snapshot object, as a state that shares it with a valid
+        # one would hold it, is taken as checked
+        shared = HistoricalSubstitution(last.sub, last.p, {0: bad})
+        assert validate(shared, ctx, hs) == []

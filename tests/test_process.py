@@ -370,22 +370,23 @@ def test_deep_minimality_conjunction_stays_tractable():
 def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
     monkeypatch,
 ):
-    # counted at the evaluator the table calls: every top-level evaluation
-    # of a critical formula, on whichever path, with the state it read and
-    # the reads it made
+    # counted at the evaluators the table calls, `truth` and the closures
+    # `compiled` hands out: every top-level evaluation of a critical
+    # formula, on whichever path, with the state it read and the reads it
+    # made
     import pathlib
 
     from epsengine import process, substitution
     from epsengine.problems import parse_problem
 
     evaluations = []
-    real_truth = substitution.truth
+    real_truth, real_compiled = substitution.truth, process.compiled
     depth = [0]
 
-    def counting(phi, view):
+    def evaluated(phi, view, evaluate):
         depth[0] += 1
         try:
-            verdict = real_truth(phi, view)
+            verdict = evaluate()
         finally:
             depth[0] -= 1
         if depth[0] == 0:
@@ -393,6 +394,13 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
             base = getattr(view, "base", view)
             evaluations.append((id(phi), base._entries, reads and dict(reads)))
         return verdict
+
+    def counting(phi, view):
+        return evaluated(phi, view, lambda: real_truth(phi, view))
+
+    def counting_compiled(e):
+        code = real_compiled(e)
+        return lambda env, view: evaluated(e, view, lambda: code(env, view))
 
     states = []
     real_step = process.h_step
@@ -406,6 +414,7 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
 
     monkeypatch.setattr(substitution, "truth", counting)
     monkeypatch.setattr(process, "truth", counting)
+    monkeypatch.setattr(process, "compiled", counting_compiled)
     monkeypatch.setattr(process, "h_step", recording)
     root = pathlib.Path(__file__).resolve().parent.parent / "problems"
     spared = 0
