@@ -33,7 +33,7 @@ class Expr:
     prints its set's name after its argument instead.
 
     A node's fields are its class's own slots, immutable by contract.
-    ``_code``, not a field, is None until `substitution.compiled` writes
+    ``_code``, not a field, is None until `substitution._compile` writes
     the node's evaluator there on its first evaluation.
     """
 

@@ -487,7 +487,7 @@ def pending(verdicts: Verdicts | None, view, keys: Iterable) -> Iterable:
 # A few shapes compile to one closure where a tree of them would do
 # (Proebsting's superoperators): an implication (or (not A) B) and its
 # negation, and every node over terms reading a numeral or variable operand
-# in place, as `_operand` spells out.  A Skolem application or membership
+# in place, as `_leaf` spells out.  A Skolem application or membership
 # atom over numerals builds its key once, here; other keys are built by
 # tuple.__new__, without a Python frame.  Each node's closure is kept on it,
 # so a subtree shared by several trees is compiled once, and binds what it
@@ -501,30 +501,31 @@ _PAST = sys.maxsize  # an index past the end of every env
 
 def compiled(e: Expr) -> Code:
     """The closure evaluating e, compiled on first use and kept on e."""
-    code = e._code
-    if code is None:
-        code = _compile(e)
-        e._code = code
-    return code
+    return e._code or _compile(e)
 
 
 def _compile(e: Expr) -> Code:
+    # compilers reach a child through here too, after reading its _code in
+    # place, so compiling costs two frames a level of nesting
     make = _COMPILERS.get(type(e))
     if make is None:
         raise SubstitutionError(f"cannot evaluate {e!r}")
-    return make(e)
+    code = e._code = make(e)
+    return code
 
 
-def _operand(t: Expr) -> tuple:
+def _leaf(t: Expr) -> tuple | None:
     """How a node reads its term operand t, as (f, i, d): the value is
     f(env, view) when f is set, else env[i], or d when env is too short.
-    A variable is undecided past env's end; a numeral lies past every
-    env's end, so it reads as its value."""
+    A variable or numeral is read in place: a variable is undecided past
+    env's end, and a numeral lies past every env's end, so it reads as its
+    value.  Any other t gives None: the node then reads (t's closure, 0,
+    None) and compiles t itself, so compiling costs two frames a level."""
     if t.__class__ is Var:
         return None, t.index, None
     if t.__class__ is Numeral:
         return None, _PAST, t.value
-    return compiled(t), 0, None
+    return None
 
 
 def _numeral(t: Numeral) -> Code:
@@ -539,14 +540,17 @@ def _var(t: Var) -> Code:
 
 def _fn_app(t: FnApp) -> Code:
     if t.fn == "s":
-        ((f, i, d),) = map(_operand, t.args)
+        (a,) = t.args
+        f, i, d = _leaf(a) or (a._code or _compile(a), 0, None)
 
         def succ(env, view, f=f, i=i, d=d):
             x = f(env, view) if f is not None else env[i] if i < len(env) else d
             return None if x is None else x + 1
 
         return succ
-    (fa, ia, da), (fb, ib, db) = map(_operand, t.args)
+    a, b = t.args
+    fa, ia, da = _leaf(a) or (a._code or _compile(a), 0, None)
+    fb, ib, db = _leaf(b) or (b._code or _compile(b), 0, None)
     op = _BINARY.get(t.fn)
     if op is None:
         raise LanguageError(f"unknown function symbol {t.fn!r}")
@@ -560,7 +564,8 @@ def _fn_app(t: FnApp) -> Code:
 
 
 def _skolem_app(t: SkolemApp) -> Code:
-    sym, args = t.sym, list(map(_operand, t.args))
+    sym = t.sym
+    args = [_leaf(a) or (a._code or _compile(a), 0, None) for a in t.args]
     numerals = tuple([d for _, _, d in args])
     if None not in numerals:  # the key is built here, once
 
@@ -569,38 +574,24 @@ def _skolem_app(t: SkolemApp) -> Code:
             return None if u is None else 0 if u.kind == "unknown" else u.n
 
         return constant_app
-    if len(args) > 2:
 
-        def app(env, view, sym=sym, args=args):
-            vals = tuple(
-                [f(env, view) if f is not None else env[i] if i < len(env) else d
-                 for f, i, d in args]
-            )
-            if None in vals:
-                return None
-            u = view.get(_new(CanonTerm, (sym, vals)))
-            return None if u is None else 0 if u.kind == "unknown" else u.n
-
-        return app
-    # one or two operands, read without a loop; a lone one's pair goes unused
-    pair = len(args) == 2
-    (fa, ia, da), (fb, ib, db) = args if pair else (*args, (None, _PAST, 0))
-
-    def small_app(
-        env, view, fa=fa, ia=ia, da=da, fb=fb, ib=ib, db=db, sym=sym, pair=pair
-    ):
-        x = fa(env, view) if fa is not None else env[ia] if ia < len(env) else da
-        y = fb(env, view) if fb is not None else env[ib] if ib < len(env) else db
-        if x is None or y is None:
+    def app(env, view, sym=sym, args=args):
+        vals = []
+        for f, i, d in args:  # a loop calls no comprehension's frame
+            x = f(env, view) if f is not None else env[i] if i < len(env) else d
+            vals.append(x)
+        if None in vals:
             return None
-        u = view.get(_new(CanonTerm, (sym, (x, y) if pair else (x,))))
+        u = view.get(_new(CanonTerm, (sym, tuple(vals))))
         return None if u is None else 0 if u.kind == "unknown" else u.n
 
-    return small_app
+    return app
 
 
 def _rel_atom(phi: RelAtom) -> Code:
-    (fa, ia, da), (fb, ib, db) = map(_operand, phi.args)
+    a, b = phi.args
+    fa, ia, da = _leaf(a) or (a._code or _compile(a), 0, None)
+    fb, ib, db = _leaf(b) or (b._code or _compile(b), 0, None)
     is_eq = phi.rel == "="
 
     def rel(env, view, fa=fa, ia=ia, da=da, fb=fb, ib=ib, db=db, is_eq=is_eq):
@@ -616,7 +607,8 @@ def _rel_atom(phi: RelAtom) -> Code:
 def _not(phi: Not) -> Code:
     body = phi.body
     if body.__class__ is Or and body.left.__class__ is Not:  # a counterexample
-        premise, conclusion = compiled(body.left.body), compiled(body.right)
+        a, b = body.left.body, body.right
+        premise, conclusion = a._code or _compile(a), b._code or _compile(b)
 
         def counterexample(env, view, premise=premise, conclusion=conclusion):
             x, y = premise(env, view), conclusion(env, view)
@@ -624,7 +616,7 @@ def _not(phi: Not) -> Code:
 
         return counterexample
 
-    def neg(env, view, body=compiled(body)):
+    def neg(env, view, body=body._code or _compile(body)):
         v = body(env, view)
         return None if v is None else not v
 
@@ -632,15 +624,17 @@ def _not(phi: Not) -> Code:
 
 
 def _connective(phi: And | Or) -> Code:
-    if phi.__class__ is Or and phi.left.__class__ is Not:  # as `implies` builds
-        premise, conclusion = compiled(phi.left.body), compiled(phi.right)
+    a, b = phi.left, phi.right
+    if phi.__class__ is Or and a.__class__ is Not:  # as `implies` builds
+        a = a.body
+        premise, conclusion = a._code or _compile(a), b._code or _compile(b)
 
         def implication(env, view, premise=premise, conclusion=conclusion):
             x, y = premise(env, view), conclusion(env, view)
             return None if x is None or y is None else not x or y
 
         return implication
-    left, right = compiled(phi.left), compiled(phi.right)
+    left, right = a._code or _compile(a), b._code or _compile(b)
     conj = isinstance(phi, And)
 
     def connective(env, view, left=left, right=right, conj=conj):
@@ -653,7 +647,8 @@ def _connective(phi: And | Or) -> Code:
 
 
 def _in_set(phi: InSet) -> Code:
-    f, i, d = _operand(phi.arg)
+    a = phi.arg
+    f, i, d = _leaf(a) or (a._code or _compile(a), 0, None)
     if d is not None:  # a numeral: the key is built here, once
 
         def constant_member(env, view, key=_new(CanonForm, (d,))):

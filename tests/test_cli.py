@@ -310,9 +310,27 @@ def test_malformed_input_exits_1_with_one_line(
         assert captured.err.startswith("error: "), captured.err
 
 
-# a matrix nested past what compiling takes (two frames a level) but within
-# what the parser takes: the run fails with its exit code and one line
+# a matrix nested past what compiling takes (two frames a level: a compiler
+# and `_compile`) but within what the parser takes: the run fails with its
+# exit code and one line
 DEEP_NOT = 600
+# nested just under that limit, a chain of connectives or of terms still runs
+NEAR_DEEP = 450
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "(not " * NEAR_DEEP + "(= x 1)" + ")" * NEAR_DEEP,
+        "(= 0 " + "(s " * NEAR_DEEP + "x" + ")" * NEAR_DEEP + ")",
+        "(in " + "(s " * NEAR_DEEP + "x" + ")" * NEAR_DEEP + " I)",
+    ],
+    ids=["not", "succ", "member"],
+)
+def test_a_formula_nested_just_under_the_compile_limit_runs(write, capsys, matrix):
+    path = write("p.eps", f"(crit eps 1 (exists (x) {matrix}))\n")
+    assert main(["run", path]) == EXIT_SOLVED
+    assert "internal-error" not in capsys.readouterr().out
 
 
 def test_a_formula_too_deep_to_compile_ends_with_its_exit_code(write, tmp_path, capsys):
