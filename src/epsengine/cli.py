@@ -45,8 +45,9 @@ def _problem_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _encode(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# one encoder for every record: json.dumps with these arguments builds a
+# new encoder at each call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def step_record(step: HStep) -> dict:

@@ -15,6 +15,8 @@ from .language import CanonForm, InductiveContext
 from .substitution import (
     Substitution,
     TOP_VAL,
+    UNKNOWN,
+    Value,
     compiled,
     entry_is_positive,
     serialize,
@@ -64,14 +66,31 @@ def is_admissible(
     start = 0
     while start < min(len(p), len(admitted)) and p[start] == admitted[start]:
         start += 1
-    for i, n in enumerate(p[start:], start):
-        prefix = Substitution(
-            {CanonForm(m): TOP_VAL for m in p[:i]},
-            omega_sym=ctx.omega_sym,
-        )
-        if clause((0, n), prefix.extended()) is not True:
+    if start == len(p):
+        return True
+    prefix = _Prefix(p[:start])
+    for n in p[start:]:
+        if clause((0, n), prefix) is not True:
             return False
+        prefix.members.add(n)
     return True
+
+
+class _Prefix:
+    """The standard extension of the facts (m in I, top) for the members m
+    added so far: the view a member's justification reads.  It grows by one
+    member at a time, so no member rebuilds the map of its prefix; its
+    entries, a membership atom valued top, are well formed by construction."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[int, ...]) -> None:
+        self.members = set(members)
+
+    def get(self, e) -> Value:
+        if e.__class__ is CanonForm and e.n in self.members:
+            return TOP_VAL
+        return UNKNOWN
 
 
 def validate(

@@ -33,16 +33,19 @@ class Expr:
     prints its set's name after its argument instead.
 
     A node's fields are its class's own slots, immutable by contract.
-    ``_code``, not a field, is None until `substitution._compile` writes
-    the node's evaluator there on its first evaluation.
+    Two slots are not fields, so equality, hash and ``repr`` ignore them.
+    ``closed``, set by the constructor, says whether no variable occurs in
+    the node, so no walk has to look for one.  ``_code`` is None until
+    `substitution._compile` writes the node's evaluator there on its first
+    evaluation.
     """
 
-    __slots__ = ("_code", "__weakref__")
+    __slots__ = ("_code", "closed", "__weakref__")
     kids = ()
     remake = lambda self, kids: self
 
     def __init__(self) -> None:
-        self._code = None
+        self._code, self.closed = None, True
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -60,6 +63,9 @@ class Expr:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+_CLOSED = attrgetter("closed")
+
+
 class Numeral(Expr):
     __slots__ = ("value",)
     head = property(lambda self: str(self.value))
@@ -67,7 +73,7 @@ class Numeral(Expr):
     def __init__(self, value: int) -> None:
         if value < 0:
             raise LanguageError("numerals are naturals")
-        self.value, self._code = value, None
+        self.value, self._code, self.closed = value, None, True
 
 
 class Var(Expr):
@@ -75,7 +81,7 @@ class Var(Expr):
     head = property(lambda self: f"v{self.index}")
 
     def __init__(self, index: int) -> None:
-        self.index, self._code = index, None
+        self.index, self._code, self.closed = index, None, False
 
 
 class FnApp(Expr):
@@ -86,6 +92,7 @@ class FnApp(Expr):
 
     def __init__(self, fn: str, args: tuple[Expr, ...]) -> None:
         self.fn, self.args, self._code = fn, args, None
+        self.closed = all(map(_CLOSED, args))
 
 
 class SkolemApp(Expr):
@@ -96,6 +103,7 @@ class SkolemApp(Expr):
 
     def __init__(self, sym: "SkolemSymbol", args: tuple[Expr, ...]) -> None:
         self.sym, self.args, self._code = sym, args, None
+        self.closed = all(map(_CLOSED, args))
 
 
 class RelAtom(Expr):
@@ -106,6 +114,7 @@ class RelAtom(Expr):
 
     def __init__(self, rel: str, args: tuple[Expr, ...]) -> None:
         self.rel, self.args, self._code = rel, args, None
+        self.closed = args[0].closed and args[1].closed  # relations are binary
 
 
 class InSet(Expr):
@@ -116,7 +125,7 @@ class InSet(Expr):
     remake = lambda self, kids: in_set(*kids)
 
     def __init__(self, arg: Expr) -> None:
-        self.arg, self._code = arg, None
+        self.arg, self._code, self.closed = arg, None, arg.closed
 
 
 class Not(Expr):
@@ -126,7 +135,7 @@ class Not(Expr):
     remake = lambda self, kids: not_(*kids)
 
     def __init__(self, body: Expr) -> None:
-        self.body, self._code = body, None
+        self.body, self._code, self.closed = body, None, body.closed
 
 
 class And(Expr):
@@ -137,6 +146,7 @@ class And(Expr):
 
     def __init__(self, left: Expr, right: Expr) -> None:
         self.left, self.right, self._code = left, right, None
+        self.closed = left.closed and right.closed
 
 
 class Or(Expr):
@@ -147,6 +157,7 @@ class Or(Expr):
 
     def __init__(self, left: Expr, right: Expr) -> None:
         self.left, self.right, self._code = left, right, None
+        self.closed = left.closed and right.closed
 
 
 class Top(Expr):
@@ -284,19 +295,9 @@ def to_sexpr(e: Expr, set_name: str = "I") -> str:
 # ---------------------------------------------------------------------------
 # Skolem symbols
 
-def is_closed(e: Expr) -> bool:
-    """No variable occurs in e."""
-    if e.__class__ is Var:
-        return False
-    for k in e.kids:
-        if not is_closed(k):
-            return False
-    return True
-
-
 def has_closed_subterm(e: Expr) -> bool:
     """True when any term position of e holds a closed term."""
-    if isinstance(e, _TERM_TYPES) and is_closed(e):
+    if e.closed and isinstance(e, _TERM_TYPES):
         return True
     for k in e.kids:
         if has_closed_subterm(k):
@@ -353,19 +354,24 @@ _live_lock = threading.Lock()
 # Substitution of variables
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Simultaneous replacement of Var(i) by mapping[i], folding numerals."""
+    """Simultaneous replacement of Var(i) by mapping[i], folding numerals.
+
+    A closed subtree is returned as it is: the checked constructors have
+    folded it already.
+    """
+    if e.closed:
+        return e
     if e.__class__ is Var:
         return mapping.get(e.index, e)
-    kids = e.kids
-    if not kids:
-        return e
     new = []
-    for k in kids:
+    for k in e.kids:
         new.append(substitute(k, mapping))
     return e.remake(new)
 
 
 def free_vars(e: Expr) -> set[int]:
+    if e.closed:
+        return set()
     if e.__class__ is Var:
         return {e.index}
     out = set()
@@ -517,7 +523,7 @@ def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...]]:
     def walk(e: Expr) -> Expr:
         if e.__class__ is Var:
             return e if e.index == 0 else param(("var", e.index), e)
-        if isinstance(e, _TERM_TYPES) and is_closed(e):
+        if e.closed and isinstance(e, _TERM_TYPES):
             return param(("closed", to_sexpr(e)), e)
         new = []
         for k in e.kids:
@@ -591,9 +597,9 @@ class InductiveContext:
         self.x_slot = next(
             i for i, a in enumerate(self.cn_args_template) if a == Var(0)
         )
-        witness = skolem(sym, raw_args)
-        a_raw = substitute(clause, {0: witness})
-        self.a_template = substitute(a_raw, {1: Var(0)})
+        # the clause at its witness, then re-expressed over the hole: one walk
+        witness = skolem(sym, self.cn_args_template)
+        self.a_template = substitute(clause, {0: witness, 1: Var(0)})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, InductiveContext) and self.clause == other.clause
@@ -617,10 +623,6 @@ class InductiveContext:
             return None
         n = c.args[self.x_slot]
         return n if c == self.c_n(n) else None
-
-    def a_formula(self, n: int) -> Expr:
-        """Membership condition A(n, I) in its abbreviated form."""
-        return substitute(self.a_template, {0: num(n)})
 
     def with_phi(self, phi_template: Expr) -> Expr:
         """Clause body with the set placeholder replaced by a formula.

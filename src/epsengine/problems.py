@@ -38,7 +38,6 @@ from .language import (
     fn,
     free_vars,
     in_set,
-    is_closed,
     lt,
     mentions_inductive,
     not_,
@@ -81,11 +80,15 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Reader
+# Readers.  `parse_problem` reads with `_read_plain`, whose symbols are plain
+# strings, and only when that parse fails reads again with `read_forms`,
+# whose symbols know their line and column, so the error can say where.
 
 # a token of one line: a parenthesis, the ';' that starts a comment, or an
 # atom; the blanks between tokens (space, tab, carriage return) are skipped
 _TOKEN = re.compile(r"[();]|[^ \t\r();]+")
+# the same tokens over the whole text, a comment whole and '\n' a blank
+_PLAIN_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
 
 
 class _Sym(str):
@@ -126,6 +129,40 @@ def read_forms(text: str) -> list:
                 items.append(_Sym(tok, line, m.start() + 1))
     if outer:
         raise ParseError("unclosed parenthesis", outer[-1][1:])
+    return forms
+
+
+def _read_plain(text: str) -> list:
+    """The forms of text as `read_forms` reads them, with plain symbols.
+
+    It raises ParseError where `read_forms` does, but without a position.
+    """
+    forms: list = []
+    items = forms  # the innermost open list
+    outer: list = []  # the lists enclosing it
+    for tok in _PLAIN_TOKEN.findall(text):
+        if tok == "(":
+            outer.append(items)
+            items = []
+        elif tok == ")":
+            if not outer:
+                raise ParseError("unexpected ')'")
+            done, items = items, outer.pop()
+            items.append(done)
+        elif tok[0] == ";":
+            continue
+        elif tok.lstrip("-").isdigit():
+            try:
+                value = int(tok)
+            except ValueError:
+                raise ParseError("malformed numeral") from None
+            if value < 0:
+                raise ParseError("negative numeral")
+            items.append(value)
+        else:
+            items.append(tok)
+    if outer:
+        raise ParseError("unclosed parenthesis")
     return forms
 
 
@@ -213,22 +250,27 @@ class _Parser:
         if head in ("exists", "forall"):
             if not self.quantifiers:
                 raise ParseError("quantifiers are not allowed here", _pos(sx))
-            matrix = self.binder_matrix(sx, env)
-            return (
-                expand_exists(matrix) if head == "exists" else expand_forall(matrix)
-            )
+            expand = expand_exists if head == "exists" else expand_forall
+            if 0 not in env.values():
+                return expand(self.binder_matrix(sx, env))
+            # the enclosing binder's variable leaves the hole for the body
+            # of this one, and comes back to it in this one's expansion
+            k = self.fresh()
+            inner = {name: k if i == 0 else i for name, i in env.items()}
+            return substitute(expand(self.binder_matrix(sx, inner)), {k: Var(0)})
         raise ParseError(f"expected a formula, got {sx!r}", _pos(sx))
 
     def binder_matrix(self, sx, env: dict[str, int]) -> Expr:
-        """Parse (Q (x) BODY); the bound variable becomes the hole Var(0)."""
+        """Parse (Q (x) BODY) with the bound variable as the hole Var(0).
+
+        No name in env may stand for Var(0).
+        """
         if len(sx) != 3 or not isinstance(sx[1], list) or len(sx[1]) != 1:
             raise ParseError("binders are ((Q (x) BODY))", _pos(sx))
         name = sx[1][0]
         if not isinstance(name, str) or name in RESERVED:
             raise ParseError(f"bad variable name {name!r}", _pos(sx))
-        k = self.fresh()
-        body = self.formula(sx[2], {**env, str(name): k})
-        return substitute(body, {k: Var(0)})
+        return self.formula(sx[2], {**env, str(name): 0})
 
 
 def _check_positive(e: Expr, positive: bool = True) -> bool:
@@ -271,8 +313,14 @@ class Problem(NamedTuple):
 
 
 def parse_problem(text: str) -> Problem:
-    forms = read_forms(text)
+    try:
+        return _build_problem(_read_plain(text))
+    except ParseError:
+        pass  # read and build again, with positions for the error
+    return _build_problem(read_forms(text))
 
+
+def _build_problem(forms: list) -> Problem:
     clause: Expr | None = None
     set_name = "X"
     ctx: InductiveContext | None = None
@@ -299,10 +347,9 @@ def parse_problem(text: str) -> Problem:
                 raise ParseError("clause names must be distinct", _pos(form))
             if sname in RESERVED or yname in RESERVED or xname in RESERVED:
                 raise ParseError("clause names must not be reserved", _pos(form))
+            # without binders in the body, the names take their indices at once
             parser = _Parser(set_names=(sname,), quantifiers=False)
-            ky, kx = parser.fresh(), parser.fresh()
-            body = parser.formula(form[2], {yname: ky, xname: kx})
-            clause = substitute(body, {ky: Var(0), kx: Var(1)})
+            clause = parser.formula(form[2], {yname: 0, xname: 1})
             if not _check_positive(clause):
                 raise ParseError(
                     "the set must occur only positively in the clause", _pos(form)
@@ -423,7 +470,7 @@ def _parse_goal(form) -> GoalSpec:
             raise ParseError("second goal part is (candidates TERM*)", _pos(form))
         candidates = tuple(parser.term(t, {}) for t in c[1:])
         for t in candidates:
-            if not is_closed(t):
+            if not t.closed:
                 raise ParseError("candidates must be closed terms", _pos(form))
     text = f"(exists (v0) {to_sexpr(phi)})"
     return GoalSpec(goal=make_goal(phi, text), candidates=candidates)

@@ -29,7 +29,6 @@ from .language import (
     implies,
     in_set,
     instantiate_index,  # unused here; the benchmark's tracer wraps it by name
-    is_closed,
     not_,
     num,
     or_,
@@ -120,7 +119,7 @@ CriticalFormula = PredCF | EpsilonCF | InductionCF | InductiveDefCF | ClosureCF
 
 
 def make_pred(s: Expr) -> PredCF:
-    if not is_closed(s):
+    if not s.closed:
         raise ProcessInvariantError("predecessor axiom needs a closed term")
     matrix = eq(s, succ(Var(0)))
     sym, args = skolemize_exists(matrix)
@@ -134,7 +133,7 @@ def make_epsilon(t: Expr, phi: Expr) -> EpsilonCF:
     conclusion = substitute(phi, {0: skolem(sym, args)})
     premise = substitute(phi, {0: t})
     formula = implies(premise, conclusion)
-    if not is_closed(formula):
+    if not formula.closed:
         raise ProcessInvariantError("epsilon axiom is not closed")
     return EpsilonCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
@@ -145,13 +144,13 @@ def make_induction(t: Expr, phi: Expr) -> InductionCF:
     conclusion = substitute(matrix, {0: skolem(sym, args)})
     premise = and_(substitute(phi, {0: num(0)}), not_(substitute(phi, {0: t})))
     formula = implies(premise, conclusion)
-    if not is_closed(formula):
+    if not formula.closed:
         raise ProcessInvariantError("induction axiom is not closed")
     return InductionCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
 
 def make_inductive_def(t: Expr, ctx: InductiveContext) -> InductiveDefCF:
-    if not is_closed(t):
+    if not t.closed:
         raise ProcessInvariantError(
             "inductive definition axiom needs a closed term"
         )
@@ -162,15 +161,15 @@ def make_inductive_def(t: Expr, ctx: InductiveContext) -> InductiveDefCF:
 def make_closure(phi: Expr, ctx: InductiveContext) -> ClosureCF:
     b_phi = ctx.with_phi(phi)  # clause with phi for the set; Var(0)=y, Var(1)=x
     wit_sym, wit_raw = skolemize_exists(not_(b_phi))
-    a_phi_raw = substitute(b_phi, {0: skolem(wit_sym, wit_raw)})
-    a_phi = substitute(a_phi_raw, {1: Var(0)})
     wit_args = tuple(substitute(a, {1: Var(0)}) for a in wit_raw)
+    # the clause at its witness, then re-expressed over the hole: one walk
+    a_phi = substitute(b_phi, {0: skolem(wit_sym, wit_args), 1: Var(0)})
     psi = or_(not_(a_phi), phi)  # membership condition implies the target
     premise_sym, premise_args = skolemize_exists(not_(psi))
     premise = substitute(psi, {0: skolem(premise_sym, premise_args)})
     conclusion = expand_forall(or_(not_(in_set(Var(0))), phi))
     formula = implies(premise, conclusion)
-    if not is_closed(formula):
+    if not formula.closed:
         raise ProcessInvariantError("closure axiom is not closed")
     return ClosureCF(
         phi=phi,

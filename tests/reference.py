@@ -11,8 +11,11 @@ compare the two, verdict and lookups alike.
 Beside it sit the earlier forms of engine paths the tests compare with:
 the goal report that builds and evaluates instance trees, the
 serialization that sorts every entry, the walks written out by hand for
-every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`), and
-the reader that tokenizes first and then recurses.  Then come the correctness
+every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`),
+the reader that tokenizes first and then recurses, the parse that reads
+positioned tokens and renames each binder's variable into the hole after
+its body is built, and the admissibility check that builds a map of the
+whole prefix for every member.  Then come the correctness
 condition written out as a formula (`correctness_formula`), `models`, and
 the views of maps and recordings that only the tests ask for (`domain`,
 `sorted_items`, `positive_omega`, `consulted`, `leaked`); last the small
@@ -59,9 +62,11 @@ from epsengine.language import (
     substitute,
     to_sexpr,
 )
-from epsengine.problems import ParseError, _Sym
+from epsengine import problems
+from epsengine.problems import RESERVED, ParseError, _Parser, _pos, _Sym, read_forms
 from epsengine.process import Goal, ProcessInvariantError, _reduce_numeral
 from epsengine.substitution import (
+    TOP_VAL,
     Substitution,
     SubstitutionError,
     entry_is_positive,
@@ -404,6 +409,53 @@ def recursive_read_forms(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The parse as it was: positioned tokens, and each binder's variable at a
+# fresh index while its body is built, renamed into the hole Var(0) after
+
+class _RenamingParser(_Parser):
+    def binder_matrix(self, sx, env: dict[str, int]) -> Expr:
+        if len(sx) != 3 or not isinstance(sx[1], list) or len(sx[1]) != 1:
+            raise ParseError("binders are ((Q (x) BODY))", _pos(sx))
+        name = sx[1][0]
+        if not isinstance(name, str) or name in RESERVED:
+            raise ParseError(f"bad variable name {name!r}", _pos(sx))
+        k = self.fresh()
+        body = self.formula(sx[2], {**env, str(name): k})
+        return substitute(body, {k: Var(0)})
+
+
+def positioned_parse_problem(text: str) -> problems.Problem:
+    """`parse_problem` over `read_forms`, with binders renamed after.
+
+    The renaming parser stands in for the problem builder's own while the
+    call lasts, so this is for one thread at a time.
+    """
+    saved = problems._Parser
+    problems._Parser = _RenamingParser
+    try:
+        return problems._build_problem(read_forms(text))
+    finally:
+        problems._Parser = saved
+
+
+# ---------------------------------------------------------------------------
+# Admissibility over a map built afresh for each member
+
+def fresh_map_is_admissible(p: tuple[int, ...], ctx: InductiveContext | None) -> bool:
+    """Each member's clause instance B(0, n, I) holds, by reduction, on the
+    standard extension of a map built afresh from the members before it."""
+    if ctx is None:
+        return not p
+    for i, n in enumerate(p):
+        prefix = Substitution(
+            {CanonForm(m): TOP_VAL for m in p[:i]}, omega_sym=ctx.omega_sym
+        )
+        if reference_truth(b_formula(ctx, num(0), num(n)), prefix.extended()) is not True:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # The correctness condition as a formula, and views of maps and recordings
 
 def models(sub, phi: Expr) -> bool:
@@ -451,7 +503,7 @@ def correctness_formula(
         raise SubstitutionError("incompatible value for a membership atom")
     if ctx is None:
         raise SubstitutionError("membership atoms need an inductive clause")
-    return ctx.a_formula(e.n)
+    return a_formula(ctx, e.n)
 
 
 def domain(sub: Substitution) -> set[Canon]:
@@ -501,6 +553,11 @@ def as_canonical(e: Expr) -> Canon | None:
     if isinstance(e, InSet) and isinstance(e.arg, Numeral):
         return CanonForm(e.arg.value)
     return None
+
+
+def a_formula(ctx: InductiveContext, n: int) -> Expr:
+    """Membership condition A(n, I) in its abbreviated form."""
+    return substitute(ctx.a_template, {0: num(n)})
 
 
 def b_formula(ctx: InductiveContext, y: Expr, x: Expr) -> Expr:

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import pathlib
+import re
 import time
 
 import pytest
@@ -596,3 +597,93 @@ for _path in PROBLEMS:  # every unmutated trace, besides the drawn cases
     test_check_on_mutated_traces_exits_cleanly = example(_path, [])(
         test_check_on_mutated_traces_exits_cleanly
     )
+
+
+# ---------------------------------------------------------------------------
+# run and explain on random bytes and mutated problem texts
+
+# Numerals stay at or below 10**3 in every input drawn here: no work budget
+# bounds the witness search inside one step yet, and a bound such as
+# (crit eps 100000000 ...) keeps one step busy for more than 15 s, which
+# the time bound per case would report as a hang.
+MAX_NUMERAL = 10**3
+DIGITS = re.compile(r"\d+")  # any decimal digits, which int() reads too
+SOURCES = [p.read_text() for p in PROBLEMS] + [EPSILON, ROLLBACK, TWO_STEP]
+PIECES = [
+    "(", ")", " ", "\n", "; c\n", "x", "y", "I", "-1", "0", "7", "\t", "é",
+    "(exists (x) ", "(forall (y) ", "(not ", "(s ", "(in ", "(crit ", "(goal ",
+    "(option max-steps ", "closure", "inddef", "eps", "pred", "ind", "formula",
+]
+TEXT_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 9999), st.sampled_from(PIECES)),
+        st.tuples(st.just("delete"), st.integers(0, 9999), st.integers(1, 12)),
+        st.tuples(st.just("numeral"), st.integers(0, 9999), st.integers(0, MAX_NUMERAL)),
+        st.tuples(st.just("move"), st.integers(0, 9999), st.integers(0, 9999)),
+    ),
+    max_size=4,
+)
+
+
+def _edit(text: str, ops) -> str:
+    for op, at, arg in ops:
+        i = at % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + arg + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + arg:]
+        elif op == "numeral":  # the numeral at or after i takes a new value
+            m = DIGITS.search(text, i) or DIGITS.search(text)
+            if m:
+                text = text[:m.start()] + str(arg) + text[m.end():]
+        else:  # move a slice of up to 20 characters elsewhere
+            piece = text[i:i + 20]
+            rest = text[:i] + text[i + 20:]
+            j = arg % (len(rest) + 1)
+            text = rest[:j] + piece + rest[j:]
+    return text
+
+
+def _small_numerals(data: bytes) -> bytes:
+    """data with every run of four or more digits, which an edit or a
+    concatenation may have made, replaced by MAX_NUMERAL."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data  # refused before it is parsed
+    return DIGITS.sub(lambda m: m[0] if len(m[0]) < 4 else str(MAX_NUMERAL), text).encode()
+
+
+FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda text, ops: _edit(text, ops).encode(), st.sampled_from(SOURCES), TEXT_EDITS
+    ),
+    st.lists(st.sampled_from(PIECES), max_size=40).map(lambda ps: "".join(ps).encode()),
+)
+
+
+def _exits_cleanly(call, seconds: float = 10.0) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = call(out, err)
+    assert time.perf_counter() - start < seconds
+    assert code in (EXIT_SOLVED, EXIT_INPUT, EXIT_STEP_LIMIT, EXIT_INTERNAL)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(FUZZ_INPUTS)
+def test_run_and_explain_on_random_and_mutated_inputs_exit_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "p.eps"
+    path.write_bytes(_small_numerals(data))
+    _exits_cleanly(lambda out, err: cmd_run(str(path), RunConfig(max_steps=50), out, err))
+    for k in range(4):
+        _exits_cleanly(lambda out, err: cmd_explain(str(path), k, out, err))
+
+
+for _text in SOURCES:  # every unmutated source, besides the drawn cases
+    test_run_and_explain_on_random_and_mutated_inputs_exit_cleanly = example(
+        _text.encode()
+    )(test_run_and_explain_on_random_and_mutated_inputs_exit_cleanly)

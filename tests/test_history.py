@@ -132,3 +132,41 @@ def test_validate_walks_only_the_snapshots_the_last_valid_state_lacks(ctx):
         # one would hold it, is taken as checked
         shared = HistoricalSubstitution(last.sub, last.p, {0: bad})
         assert validate(shared, ctx, hs) == []
+
+
+def _run_states():
+    """(ctx, membership orders) of every state of a run of each sample
+    problem and each problem of the acceptance corpus with a clause."""
+    import pathlib
+
+    from corpusgen import build_corpus
+    from epsengine.problems import parse_problem
+    from epsengine.process import run
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    texts = [p.read_text() for p in sorted((root / "problems").glob("*.eps"))]
+    texts += [c.text for c in build_corpus()]
+    for text in texts:
+        problem = parse_problem(text)
+        if problem.ctx is not None:
+            out = run(problem.crits, problem.ctx, max_steps=10**4)
+            yield problem.ctx, [()] + [s.p_after for s in out.steps]
+
+
+def test_admissibility_matches_the_check_over_fresh_maps_on_every_run_state():
+    """Each state's order, tested alone and past the state before it, and
+    orders no run makes (each state's reversed and rotated), get the
+    verdict of a map built afresh for every member."""
+    from reference import fresh_map_is_admissible
+
+    verdicts = {True: 0, False: 0}
+    for ctx, orders in _run_states():
+        for before, p in zip(orders, orders[1:]):
+            assert is_admissible(p, ctx) and fresh_map_is_admissible(p, ctx)
+            assert is_admissible(p, ctx, before), (p, before)
+            for q in {p[::-1], p[1:] + p[:1]}:
+                want = fresh_map_is_admissible(q, ctx)
+                assert is_admissible(q, ctx) == want, q
+                assert is_admissible(q, ctx, p) == want, (q, p)
+                verdicts[want] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts

@@ -40,7 +40,7 @@ from epsengine.language import (
 from epsengine.problems import parse_problem
 from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
-from reference import plus
+from reference import a_formula, plus
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
 
@@ -160,7 +160,7 @@ def test_expand_exists_no_parameters():
 
 def test_expand_forall_negates_index(ctx):
     # the membership condition instantiates the clause at its own witness
-    a3 = ctx.a_formula(3)
+    a3 = a_formula(ctx, 3)
     w = skolem(ctx.omega_sym, (num(3),))
     assert a3 == or_(not_(lt(w, num(3))), in_set(w))
 

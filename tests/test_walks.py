@@ -1,16 +1,21 @@
-"""The generic walks and the stack reader against the code they replaced.
+"""The generic walks, the readers and the parse against the code they replaced.
 
 `language` writes every walk over a node's `kids` and `remake`, and
 `problems.read_forms` reads with one regex and a stack of open lists.
-`reference` keeps the walks written out per node type and the reader
-that tokenized first and then recursed.  Both sides run here on the
+`parse_problem` reads plain symbols and builds each binder's body with its
+variable in the hole; it reads positioned tokens only to report an error.
+`reference` keeps the walks written out per node type, the reader that
+tokenized first and then recursed, and the parse over positioned tokens
+that renamed each binder into the hole after.  Both sides run here on the
 problem files, the acceptance corpus, the benchmark families and random
-formulas, and on mutated texts for the readers: same trees, same texts,
-same argument order, same forms and positions, same error messages.
+formulas, and on mutated texts for the readers and the parse: same trees,
+same symbols, same texts, same argument order, same forms and positions,
+same error messages.
 """
 
 from __future__ import annotations
 
+import operator
 import pathlib
 import random
 
@@ -23,29 +28,45 @@ from epsengine.language import (
     Numeral,
     Var,
     abstract_closed_terms,
-    is_closed,
     num,
     skolem,
     substitute,
     succ,
     to_sexpr,
 )
-from epsengine.problems import ParseError, _Sym, parse_problem, read_forms
+from epsengine.language import SkolemSymbol
+from epsengine.problems import ParseError, _read_plain, _Sym, parse_problem, read_forms
 from genexpr import FIN_SYMS, SYM_R1A, SYM_R2, random_formula, random_term
 from reference import (
     hand_abstract_closed_terms,
     hand_is_closed,
     hand_substitute,
     hand_to_sexpr,
+    positioned_parse_problem,
     recursive_read_forms,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# binders inside binders, which no file above holds: an enclosing binder's
+# variable moves out of the hole while the inner body is built
+NESTED = [
+    "(crit eps 1 (exists (x) (exists (y) (and (= y x) (< x 3)))))",
+    "(crit eps 2 (exists (x) (forall (y) (or (< y x) (= (+ y 1) (s x))))))",
+    "(crit eps 0 (exists (x) (exists (x) (= x 1))))",
+    "(crit eps 1 (exists (x) (and (< x 4) (exists (y) (exists (z) (= z (+ x (* y 2))))))))",
+    "(crit eps 3 (exists (x) (exists (y) (and (= (+ x y) 3) (exists (z) (= z (* x y)))))))",
+    "(crit ind (x) (exists (y) (and (= y (s x)) (forall (x) (< x (+ y 1))))) 3)",
+    "(crit formula (-> (exists (y) (= y 1)) (exists (x) (exists (y) (= y x)))))",
+    "(clause (y x X) (or (not (< y x)) (in y X)))\n"
+    "(crit closure (z) (exists (w) (and (< w z) (forall (v) (or (< v w) (= z (* v 2)))))))",
+]
+
 
 def _texts() -> list[str]:
     texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "problems").glob("*.eps"))]
     texts += [p.text for p in build_corpus()]
+    texts += NESTED
     with bench_imports():
         import workloads
 
@@ -124,7 +145,7 @@ def test_to_sexpr_matches_the_walk_written_per_node_type():
     for e in EXPRS:
         assert to_sexpr(e) == hand_to_sexpr(e)
         assert to_sexpr(e, "X") == hand_to_sexpr(e, "X")
-        assert is_closed(e) == hand_is_closed(e)
+        assert e.closed == hand_is_closed(e)
 
 
 def test_substitute_matches_the_walk_written_per_node_type():
@@ -268,3 +289,66 @@ def test_a_deep_unclosed_parenthesis_is_reported_where_it_opens():
         (forms,) = forms
         depth += 1
     assert depth == 3000
+
+
+# ---------------------------------------------------------------------------
+# The parse without positions against the parse with them
+
+def _plain(forms):
+    """forms with every symbol a plain str, checking it was one already."""
+    if isinstance(forms, list):
+        return [_plain(f) for f in forms]
+    assert type(forms) is not _Sym
+    return forms
+
+
+def _assert_plain_reader_agrees(text: str) -> None:
+    got, want = _read(_read_plain, text), _read(read_forms, text)
+    assert got[0] == want[0], (text, got, want)
+    if got[0] == "error":  # the same message, without its position
+        assert want[1].endswith(": " + got[1]) and got[1] in (
+            "unexpected ')'", "unclosed parenthesis", "malformed numeral",
+            "negative numeral",
+        ), (text, got, want)
+    else:
+        assert _plain(got[1]) == want[1], text
+
+
+def _symbols(x, out: list) -> list:
+    """The Skolem symbols in x, in the order a walk of its fields meets them."""
+    if isinstance(x, SkolemSymbol):
+        out.append(x)
+    elif isinstance(x, Expr):
+        for name in type(x).__slots__:
+            _symbols(getattr(x, name), out)
+    elif isinstance(x, tuple) and not isinstance(x, str):
+        for item in x:
+            _symbols(item, out)
+    return out
+
+
+def _parse(parse, text: str):
+    try:
+        return "problem", parse(text)
+    except ParseError as err:
+        return "error", str(err)
+
+
+def _assert_parses_agree(text: str) -> None:
+    got, want = _parse(parse_problem, text), _parse(positioned_parse_problem, text)
+    assert got[0] == want[0], (text, got, want)
+    if got[0] == "error":
+        assert got[1] == want[1], text
+        return
+    assert got[1] == want[1], text
+    syms, want_syms = _symbols(tuple(got[1]), []), _symbols(tuple(want[1]), [])
+    assert len(syms) == len(want_syms) and all(map(operator.is_, syms, want_syms)), text
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_parse_without_positions_agrees_on_the_texts_and_their_mutations(part):
+    rng = random.Random(part)
+    for text in TEXTS[part::4]:
+        for t in [text] + _mutations(rng, text):
+            _assert_plain_reader_agrees(t)
+            _assert_parses_agree(t)
