@@ -55,6 +55,6 @@ from .process import (
     make_pred,
     run,
 )
-from .problems import ParseError, Problem, parse_problem, serialize_problem, shape_check
+from .problems import ParseError, Problem, parse_problem, shape_check
 
 __version__ = "0.1.0"

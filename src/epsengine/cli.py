@@ -138,9 +138,7 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     if loaded is None:
         return EXIT_INPUT
     text, problem = loaded
-    max_steps = cfg.max_steps
-    if max_steps is None:
-        max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    max_steps = cfg.max_steps or problem.max_steps or DEFAULT_MAX_STEPS
     try:  # a trace path that cannot be written fails before the run
         fh = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
     except OSError as e:
@@ -220,14 +218,20 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     trace = _read(trace_path, err)
     if trace is None:
         return EXIT_INPUT
-    try:
-        recorded = [json.loads(line) for line in trace.split("\n") if line.strip()]
-    except ValueError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_INPUT
-    except RecursionError:
-        print(f"error: {trace_path}: nesting too deep", file=err)
-        return EXIT_INPUT
+    recorded = []
+    for n, line in enumerate(trace.split("\n"), 1):  # each record on its line
+        try:
+            if line.strip():
+                recorded.append(json.loads(line))
+        except json.JSONDecodeError as e:
+            print(f"error: {trace_path}:{n}:{e.colno}: {e.msg}", file=err)
+            return EXIT_INPUT
+        except ValueError as e:  # e.g. an integer past the digit limit
+            print(f"error: {trace_path}:{n}: {e}", file=err)
+            return EXIT_INPUT
+        except RecursionError:
+            print(f"error: {trace_path}:{n}: nesting too deep", file=err)
+            return EXIT_INPUT
     loaded = _load(problem_path, err)
     if loaded is None:
         return EXIT_INPUT
@@ -256,9 +260,7 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     if rec_summary and rec_summary[0].get("status") == "step-limit":
         max_steps = len(rec_steps)
     else:
-        max_steps = max(
-            problem.option("max-steps", DEFAULT_MAX_STEPS), len(rec_steps)
-        )
+        max_steps = max(problem.max_steps or DEFAULT_MAX_STEPS, len(rec_steps))
     outcome = run(problem.crits, problem.ctx, max_steps=max_steps, check=True)
     if outcome.status == "internal-error":
         print(f"replay failed invariants: {outcome.diagnostics}", file=err)
@@ -297,7 +299,7 @@ def cmd_explain(path: str, step_index: int, out=None, err=None) -> int:
     if loaded is None:
         return EXIT_INPUT
     problem = loaded[1]
-    max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    max_steps = problem.max_steps or DEFAULT_MAX_STEPS
     # outside 0..max_steps-1 there is no step K; the whole run then tells
     # the error message how many steps there are
     in_range = 0 <= step_index < max_steps

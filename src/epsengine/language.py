@@ -280,15 +280,15 @@ def implies(a: Expr, b: Expr) -> Or:
 # Serialization.  The canonical textual form is a prefix s-expression; it is
 # the key symbols are interned by and the text of traces and golden tests.
 
-def to_sexpr(e: Expr, set_name: str = "I") -> str:
+def to_sexpr(e: Expr) -> str:
     kids = e.kids
     if not kids:
         return e.head
     if e.__class__ is InSet:
-        return f"(in {to_sexpr(e.arg, set_name)} {set_name})"
+        return f"(in {to_sexpr(e.arg)} I)"
     parts = [e.head]
     for k in kids:
-        parts.append(to_sexpr(k, set_name))
+        parts.append(to_sexpr(k))
     return f"({' '.join(parts)})"
 
 

@@ -21,7 +21,7 @@ body the declared set name replaces I and quantifiers are not allowed.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .language import (
     BOTTOM,
@@ -48,14 +48,10 @@ from .language import (
     to_sexpr,
 )
 from .process import (
-    ClosureCF,
     CriticalFormula,
-    EpsilonCF,
     Goal,
-    InductionCF,
-    InductiveDefCF,
-    PredCF,
     ProcessInvariantError,
+    _epsilon,
     make_closure,
     make_epsilon,
     make_goal,
@@ -181,8 +177,8 @@ def _pos(sx) -> tuple[int, int] | None:
 # Core parsing
 
 class _Parser:
-    def __init__(self, set_names: Sequence[str] = ("I",), quantifiers: bool = True):
-        self.set_names = set(set_names)
+    def __init__(self, set_label: str = "I", quantifiers: bool = True):
+        self.set_label = set_label  # the set's name in membership atoms
         self.quantifiers = quantifiers
         self._counter = 0
 
@@ -223,7 +219,7 @@ class _Parser:
         if head == "in":
             if len(sx) != 3 or not isinstance(sx[2], str):
                 raise ParseError("membership is (in TERM SET)", _pos(sx))
-            if str(sx[2]) not in self.set_names:
+            if sx[2] != self.set_label:
                 raise ParseError(
                     f"unknown set {str(sx[2])!r} here", _pos(sx)
                 )
@@ -293,23 +289,14 @@ class GoalSpec(NamedTuple):
 
 
 class Problem(NamedTuple):
-    clause: Expr | None
-    set_name: str
-    crits: tuple[CriticalFormula, ...]
+    crits: tuple[CriticalFormula, ...]  # written out, then goal candidates'
     goals: tuple[GoalSpec, ...]
-    options: tuple[tuple[str, int], ...] = ()
-    explicit_crits: int = 0  # prefix of crits written out; the rest came from goals
+    max_steps: int | None = None  # the max-steps option
     ctx: InductiveContext | None = None  # equal for equal clauses
 
     @property
     def omega_sym(self):
         return self.ctx.omega_sym if self.ctx is not None else None
-
-    def option(self, name: str, default: int) -> int:
-        for k, v in self.options:
-            if k == name:
-                return v
-        return default
 
 
 def parse_problem(text: str) -> Problem:
@@ -321,10 +308,8 @@ def parse_problem(text: str) -> Problem:
 
 
 def _build_problem(forms: list) -> Problem:
-    clause: Expr | None = None
-    set_name = "X"
     ctx: InductiveContext | None = None
-    options: list[tuple[str, int]] = []
+    max_steps: int | None = None
     crit_forms = []
     goal_forms = []
 
@@ -333,7 +318,7 @@ def _build_problem(forms: list) -> Problem:
             raise ParseError(f"unexpected top-level form {form!r}", _pos(form))
         head = form[0]
         if head == "clause":
-            if clause is not None:
+            if ctx is not None:
                 raise ParseError("only one inductive clause is allowed", _pos(form))
             if (
                 len(form) != 3
@@ -348,13 +333,12 @@ def _build_problem(forms: list) -> Problem:
             if sname in RESERVED or yname in RESERVED or xname in RESERVED:
                 raise ParseError("clause names must not be reserved", _pos(form))
             # without binders in the body, the names take their indices at once
-            parser = _Parser(set_names=(sname,), quantifiers=False)
+            parser = _Parser(set_label=sname, quantifiers=False)
             clause = parser.formula(form[2], {yname: 0, xname: 1})
             if not _check_positive(clause):
                 raise ParseError(
                     "the set must occur only positively in the clause", _pos(form)
                 )
-            set_name = sname
             try:
                 ctx = InductiveContext(clause)
             except LanguageError as err:
@@ -364,11 +348,11 @@ def _build_problem(forms: list) -> Problem:
                 raise ParseError("option is (option NAME VALUE)", _pos(form))
             if form[1] != "max-steps" or not isinstance(form[2], int):
                 raise ParseError(f"unknown option {form[1]!r}", _pos(form))
-            if any(k == form[1] for k, _ in options):
+            if max_steps is not None:
                 raise ParseError(f"option {form[1]} given twice", _pos(form))
             if form[2] < 1:
                 raise ParseError("max-steps must be at least 1", _pos(form))
-            options.append((str(form[1]), form[2]))
+            max_steps = form[2]
         elif head == "crit":
             crit_forms.append(form)
         elif head == "goal":
@@ -379,23 +363,14 @@ def _build_problem(forms: list) -> Problem:
     crits: list[CriticalFormula] = []
     for form in crit_forms:
         crits.append(_parse_crit(form, ctx))
-    explicit = len(crits)
     goals: list[GoalSpec] = []
     for form in goal_forms:
         spec = _parse_goal(form)
         goals.append(spec)
+        g = spec.goal  # its matrix is skolemized already
         for cand in spec.candidates:
-            crits.append(make_epsilon(cand, spec.goal.phi))
-
-    return Problem(
-        clause=clause,
-        set_name=set_name,
-        crits=tuple(crits),
-        goals=tuple(goals),
-        options=tuple(options),
-        explicit_crits=explicit,
-        ctx=ctx,
-    )
+            crits.append(_epsilon(cand, g.phi, g.sym, g.args))
+    return Problem(tuple(crits), tuple(goals), max_steps, ctx)
 
 
 def _need_ctx(ctx: InductiveContext | None, form) -> InductiveContext:
@@ -608,42 +583,3 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
                     return got
 
     raise ParseError("not a critical formula", _pos(sx))
-
-
-# ---------------------------------------------------------------------------
-# Emission
-
-def _emit_template(phi: Expr, set_name: str = "I") -> str:
-    return f"(exists (v0) {to_sexpr(phi, set_name)})"
-
-
-def serialize_problem(problem: Problem) -> str:
-    lines: list[str] = []
-    if problem.clause is not None:
-        body = to_sexpr(problem.clause, problem.set_name)
-        lines.append(f"(clause (v0 v1 {problem.set_name}) {body})")
-    for k, v in problem.options:
-        lines.append(f"(option {k} {v})")
-    for cf in problem.crits[: problem.explicit_crits]:
-        if isinstance(cf, PredCF):
-            lines.append(f"(crit pred {to_sexpr(cf.s)})")
-        elif isinstance(cf, EpsilonCF):
-            lines.append(
-                f"(crit eps {to_sexpr(cf.t)} {_emit_template(cf.phi)})"
-            )
-        elif isinstance(cf, InductionCF):
-            lines.append(
-                f"(crit ind (v0) {to_sexpr(cf.phi)} {to_sexpr(cf.t)})"
-            )
-        elif isinstance(cf, InductiveDefCF):
-            lines.append(f"(crit inddef {to_sexpr(cf.t)})")
-        elif isinstance(cf, ClosureCF):
-            lines.append(f"(crit closure (v0) {to_sexpr(cf.phi)})")
-    for spec in problem.goals:
-        cands = ""
-        if spec.candidates:
-            cands = " (candidates " + " ".join(
-                to_sexpr(t) for t in spec.candidates
-            ) + ")"
-        lines.append(f"(goal {_emit_template(spec.goal.phi)}{cands})")
-    return "\n".join(lines) + "\n"

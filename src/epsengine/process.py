@@ -129,7 +129,11 @@ def make_pred(s: Expr) -> PredCF:
 
 
 def make_epsilon(t: Expr, phi: Expr) -> EpsilonCF:
-    sym, args = skolemize_exists(phi)
+    return _epsilon(t, phi, *skolemize_exists(phi))
+
+
+def _epsilon(t: Expr, phi: Expr, sym: SkolemSymbol, args: tuple) -> EpsilonCF:
+    """The epsilon axiom at t of phi, whose witness is sym applied to args."""
     conclusion = substitute(phi, {0: skolem(sym, args)})
     premise = substitute(phi, {0: t})
     formula = implies(premise, conclusion)
@@ -406,32 +410,6 @@ def compute_plan(
 # ---------------------------------------------------------------------------
 # The four step cases
 
-def _take_replace(sub: Substitution, keep: str, r: Rank, e: Canon, v: Value):
-    kept = sub.filter_rank(keep, r)
-    old = kept.raw(e)
-    if old is not None and old.kind != "unknown":
-        raise ProcessInvariantError(
-            f"step would overwrite a committed value at {canon_sexpr(e)}"
-        )
-    return kept.with_entry(e, v)
-
-
-def apply_low(
-    hs: HistoricalSubstitution, e: Canon, v: Value, r: Rank
-) -> HistoricalSubstitution:
-    """Finite rank: keep at most rank r, install the pair, clear the history."""
-    return HistoricalSubstitution(_take_replace(hs.sub, "<=", r, e, v))
-
-
-def apply_high(
-    hs: HistoricalSubstitution, e: Canon, v: Value, r: Rank
-) -> HistoricalSubstitution:
-    """Above Omega: keep at most rank r; the membership history survives."""
-    return HistoricalSubstitution(
-        _take_replace(hs.sub, "<=", r, e, v), hs.p, dict(hs.v)
-    )
-
-
 def apply_omega_pos(
     hs: HistoricalSubstitution, e: CanonForm
 ) -> HistoricalSubstitution:
@@ -489,10 +467,19 @@ def apply_omega_neg(
 def apply_plan(
     hs: HistoricalSubstitution, plan: StepPlan, ctx: InductiveContext | None
 ) -> HistoricalSubstitution:
-    if plan.case == CASE_LOW:
-        return apply_low(hs, plan.e, plan.v, plan.rank)
-    if plan.case == CASE_HIGH:
-        return apply_high(hs, plan.e, plan.v, plan.rank)
+    if plan.case == CASE_LOW or plan.case == CASE_HIGH:
+        # keep at most the plan's rank and install the pair; a finite rank
+        # clears the membership history, one above Omega keeps it
+        kept = hs.sub.up_to(plan.rank)
+        old = kept.raw(plan.e)
+        if old is not None and old.kind != "unknown":
+            raise ProcessInvariantError(
+                f"step would overwrite a committed value at {canon_sexpr(plan.e)}"
+            )
+        sub = kept.with_entry(plan.e, plan.v)
+        if plan.case == CASE_LOW:
+            return HistoricalSubstitution(sub)
+        return HistoricalSubstitution(sub, hs.p, hs.v)
     if plan.case == CASE_OMEGA_POS:
         assert isinstance(plan.e, CanonForm)
         return apply_omega_pos(hs, plan.e)

@@ -98,7 +98,7 @@ def entry_is_positive(e: Canon, u: Value) -> bool:
 # ---------------------------------------------------------------------------
 # Substitutions.  Each entry is kept as a row (key, text, e, u), where key is
 # `rank_sort_key(e)` and text is the entry's serialized form "(e u)".  Rows
-# sit in key order, which is serialization order, so a rank filter is a
+# sit in key order, which is serialization order, so the rank cut is a
 # slice and `serialize` a join.  `canon_sexpr` names each canonical
 # expression by a distinct text and `str` each value an entry can hold by a
 # distinct text, so two maps store the same entry exactly when they hold
@@ -124,22 +124,22 @@ def _put(rows: list, row: tuple) -> None:
         rows.insert(i, row)
 
 
-def _rank_bounds(r: Rank) -> tuple[tuple, tuple]:
-    """Probes that bisect rows to the first of rank r and the first above it."""
-    return r, (r.kind, r.n + 1)
+def _above(r: Rank) -> tuple:
+    """A probe that bisects rows to the first of rank above r."""
+    return r.kind, r.n + 1
 
 
 class Substitution:
     """Immutable finite map from canonical expressions to values.
 
-    When ``lazy`` is set the map behaves as its standard extension: lookups
-    outside the stored domain answer ? instead of reporting absence.  The
-    optional ``omega_sym`` identifies the rank-Omega witness symbol of the
-    ambient problem and is carried through updates.  A map built from a
-    dict orders its rows on first need; one derived from another map takes
-    the parent's rows and checks only the entries it adds.  ``serialize``
-    keeps its text in ``_text`` and `digest` its hash in ``_digest``, which
-    the standard extension shares.
+    The optional ``omega_sym`` identifies the rank-Omega witness symbol of
+    the ambient problem and is carried through updates.  A map is built
+    with its rows in order; one derived from another map takes the
+    parent's rows and checks only the entries it adds.  Its standard
+    extension (`extended`) has ``lazy`` set: lookups outside the stored
+    domain answer ? instead of reporting absence.  ``serialize`` keeps its
+    text in ``_text`` and `digest` its hash in ``_digest``, which the
+    standard extension shares.
     """
 
     __slots__ = ("_entries", "_rows", "lazy", "omega_sym", "_text", "_digest")
@@ -147,17 +147,18 @@ class Substitution:
     def __init__(
         self,
         entries: dict[Canon, Value] | None = None,
-        lazy: bool = False,
         omega_sym: SkolemSymbol | None = None,
     ):
         self._entries = dict(entries) if entries else {}
-        self._rows: list | None = None
-        self.lazy = lazy
+        for e, u in self._entries.items():
+            _check_entry(e, u)
+        self._rows = sorted(
+            [_row(e, u, omega_sym) for e, u in self._entries.items()], key=_KEY
+        )
+        self.lazy = False
         self.omega_sym = omega_sym
         self._text: str | None = None
         self._digest: str | None = None
-        for e, u in self._entries.items():
-            _check_entry(e, u)
 
     # -- construction -------------------------------------------------------
 
@@ -183,24 +184,15 @@ class Substitution:
         s._digest = None
         return s
 
-    def _rows_in_order(self) -> list:
-        rows = self._rows
-        if rows is None:
-            omega = self.omega_sym
-            rows = [_row(e, u, omega) for e, u in self._entries.items()]
-            rows.sort(key=_KEY)
-            self._rows = rows
-        return rows
-
     def with_entry(self, e: Canon, u: Value) -> "Substitution":
         entries = self._entries.copy()
         entries[e] = u
-        return self.derive(self._rows_in_order().copy(), [(e, u)], entries)
+        return self.derive(self._rows.copy(), [(e, u)], entries)
 
     def without(self, e: Canon) -> "Substitution":
         if e not in self._entries:
             return self
-        rows = self._rows_in_order()
+        rows = self._rows
         i = bisect_left(rows, rank_sort_key(e, self.omega_sym), key=_KEY)
         return self.derive(rows[:i] + rows[i + 1 :])
 
@@ -249,28 +241,17 @@ class Substitution:
     def rank_of(self, e: Canon) -> Rank:
         return rank_of(e, self.omega_sym)
 
-    def filter_rank(self, op: str, r: Rank) -> "Substitution":
-        rows = self._rows_in_order()
-        at, above = _rank_bounds(r)
-        lo = bisect_left(rows, at, key=_KEY)
-        hi = bisect_left(rows, above, key=_KEY)
-        start, stop = {
-            "<": (0, lo),
-            "<=": (0, hi),
-            "=": (lo, hi),
-            ">=": (lo, len(rows)),
-            ">": (hi, len(rows)),
-        }[op]
-        if stop - start == len(rows):
-            return self
-        return self.derive(rows[start:stop])
+    def up_to(self, r: Rank) -> "Substitution":
+        """The entries of rank at most r: a slice of the rows."""
+        rows = self._rows
+        stop = bisect_left(rows, _above(r), key=_KEY)
+        return self if stop == len(rows) else self.derive(rows[:stop])
 
     def split_omega(self) -> tuple[list, list]:
         """The rows below rank Omega and the rows at it, in order."""
-        rows = self._rows_in_order()
-        at, above = _rank_bounds(OMEGA)
-        lo = bisect_left(rows, at, key=_KEY)
-        return rows[:lo], rows[lo : bisect_left(rows, above, key=_KEY)]
+        rows = self._rows
+        lo = bisect_left(rows, OMEGA, key=_KEY)
+        return rows[:lo], rows[lo : bisect_left(rows, _above(OMEGA), key=_KEY)]
 
     def negative_omega(self) -> "Substitution":
         layer = self.split_omega()[1]
@@ -288,7 +269,7 @@ class Substitution:
 def serialize(sub: Substitution) -> str:
     """Canonical one-line form: entries ordered by rank then expression."""
     if sub._text is None:
-        sub._text = "{" + " ".join(map(_TEXT, sub._rows_in_order())) + "}"
+        sub._text = "{" + " ".join(map(_TEXT, sub._rows)) + "}"
     return sub._text
 
 
@@ -322,7 +303,7 @@ def change(before: Substitution, after: Substitution) -> Change:
     The set differences of the two maps' row texts are taken in C; Python
     work follows only the rows that differ.
     """
-    b_rows, a_rows = before._rows_in_order(), after._rows_in_order()
+    b_rows, a_rows = before._rows, after._rows
     b_texts, a_texts = set(map(_TEXT, b_rows)), set(map(_TEXT, a_rows))
     added, removed = a_texts - b_texts, b_texts - a_texts
     new = list(compress(a_rows, map(added.__contains__, map(_TEXT, a_rows))))

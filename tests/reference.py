@@ -14,15 +14,19 @@ serialization that sorts every entry, the walks written out by hand for
 every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`),
 the reader that tokenizes first and then recurses, the parse that reads
 positioned tokens and renames each binder's variable into the hole after
-its body is built, and the admissibility check that builds a map of the
-whole prefix for every member.  Then come the correctness
+its body is built, the problem serializer (`serialize_problem`) that
+only the round-trip test calls, and the admissibility check that builds a
+map of the whole prefix for every member.  Then come the correctness
 condition written out as a formula (`correctness_formula`), `models`, and
 the views of maps and recordings that only the tests ask for (`domain`,
-`sorted_items`, `positive_omega`, `consulted`, `leaked`); last the small
-builders and readers of canonical expressions that only the tests use.
+`sorted_items`, `rank_filter`, `positive_omega`, `consulted`, `leaked`);
+last the small builders and readers of canonical expressions that only
+the tests use.
 """
 
 from __future__ import annotations
+
+import operator
 
 from epsengine.language import (
     And,
@@ -39,6 +43,7 @@ from epsengine.language import (
     Not,
     Numeral,
     Or,
+    Rank,
     RelAtom,
     SkolemApp,
     Top,
@@ -64,7 +69,16 @@ from epsengine.language import (
 )
 from epsengine import problems
 from epsengine.problems import RESERVED, ParseError, _Parser, _pos, _Sym, read_forms
-from epsengine.process import Goal, ProcessInvariantError, _reduce_numeral
+from epsengine.process import (
+    ClosureCF,
+    EpsilonCF,
+    Goal,
+    InductionCF,
+    InductiveDefCF,
+    PredCF,
+    ProcessInvariantError,
+    _reduce_numeral,
+)
 from epsengine.substitution import (
     TOP_VAL,
     Substitution,
@@ -439,6 +453,46 @@ def positioned_parse_problem(text: str) -> problems.Problem:
 
 
 # ---------------------------------------------------------------------------
+# Problems written back as text, which only the round-trip test asks for
+
+def _emit_template(phi: Expr) -> str:
+    return f"(exists (v0) {to_sexpr(phi)})"
+
+
+def serialize_problem(problem: problems.Problem, set_name: str = "X") -> str:
+    """A problem text that parses to a problem equal to this one.
+
+    The clause names its set set_name.  The critical formulas written out
+    come first in ``crits``, then the goals' candidate axioms, which the
+    goals' text gives back.
+    """
+    lines: list[str] = []
+    if problem.ctx is not None:
+        body = hand_to_sexpr(problem.ctx.clause, set_name)
+        lines.append(f"(clause (v0 v1 {set_name}) {body})")
+    if problem.max_steps is not None:
+        lines.append(f"(option max-steps {problem.max_steps})")
+    written = len(problem.crits) - sum(len(g.candidates) for g in problem.goals)
+    for cf in problem.crits[:written]:
+        if isinstance(cf, PredCF):
+            lines.append(f"(crit pred {to_sexpr(cf.s)})")
+        elif isinstance(cf, EpsilonCF):
+            lines.append(f"(crit eps {to_sexpr(cf.t)} {_emit_template(cf.phi)})")
+        elif isinstance(cf, InductionCF):
+            lines.append(f"(crit ind (v0) {to_sexpr(cf.phi)} {to_sexpr(cf.t)})")
+        elif isinstance(cf, InductiveDefCF):
+            lines.append(f"(crit inddef {to_sexpr(cf.t)})")
+        elif isinstance(cf, ClosureCF):
+            lines.append(f"(crit closure (v0) {to_sexpr(cf.phi)})")
+    for spec in problem.goals:
+        cands = ""
+        if spec.candidates:
+            cands = " (candidates " + " ".join(map(to_sexpr, spec.candidates)) + ")"
+        lines.append(f"(goal {_emit_template(spec.goal.phi)}{cands})")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Admissibility over a map built afresh for each member
 
 def fresh_map_is_admissible(p: tuple[int, ...], ctx: InductiveContext | None) -> bool:
@@ -512,7 +566,22 @@ def domain(sub: Substitution) -> set[Canon]:
 
 def sorted_items(sub: Substitution) -> list:
     """The entries (e, u) in serialization order."""
-    return [(e, u) for _, _, e, u in sub._rows_in_order()]
+    return [(e, u) for _, _, e, u in sub._rows]
+
+
+RANK_TESTS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq,
+    ">=": operator.ge, ">": operator.gt,
+}
+
+
+def rank_filter(sub: Substitution, op: str, r: Rank) -> Substitution:
+    """The entries whose rank q satisfies q op r, in order, built afresh."""
+    test = RANK_TESTS[op]
+    return Substitution(
+        {e: u for e, u in sorted_items(sub) if test(sub.rank_of(e), r)},
+        omega_sym=sub.omega_sym,
+    )
 
 
 def positive_omega(sub: Substitution) -> Substitution:

@@ -50,7 +50,8 @@ from reference import correctness_formula, leaked, reduce_formula, sorted_items
 
 def _like(sub: Substitution, entries: dict) -> Substitution:
     """A map holding entries, lazy and with an Omega symbol as sub is."""
-    return Substitution(entries, lazy=sub.lazy, omega_sym=sub.omega_sym)
+    like = Substitution(entries, omega_sym=sub.omega_sym)
+    return like.extended() if sub.lazy else like
 
 class SequentError(Exception):
     pass

@@ -62,7 +62,13 @@ from genexpr import (
     random_substitution,
     random_term,
 )
-from reference import correctness_formula, models, reduce_formula, reduce_term
+from reference import (
+    correctness_formula,
+    models,
+    rank_filter,
+    reduce_formula,
+    reduce_term,
+)
 from sequents import Sequent, nu
 
 MAX_STEPS = 10**4
@@ -203,7 +209,7 @@ def test_criterion_4_rank_locality(ctx):
         syms = fin_syms_below(k)
         t = random_term(rng, syms, depth=3)
         s = random_substitution(rng, ctx, n_entries=6, include_omega=True)
-        low = dict(s.filter_rank("<", r).items())
+        low = dict(rank_filter(s, "<", r).items())
         high = _junk_entries_at_or_above(rng, r, ctx)
         s2 = Substitution({**low, **high}, omega_sym=ctx.omega_sym)
         assert reduce_term(t, s) == reduce_term(t, s2)
@@ -215,7 +221,7 @@ def test_criterion_4_rank_locality(ctx):
         r = Rank.fin(k)
         phi = random_formula(rng, fin_syms_below(k), depth=3, allow_inset=False)
         s = random_substitution(rng, ctx, n_entries=6, include_omega=True)
-        low = dict(s.filter_rank("<", r).items())
+        low = dict(rank_filter(s, "<", r).items())
         s2 = Substitution(
             {**low, **_junk_entries_at_or_above(rng, r, ctx)},
             omega_sym=ctx.omega_sym,
@@ -235,7 +241,7 @@ def test_criterion_4_rank_locality(ctx):
         f = correctness_formula(e, u, ctx)
         if not models(s, f):
             continue
-        low = dict(s.filter_rank("<", r).items())
+        low = dict(rank_filter(s, "<", r).items())
         s2 = Substitution(
             {**low, **_junk_entries_at_or_above(rng, r, ctx)},
             omega_sym=ctx.omega_sym,
@@ -255,8 +261,8 @@ def test_criterion_4_rank_locality(ctx):
         f = correctness_formula(CanonForm(n), TOP_VAL, ctx)
         if not models(s.extended(), f):
             continue
-        entries = dict(s.filter_rank("<", OMEGA).items())
-        for e, u in s.filter_rank("=", OMEGA).items():
+        entries = dict(rank_filter(s, "<", OMEGA).items())
+        for e, u in rank_filter(s, "=", OMEGA).items():
             if entry_is_positive(e, u) or rng.random() < 0.5:
                 entries[e] = u
         entries[CanonForm(rng.randint(5, 8))] = TOP_VAL  # extra fact
@@ -274,8 +280,8 @@ def test_criterion_4_rank_locality(ctx):
         f = correctness_formula(ctx.c_n(n), u, ctx)
         if not models(s.extended(), f):
             continue
-        entries = dict(s.filter_rank("<", OMEGA).items())
-        for e, w in s.filter_rank("=", OMEGA).items():
+        entries = dict(rank_filter(s, "<", OMEGA).items())
+        for e, w in rank_filter(s, "=", OMEGA).items():
             if entry_is_positive(e, w):
                 if rng.random() < 0.5:
                     entries[e] = w  # keep a subset of the positive part

@@ -428,7 +428,7 @@ def test_check_mode_stops_at_a_step_that_breaks_an_invariant(
 def explain_reference(path: str, k: int) -> tuple[int, str, str]:
     problem = parse_problem(pathlib.Path(path).read_text(encoding="utf-8"))
     crs, ctx = problem.crits, problem.ctx
-    max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    max_steps = problem.max_steps or DEFAULT_MAX_STEPS
     full = run(crs, ctx, max_steps=max_steps)
     if k == len(full.steps) and full.solved:
         return EXIT_SOLVED, "already solving\n", ""
@@ -509,7 +509,7 @@ def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, caps
 def _valid_trace(path: pathlib.Path) -> list[str]:
     text = path.read_text()
     problem = parse_problem(text)
-    max_steps = problem.option("max-steps", DEFAULT_MAX_STEPS)
+    max_steps = problem.max_steps or DEFAULT_MAX_STEPS
     outcome = run(problem.crits, problem.ctx, max_steps=max_steps)
     return cli.trace_lines(text, problem, outcome)
 
@@ -597,6 +597,35 @@ for _path in PROBLEMS:  # every unmutated trace, besides the drawn cases
     test_check_on_mutated_traces_exits_cleanly = example(_path, [])(
         test_check_on_mutated_traces_exits_cleanly
     )
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
+def test_check_of_a_trace_cut_at_every_byte(tmp_path, path):
+    """A cut trace passes only when it leaves every record whole, as a
+    killed run's does.  Any other cut exits 1 with one line; a cut inside
+    a record names the file and the line that holds the cut."""
+    lines = _valid_trace(path)
+    text = "\n".join(lines) + "\n"
+    trace = tmp_path / "t.jsonl"
+    passed = 0
+    for k in range(len(text) + 1):
+        cut = text[:k]
+        trace.write_text(cut)
+        out, err = io.StringIO(), io.StringIO()
+        code = cmd_check(str(trace), str(path), out=out, err=err)
+        row = cut.count("\n")
+        partial = cut[cut.rfind("\n") + 1 :]
+        if partial and partial != lines[row]:  # the cut is inside a record
+            assert code == EXIT_INPUT, k
+            assert err.getvalue().startswith(f"error: {trace}:{row + 1}:"), k
+        else:
+            assert code in (EXIT_SOLVED, EXIT_INPUT), k
+        assert len(err.getvalue().splitlines()) == (code != EXIT_SOLVED), k
+        assert "Traceback" not in err.getvalue()
+        passed += code == EXIT_SOLVED
+    # the whole trace and the trace without its summary, each with and
+    # without its last newline
+    assert passed == 4
 
 
 # ---------------------------------------------------------------------------

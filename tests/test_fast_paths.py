@@ -28,6 +28,7 @@ from epsengine.history import HistoricalSubstitution
 from epsengine.language import (
     OMEGA,
     CanonForm,
+    Rank,
     CanonTerm,
     FnApp,
     InSet,
@@ -95,6 +96,7 @@ from reference import (
     correctness_formula,
     domain,
     models,
+    rank_filter,
     reduce_term,
     reference_serialize,
     reference_truth,
@@ -828,22 +830,23 @@ def test_serialize_matches_the_sorting_reference(runs):
 
 
 def test_rank_filters_are_slices_of_the_ordered_rows(runs):
-    ops = {
-        "<": lambda q, r: q < r,
-        "<=": lambda q, r: q <= r,
-        "=": lambda q, r: q == r,
-        ">=": lambda q, r: q >= r,
-        ">": lambda q, r: q > r,
-    }
+    """The rank cut a low or high step makes, against the reference filter,
+    at every rank of every reached state and at the ranks just above them,
+    where no entry sits."""
+    probes = {Rank.fin(0), Rank.fin(1), OMEGA, Rank.omega_plus(0)}
+    seen = 0
     for name, p, states in runs:
-        sub = states[-1].sub
-        ranks = {sub.rank_of(e) for e in domain(sub)} | {OMEGA}
-        for r in ranks:
-            for op, test in ops.items():
-                got = sub.filter_rank(op, r)
-                want = {e: u for e, u in sub.items() if test(sub.rank_of(e), r)}
-                assert dict(got.items()) == want, (name, op, str(r))
-                assert serialize(got) == reference_serialize(got), (name, op)
+        for hs in states:
+            sub = hs.sub
+            ranks = {sub.rank_of(e) for e in domain(sub)}
+            ranks |= {Rank(r.kind, r.n + 1) for r in ranks if not r.is_omega}
+            for r in ranks | probes:
+                got, want = sub.up_to(r), rank_filter(sub, "<=", r)
+                assert got._rows == want._rows, (name, str(r))
+                assert dict(got.items()) == dict(want.items()), (name, str(r))
+                assert serialize(got) == reference_serialize(got), (name, str(r))
+                seen += 1
+    assert seen > 5000
 
 
 def _table_key_evaluator(p, sub, key):

@@ -1,21 +1,17 @@
 import pytest
 
 from epsengine.language import Var, eq, lt, num
-from epsengine.problems import (
-    ParseError,
-    parse_problem,
-    read_forms,
-    serialize_problem,
-    shape_check,
-)
+from epsengine.problems import ParseError, parse_problem, read_forms, shape_check
 from epsengine.process import (
     ClosureCF,
     EpsilonCF,
     InductionCF,
     InductiveDefCF,
     PredCF,
+    make_epsilon,
     run,
 )
+from reference import serialize_problem
 
 BOUNDED = "(clause (y x X) (or (not (< y x)) (in y X)))\n"
 
@@ -35,7 +31,7 @@ def test_minimal_inductive_problem():
     p = parse_problem(BOUNDED + "(crit inddef 0)\n")
     assert len(p.crits) == 1
     assert isinstance(p.crits[0], InductiveDefCF)
-    assert p.ctx is not None and p.set_name == "X"
+    assert p.ctx is not None
 
 
 def test_epsilon_expansion_matches_manual():
@@ -92,7 +88,6 @@ def test_only_one_clause():
 
 def test_goal_generates_candidate_axioms():
     p = parse_problem("(goal (exists (x) (= x 2)) (candidates 2 3))\n")
-    assert p.explicit_crits == 0
     assert len(p.crits) == 2
     assert all(isinstance(c, EpsilonCF) for c in p.crits)
     assert p.crits[0].t == num(2) and p.crits[1].t == num(3)
@@ -110,7 +105,8 @@ def test_goal_rejects_inner_quantifiers():
 
 def test_options():
     p = parse_problem("(option max-steps 7)\n(crit pred 2)\n")
-    assert p.option("max-steps", 100) == 7
+    assert p.max_steps == 7
+    assert parse_problem("(crit pred 2)\n").max_steps is None
     with pytest.raises(ParseError):
         parse_problem("(option unknown 1)\n")
     # a repeated option is refused at its second form, not resolved silently
@@ -209,10 +205,58 @@ def test_round_trip_problem():
         + "(goal (exists (x) (= x 1)) (candidates 1))\n"
     )
     p = parse_problem(text)
+    assert {type(cf) for cf in p.crits} == {
+        PredCF, EpsilonCF, InductionCF, InductiveDefCF, ClosureCF
+    }
+    assert p.max_steps == 50 and p.goals[0].candidates
     emitted = serialize_problem(p)
     p2 = parse_problem(emitted)
     assert p == p2
     assert serialize_problem(p2) == emitted
+    assert parse_problem(serialize_problem(p, "S")) == p
+
+
+def test_the_set_name_is_not_part_of_the_problem():
+    text = "(clause (y x {0}) (or (not (< y x)) (in y {0})))\n(crit inddef 2)\n"
+    assert parse_problem(text.format("X")) == parse_problem(text.format("S"))
+    assert parse_problem(text.format("X")) != parse_problem(
+        text.format("X").replace("(< y x)", "(< x y)")
+    )
+
+
+def test_a_candidate_axiom_reuses_the_goal_witness():
+    p = parse_problem("(goal (exists (x) (< 1 (+ x x))) (candidates 1 3))\n")
+    goal = p.goals[0].goal
+    for cf, t in zip(p.crits, p.goals[0].candidates):
+        assert cf == make_epsilon(t, goal.phi)
+        assert cf.sym is goal.sym and cf.args is goal.args
+
+
+def test_goal_candidates_cost_no_skolemization(monkeypatch):
+    """A corpus pass skolemizes each goal matrix once, not again for each
+    candidate: 734 skolemizations on the seed-1 corpus, 77 of whose goals
+    have a candidate."""
+    from conftest import bench_imports
+    from epsengine import language, process
+
+    with bench_imports():
+        import workloads
+
+        texts = [q.text for q in workloads.generate("corpus", 1)]
+    calls = []
+    original = language.skolemize_exists
+
+    def counted(body):
+        calls.append(body)
+        return original(body)
+
+    for module in (language, process):
+        monkeypatch.setattr(module, "skolemize_exists", counted)
+    candidates = 0
+    for text in texts:
+        candidates += sum(len(g.candidates) for g in parse_problem(text).goals)
+    assert candidates == 77
+    assert len(calls) == 734
 
 
 def test_untagged_crit_in_file(ctx):

@@ -260,8 +260,9 @@ def test_rank_filters_and_partitions(ctx):
         },
         omega_sym=ctx.omega_sym,
     )
-    assert domain(s.filter_rank("<", OMEGA)) == {fin_e}
-    assert domain(s.filter_rank("=", OMEGA)) == {
+    below, layer = s.split_omega()
+    assert [r[2] for r in below] == [fin_e]
+    assert {r[2] for r in layer} == {
         ctx.c_n(0),
         ctx.c_n(1),
         CanonForm(0),
@@ -269,8 +270,9 @@ def test_rank_filters_and_partitions(ctx):
     }
     assert domain(positive_omega(s)) == {ctx.c_n(0), CanonForm(0)}
     assert domain(s.negative_omega()) == {ctx.c_n(1), CanonForm(2)}
-    assert domain(s.filter_rank("<=", Rank.fin(1))) == {fin_e}
-    assert domain(s.filter_rank(">", OMEGA)) == set()
+    assert domain(s.up_to(Rank.fin(0))) == set()
+    assert domain(s.up_to(Rank.fin(1))) == {fin_e}
+    assert s.up_to(OMEGA) is s  # nothing sits above Omega
 
 
 def test_serialization_sorted_by_rank_then_text(ctx):

@@ -101,9 +101,7 @@ def _problem_exprs() -> list[Expr]:
     seen: dict[str, Expr] = {}
     for text in TEXTS:
         p = parse_problem(text)
-        roots = [p.clause] if p.clause is not None else []
-        if p.ctx is not None:
-            roots.append(p.ctx.a_template)
+        roots = [p.ctx.clause, p.ctx.a_template] if p.ctx is not None else []
         for cf in p.crits:
             roots += [v for v in cf if isinstance(v, Expr)]
         roots += [g.goal.phi for g in p.goals]
@@ -144,7 +142,6 @@ def test_the_inputs_hold_open_and_closed_expressions():
 def test_to_sexpr_matches_the_walk_written_per_node_type():
     for e in EXPRS:
         assert to_sexpr(e) == hand_to_sexpr(e)
-        assert to_sexpr(e, "X") == hand_to_sexpr(e, "X")
         assert e.closed == hand_is_closed(e)
 
 
