@@ -34,7 +34,9 @@ class HistoricalSubstitution(_History):
 
     P lists the members n with (n in I, top) present, in insertion order; V
     maps each of them to the negative rank-Omega entries removed when it was
-    added, as a read-only copy of the mapping it is built from.
+    added, as a read-only copy of the mapping it is built from.  A step
+    builds its result with ``_make((sub, p, v))``, which takes v as it is: a
+    read-only V that no one changes, its own or the one it steps from.
     """
 
     __slots__ = ()

@@ -160,6 +160,21 @@ class Or(Expr):
         self.closed = left.closed and right.closed
 
 
+class At(Expr):
+    """The instance ``substitute(template, {0: arg})``, unbuilt, and printed
+    as it: a closed formula.  The template's one variable is its hole Var(0)
+    and arg is a closed term; an At node stands in no matrix."""
+
+    __slots__ = ("template", "arg")
+    kids = property(attrgetter("template", "arg"))
+    remake = lambda self, kids: At(*kids)
+
+    def __init__(self, template: Expr, arg: Expr) -> None:
+        if not arg.closed:
+            raise LanguageError("a template is taken at a closed term")
+        self.template, self.arg, self._code, self.closed = template, arg, None, True
+
+
 class Top(Expr):
     __slots__ = ()
     head = "true"
@@ -174,7 +189,7 @@ TOP = Top()
 BOTTOM = Bottom()
 
 _TERM_TYPES = (Numeral, Var, FnApp, SkolemApp)
-_FORMULA_TYPES = (RelAtom, InSet, Not, And, Or, Top, Bottom)
+_FORMULA_TYPES = (RelAtom, InSet, Not, And, Or, At, Top, Bottom)
 
 PA_FUNCTIONS = {"s": 1, "+": 2, "*": 2}
 PA_RELATIONS = {"=": 2, "<": 2}
@@ -281,6 +296,8 @@ def implies(a: Expr, b: Expr) -> Or:
 # the key symbols are interned by and the text of traces and golden tests.
 
 def to_sexpr(e: Expr) -> str:
+    if e.__class__ is At:  # the instance it stands for
+        e = substitute(e.template, {0: e.arg})
     kids = e.kids
     if not kids:
         return e.head
@@ -294,16 +311,6 @@ def to_sexpr(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Skolem symbols
-
-def has_closed_subterm(e: Expr) -> bool:
-    """True when any term position of e holds a closed term."""
-    if e.closed and isinstance(e, _TERM_TYPES):
-        return True
-    for k in e.kids:
-        if has_closed_subterm(k):
-            return True
-    return False
-
 
 class SkolemSymbol:
     """A witness function symbol, identified by its index formula.
@@ -320,25 +327,9 @@ class SkolemSymbol:
     def __new__(cls, index_formula: Expr, arity: int) -> "SkolemSymbol":
         if not is_formula(index_formula):
             raise LanguageError("index formula must be a formula")
-        text = to_sexpr(index_formula)
-        with _live_lock:
-            sym = _live.get((text, arity))
-            if sym is None:
-                if has_closed_subterm(index_formula):
-                    raise LanguageError("index formula must be simple (no closed terms)")
-                sym = object.__new__(cls)
-                sym.index_formula = index_formula
-                sym.arity = arity
-                sym.text = text
-                # the text spells out nested symbols' index formulas too: it
-                # holds "(c " iff a symbol occurs, "(in " iff the set does
-                level = 1 + simple_rank(index_formula) if "(c " in text else 1
-                if "(in " in text:
-                    sym.rank = Rank.omega_plus(level)
-                else:
-                    sym.rank = Rank.fin(level)
-                _live[text, arity] = sym
-        return sym
+        if any(a.closed for a in abstract_closed_terms(index_formula)[1]):
+            raise LanguageError("index formula must be simple (no closed terms)")
+        return _intern(index_formula, arity, to_sexpr(index_formula))
 
     def __repr__(self) -> str:
         return f"SkolemSymbol({self.text!r}, arity={self.arity})"
@@ -348,6 +339,21 @@ class SkolemSymbol:
 # parsed in parallel threads, and two racing builds must not make two symbols
 _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _live_lock = threading.Lock()
+
+
+def _intern(index: Expr, arity: int, text: str) -> SkolemSymbol:
+    """The live symbol of a simple index formula and its text."""
+    with _live_lock:
+        sym = _live.get((text, arity))
+        if sym is None:
+            sym = object.__new__(SkolemSymbol)
+            sym.index_formula, sym.arity, sym.text = index, arity, text
+            # the text spells out nested symbols' index formulas too: it
+            # holds "(c " iff a symbol occurs, "(in " iff the set does
+            level = 1 + simple_rank(index) if "(c " in text else 1
+            sym.rank = Rank.omega_plus(level) if "(in " in text else Rank.fin(level)
+            _live[text, arity] = sym
+    return sym
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +430,6 @@ def simple_rank(e: Expr) -> int:
     return level
 
 
-def mentions_inductive(e: Expr) -> bool:
-    """True if e contains a membership atom, hereditarily through symbols.
-
-    Hereditary means that a Skolem symbol whose index formula mentions the
-    set counts as a mention even when no membership atom is visible in e's
-    own tree; this keeps ranks stratified under nesting.
-    """
-    if e.__class__ is InSet or e.__class__ is SkolemApp and e.sym.rank > OMEGA:
-        return True
-    for k in e.kids:
-        if mentions_inductive(k):
-            return True
-    return False
-
-
 def rank_of_symbol(sym: SkolemSymbol, omega_sym: SkolemSymbol | None = None) -> Rank:
     """Rank of a Skolem symbol.
 
@@ -503,35 +494,44 @@ def canon_sexpr(c: Canon) -> str:
 # ---------------------------------------------------------------------------
 # Closed-term abstraction and quantifier expansion
 
-def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...]]:
+def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...], str]:
     """Split a matrix into a simple index formula and its argument vector.
 
     Var(0) is the distinguished variable and is kept.  Maximal closed
     subterms and the remaining free variables become parameters Var(1..k),
     numbered jointly by first occurrence; identical closed terms share one
-    parameter.  Returns the renamed formula and the abstracted arguments.
+    parameter.  Returns the renamed formula, the abstracted arguments and
+    the formula's text, built in the same walk as `to_sexpr` prints it.
     """
-    slots: dict[object, int] = {}
+    slots: dict[object, int] = {}  # a variable's index, a closed term's text
     args: list[Expr] = []
 
-    def param(key: object, original: Expr) -> Expr:
-        if key not in slots:
-            slots[key] = len(args) + 1
+    def param(key: object, original: Expr) -> tuple[Expr, str]:
+        i = slots.get(key)
+        if i is None:
+            i = slots[key] = len(args) + 1
             args.append(original)
-        return Var(slots[key])
+        return Var(i), f"v{i}"
 
-    def walk(e: Expr) -> Expr:
+    def walk(e: Expr) -> tuple[Expr, str]:
         if e.__class__ is Var:
-            return e if e.index == 0 else param(("var", e.index), e)
+            return (e, "v0") if e.index == 0 else param(e.index, e)
         if e.closed and isinstance(e, _TERM_TYPES):
-            return param(("closed", to_sexpr(e)), e)
-        new = []
-        for k in e.kids:
-            new.append(walk(k))
-        return e.remake(new)
+            return param(to_sexpr(e), e)
+        kids = e.kids
+        if not kids:
+            return e, e.head
+        new, texts = [], []
+        for k in kids:
+            k, text = walk(k)
+            new.append(k)
+            texts.append(text)
+        if e.__class__ is InSet:
+            return e.remake(new), f"(in {texts[0]} I)"
+        return e.remake(new), f"({e.head} {' '.join(texts)})"
 
-    index = walk(phi)
-    return index, tuple(args)
+    index, text = walk(phi)
+    return index, tuple(args), text
 
 
 def skolemize_exists(body: Expr) -> tuple[SkolemSymbol, tuple[Expr, ...]]:
@@ -540,8 +540,8 @@ def skolemize_exists(body: Expr) -> tuple[SkolemSymbol, tuple[Expr, ...]]:
     The matrix uses Var(0) as the bound variable; the returned arguments may
     contain other free variables, to be instantiated by an enclosing scope.
     """
-    index, args = abstract_closed_terms(body)
-    return SkolemSymbol(index, len(args)), args
+    index, args, text = abstract_closed_terms(body)
+    return _intern(index, len(args), text), args
 
 
 def expand_exists(body: Expr) -> Expr:
@@ -590,13 +590,14 @@ class InductiveContext:
         self.clause = clause
         sym, raw_args = skolemize_exists(not_(clause))
         self.omega_sym = sym
-        # raw_args live over Var(1); re-expressed over the hole Var(0).
-        self.cn_args_template = tuple(
-            substitute(a, {1: Var(0)}) for a in raw_args
-        )
-        self.x_slot = next(
-            i for i, a in enumerate(self.cn_args_template) if a == Var(0)
-        )
+        # raw_args live over Var(1); re-expressed over the hole Var(0), each
+        # is the member or a numeral (the clause has no binders)
+        self.cn_args_template = tuple(substitute(a, {1: Var(0)}) for a in raw_args)
+        if not all(a.__class__ in (Var, Numeral) for a in self.cn_args_template):
+            raise LanguageError("clause parameters must close to numerals")
+        pattern = tuple([getattr(a, "value", None) for a in self.cn_args_template])
+        self.x_slot = x = pattern.index(None)
+        self._around = pattern[:x], pattern[x + 1 :]  # the member's slot between
         # the clause at its witness, then re-expressed over the hole: one walk
         witness = skolem(sym, self.cn_args_template)
         self.a_template = substitute(clause, {0: witness, 1: Var(0)})
@@ -609,13 +610,8 @@ class InductiveContext:
 
     def c_n(self, n: int) -> CanonTerm:
         """The rank-Omega canonical witness term for membership of n."""
-        vals = []
-        for a in self.cn_args_template:
-            t = substitute(a, {0: num(n)})
-            if not isinstance(t, Numeral):
-                raise LanguageError("clause parameters must close to numerals")
-            vals.append(t.value)
-        return CanonTerm(self.omega_sym, tuple(vals))
+        before, after = self._around
+        return CanonTerm(self.omega_sym, before + (n,) + after)
 
     def member_of(self, c: CanonTerm) -> int | None:
         """n such that c is the witness term for n, if it is one."""

@@ -36,10 +36,8 @@ from .language import (
     expand_exists,
     expand_forall,
     fn,
-    free_vars,
     in_set,
     lt,
-    mentions_inductive,
     not_,
     num,
     or_,
@@ -294,10 +292,6 @@ class Problem(NamedTuple):
     max_steps: int | None = None  # the max-steps option
     ctx: InductiveContext | None = None  # equal for equal clauses
 
-    @property
-    def omega_sym(self):
-        return self.ctx.omega_sym if self.ctx is not None else None
-
 
 def parse_problem(text: str) -> Problem:
     try:
@@ -433,21 +427,17 @@ def _parse_goal(form) -> GoalSpec:
     ex = form[1]
     if not (isinstance(ex, list) and ex and ex[0] == "exists"):
         raise ParseError("goal needs (exists (x) F)", _pos(form))
+    # no binders here: no variable but the hole, no symbol hiding a set
     phi = parser.binder_matrix(ex, {})
-    if mentions_inductive(phi):
+    text = f"(exists (v0) {to_sexpr(phi)})"
+    if "(in " in text:
         raise ParseError("goals must be arithmetic (no membership atoms)", _pos(form))
-    if not free_vars(phi) <= {0}:
-        raise ParseError("goal matrix may only use its bound variable", _pos(form))
     candidates: tuple[Expr, ...] = ()
     if len(form) == 3:
         c = form[2]
         if not (isinstance(c, list) and c and c[0] == "candidates"):
             raise ParseError("second goal part is (candidates TERM*)", _pos(form))
         candidates = tuple(parser.term(t, {}) for t in c[1:])
-        for t in candidates:
-            if not t.closed:
-                raise ParseError("candidates must be closed terms", _pos(form))
-    text = f"(exists (v0) {to_sexpr(phi)})"
     return GoalSpec(goal=make_goal(phi, text), candidates=candidates)
 
 
@@ -502,10 +492,12 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
 
     A candidate reading is extracted from the surface tree, rebuilt through
     the corresponding constructor, and accepted only when the rebuilt axiom
-    expands to exactly the given formula.  Shapes are tried in the order
-    pred, induction, epsilon, inductive definition, closure.
+    expands to exactly the given formula (its text spells out each `At`
+    node's instance).  Shapes are tried in the order pred, induction,
+    epsilon, inductive definition, closure.
     """
     target = _Parser().formula(sx, {})
+    text = to_sexpr(target)
 
     def accept(build) -> CriticalFormula | None:
         """build()'s axiom when it builds and expands to the target."""
@@ -513,7 +505,7 @@ def shape_check(sx, ctx: InductiveContext | None) -> CriticalFormula:
             cf = build()
         except (ParseError, ProcessInvariantError, LanguageError):
             return None
-        return cf if cf.formula == target else None
+        return cf if to_sexpr(cf.formula) == text else None
 
     def term(t_sx) -> Expr:
         return _Parser().term(t_sx, {})

@@ -10,9 +10,11 @@ member entered.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .language import (
+    At,
     Canon,
     CanonForm,
     CanonTerm,
@@ -25,7 +27,6 @@ from .language import (
     and_,
     canon_sexpr,
     eq,
-    expand_forall,
     implies,
     in_set,
     instantiate_index,  # unused here; the benchmark's tracer wraps it by name
@@ -68,9 +69,10 @@ class ProcessInvariantError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Critical formulas.  Construction expands the quantifier abbreviations once
-# and keeps the witness symbols alongside the closed formula; analysis only
-# ever reduces the stored argument templates.
+# Critical formulas.  Construction skolemizes each matrix once and builds
+# the closed formula from the matrix at its points (`At` nodes, which refuse
+# an open point), keeping the witness symbols beside it; analysis only ever
+# reduces the stored templates.
 
 class PredCF(NamedTuple):
     s: Expr
@@ -123,8 +125,7 @@ def make_pred(s: Expr) -> PredCF:
         raise ProcessInvariantError("predecessor axiom needs a closed term")
     matrix = eq(s, succ(Var(0)))
     sym, args = skolemize_exists(matrix)
-    conclusion = substitute(matrix, {0: skolem(sym, args)})
-    formula = implies(not_(eq(s, num(0))), conclusion)
+    formula = implies(not_(eq(s, num(0))), At(matrix, skolem(sym, args)))
     return PredCF(s=s, sym=sym, args=args, formula=formula)
 
 
@@ -134,22 +135,15 @@ def make_epsilon(t: Expr, phi: Expr) -> EpsilonCF:
 
 def _epsilon(t: Expr, phi: Expr, sym: SkolemSymbol, args: tuple) -> EpsilonCF:
     """The epsilon axiom at t of phi, whose witness is sym applied to args."""
-    conclusion = substitute(phi, {0: skolem(sym, args)})
-    premise = substitute(phi, {0: t})
-    formula = implies(premise, conclusion)
-    if not formula.closed:
-        raise ProcessInvariantError("epsilon axiom is not closed")
+    formula = implies(At(phi, t), At(phi, skolem(sym, args)))
     return EpsilonCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
 
 def make_induction(t: Expr, phi: Expr) -> InductionCF:
     matrix = and_(phi, not_(substitute(phi, {0: succ(Var(0))})))
     sym, args = skolemize_exists(matrix)
-    conclusion = substitute(matrix, {0: skolem(sym, args)})
-    premise = and_(substitute(phi, {0: num(0)}), not_(substitute(phi, {0: t})))
-    formula = implies(premise, conclusion)
-    if not formula.closed:
-        raise ProcessInvariantError("induction axiom is not closed")
+    premise = and_(At(phi, num(0)), not_(At(phi, t)))
+    formula = implies(premise, At(matrix, skolem(sym, args)))
     return InductionCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
 
@@ -158,7 +152,7 @@ def make_inductive_def(t: Expr, ctx: InductiveContext) -> InductiveDefCF:
         raise ProcessInvariantError(
             "inductive definition axiom needs a closed term"
         )
-    formula = implies(substitute(ctx.a_template, {0: t}), in_set(t))
+    formula = implies(At(ctx.a_template, t), in_set(t))
     return InductiveDefCF(t=t, formula=formula)
 
 
@@ -170,11 +164,10 @@ def make_closure(phi: Expr, ctx: InductiveContext) -> ClosureCF:
     a_phi = substitute(b_phi, {0: skolem(wit_sym, wit_args), 1: Var(0)})
     psi = or_(not_(a_phi), phi)  # membership condition implies the target
     premise_sym, premise_args = skolemize_exists(not_(psi))
-    premise = substitute(psi, {0: skolem(premise_sym, premise_args)})
-    conclusion = expand_forall(or_(not_(in_set(Var(0))), phi))
-    formula = implies(premise, conclusion)
-    if not formula.closed:
-        raise ProcessInvariantError("closure axiom is not closed")
+    body = or_(not_(in_set(Var(0))), phi)  # the conclusion: forall x body
+    sym, args = skolemize_exists(not_(body))
+    premise = At(psi, skolem(premise_sym, premise_args))
+    formula = implies(premise, At(body, skolem(sym, args)))
     return ClosureCF(
         phi=phi,
         premise_sym=premise_sym,
@@ -424,9 +417,8 @@ def apply_omega_pos(
     displaced = [r for r in layer if not entry_is_positive(r[2], r[3])]
     v_map = dict(hs.v)
     v_map[e.n] = sub.derive(displaced)
-    return HistoricalSubstitution(
-        sub.derive(below + positive, [(e, TOP_VAL)]), hs.p + (e.n,), v_map
-    )
+    after = sub.derive(below + positive, [(e, TOP_VAL)])
+    return HistoricalSubstitution._make((after, hs.p + (e.n,), MappingProxyType(v_map)))
 
 
 def apply_omega_neg(
@@ -461,7 +453,8 @@ def apply_omega_neg(
     below, layer = hs.sub.split_omega()
     kept = [r for r in layer if survives(r[2], r[3])]
     sub = hs.sub.derive(below + kept, [*restored.items(), (e, v)])
-    return HistoricalSubstitution(sub, p_new, {m: hs.v[m] for m in p_new})
+    v = hs.v if p_new == hs.p else MappingProxyType({m: hs.v[m] for m in p_new})
+    return HistoricalSubstitution._make((sub, p_new, v))
 
 
 def apply_plan(
@@ -479,7 +472,7 @@ def apply_plan(
         sub = kept.with_entry(plan.e, plan.v)
         if plan.case == CASE_LOW:
             return HistoricalSubstitution(sub)
-        return HistoricalSubstitution(sub, hs.p, hs.v)
+        return HistoricalSubstitution._make((sub, hs.p, hs.v))
     if plan.case == CASE_OMEGA_POS:
         assert isinstance(plan.e, CanonForm)
         return apply_omega_pos(hs, plan.e)

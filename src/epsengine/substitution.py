@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .language import (
     And,
+    At,
     Bottom,
     Canon,
     CanonForm,
@@ -460,9 +461,10 @@ def pending(verdicts: Verdicts | None, view, keys: Iterable) -> Iterable:
 # Evaluation.  A term or formula is compiled, on its first evaluation, into
 # a closure (env, view) -> value that is kept on the node; env[i] is the
 # value of Var(i), so a template is evaluated at a hole without building
-# its instance, and a variable outside env is undecided.  Every argument and
-# both sides of every connective are evaluated, in order, so which parts
-# are evaluated never depends on the values read; None means a lookup left
+# its instance (an `At` node's template at its term's value, read first),
+# and a variable outside env is undecided.  Every argument and both sides
+# of every connective are evaluated, in order, so which parts are
+# evaluated never depends on the values read; None means a lookup left
 # the expression undecided, and then so is all that contains it.
 #
 # A few shapes compile to one closure where a tree of them would do
@@ -646,6 +648,17 @@ def _in_set(phi: InSet) -> Code:
     return member
 
 
+def _at(phi: At) -> Code:
+    t, a = phi.template, phi.arg
+    f = t._code or _compile(t)
+    if t.closed:  # its own instance: arg is not read
+        return f
+    if a.__class__ is Numeral:
+        return lambda env, view, f=f, h=(a.value,): f(h, view)
+    g = a._code or _compile(a)
+    return lambda env, view, f=f, g=g: f((g(env, view),), view)
+
+
 def _constant(phi: Top | Bottom) -> Code:
     const = isinstance(phi, Top)
     return lambda env, view: const
@@ -661,6 +674,7 @@ _COMPILERS = {
     And: _connective,
     Or: _connective,
     InSet: _in_set,
+    At: _at,
     Top: _constant,
     Bottom: _constant,
 }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from epsengine.language import num, substitute, to_sexpr
 from epsengine.problems import parse_problem
 from epsengine.substitution import Substitution
-from reference import models
+from reference import models, omega_sym
 
 N_MAX = 4
 
@@ -89,7 +89,7 @@ def _forcer_lines(base_text: str, phi_text: str, member: int) -> list[str]:
         {i + 1: v for i, v in enumerate(vals)},
     )
     lines = []
-    ext = Substitution.empty(draft.omega_sym).extended()
+    ext = Substitution.empty(omega_sym(draft)).extended()
     for w in range(N_MAX + 1):
         if models(ext, substitute(body, {0: num(w)})):
             lines.append(f"(crit eps {w} (exists (v0) {to_sexpr(body)}))")

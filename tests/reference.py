@@ -30,6 +30,7 @@ import operator
 
 from epsengine.language import (
     And,
+    At,
     Bottom,
     BOTTOM,
     Canon,
@@ -42,6 +43,7 @@ from epsengine.language import (
     LanguageError,
     Not,
     Numeral,
+    OMEGA,
     Or,
     Rank,
     RelAtom,
@@ -143,6 +145,15 @@ def reduce_formula(phi: Expr, sub) -> Expr:
         return And(reduce_formula(phi.left, sub), reduce_formula(phi.right, sub))
     if isinstance(phi, Or):
         return Or(reduce_formula(phi.left, sub), reduce_formula(phi.right, sub))
+    if isinstance(phi, At):
+        # as the compiler evaluates it: a template without the hole reads
+        # nothing of arg; else arg first, then the template at its value,
+        # or with the hole left open when the arg does not reduce to one
+        if phi.template.closed:
+            return reduce_formula(phi.template, sub)
+        t = reduce_term(phi.arg, sub)
+        hole = t if isinstance(t, Numeral) else Var(0)
+        return reduce_formula(substitute(phi.template, {0: hole}), sub)
     raise SubstitutionError(f"cannot reduce {phi!r}")
 
 
@@ -187,6 +198,14 @@ def reference_truth(phi: Expr, sub) -> bool | None:
         return evaluate_sentence(reduce_formula(phi, sub))
     except NotGround:
         return None
+
+
+def expand(e: Expr) -> Expr:
+    """e with each `At` node replaced by the instance it stands for, the
+    tree `substitute` builds: the axioms as the builders once made them."""
+    if e.__class__ is At:
+        return substitute(e.template, {0: e.arg})
+    return e.remake([expand(k) for k in e.kids])
 
 
 def decides(sub, phi: Expr) -> bool:
@@ -622,6 +641,38 @@ def as_canonical(e: Expr) -> Canon | None:
     if isinstance(e, InSet) and isinstance(e.arg, Numeral):
         return CanonForm(e.arg.value)
     return None
+
+
+def mentions_inductive(e: Expr) -> bool:
+    """True if e contains a membership atom, hereditarily through symbols.
+
+    Hereditary means that a Skolem symbol whose index formula mentions the
+    set counts as a mention even when no membership atom is visible in e's
+    own tree; this keeps ranks stratified under nesting.
+    """
+    if e.__class__ is InSet or e.__class__ is SkolemApp and e.sym.rank > OMEGA:
+        return True
+    for k in e.kids:
+        if mentions_inductive(k):
+            return True
+    return False
+
+
+def omega_sym(problem: problems.Problem):
+    """The problem's rank-Omega witness symbol, None without a clause."""
+    return problem.ctx.omega_sym if problem.ctx is not None else None
+
+
+def reference_c_n(ctx: InductiveContext, n: int) -> CanonTerm:
+    """`InductiveContext.c_n` as it was: each parameter template
+    instantiated at n as a tree, which must fold to a numeral."""
+    vals = []
+    for a in ctx.cn_args_template:
+        t = substitute(a, {0: num(n)})
+        if not isinstance(t, Numeral):
+            raise LanguageError("clause parameters must close to numerals")
+        vals.append(t.value)
+    return CanonTerm(ctx.omega_sym, tuple(vals))
 
 
 def a_formula(ctx: InductiveContext, n: int) -> Expr:

@@ -21,6 +21,7 @@ from epsengine.cli import RunConfig, cmd_check, cmd_run, trace_lines
 from epsengine.history import HistoricalSubstitution, validate
 from epsengine.language import (
     And,
+    At,
     Bottom,
     CanonForm,
     CanonTerm,
@@ -64,6 +65,7 @@ from genexpr import (
 )
 from reference import (
     correctness_formula,
+    expand,
     models,
     rank_filter,
     reduce_formula,
@@ -93,6 +95,8 @@ def indep_term(t: Expr, assign: dict, members: set[int]) -> int:
 
 
 def indep_formula(phi: Expr, assign: dict, members: set[int]) -> bool:
+    if isinstance(phi, At):
+        return indep_formula(expand(phi), assign, members)
     if isinstance(phi, Top):
         return True
     if isinstance(phi, Bottom):

@@ -4,13 +4,14 @@ import io
 import json
 from pathlib import Path
 
-from epsengine.cli import RunConfig, cmd_check, cmd_run, trace_lines
+from epsengine.cli import RunConfig, cmd_check, cmd_explain, cmd_run, trace_lines
 from epsengine.problems import parse_problem
 from epsengine.process import run
 
 HERE = Path(__file__).parent
 CASCADE = HERE / ".." / "problems" / "rebuild_cascade.eps"
 GOLDEN = HERE / "golden" / "rebuild_cascade.jsonl"
+GOLDEN_EXPLAIN = HERE / "golden" / "rebuild_cascade.explain.txt"
 
 
 def test_low_step_after_rollback_rebuilds_membership():
@@ -65,6 +66,17 @@ def test_rebuild_cascade_matches_golden_trace(tmp_path):
     assert got == want
     # and the recorded file still replays through the command line
     assert cmd_check(str(GOLDEN), str(CASCADE), out=io.StringIO()) == 0
+
+
+def test_rebuild_cascade_explains_every_step_as_pinned():
+    """`explain K` for K = 0..22 (the last says it is already solving),
+    pinned byte for byte: each chosen axiom prints as the instance its
+    `At` nodes stand for."""
+    out = io.StringIO()
+    for k in range(23):
+        assert cmd_explain(str(CASCADE), k, out=out, err=out) == 0
+    assert out.getvalue() == GOLDEN_EXPLAIN.read_text()
+    assert out.getvalue().endswith("already solving\n")
 
 
 def test_cascade_histories_stay_admissible():

@@ -27,6 +27,7 @@ from corpusgen import build_corpus
 from epsengine.history import HistoricalSubstitution
 from epsengine.language import (
     OMEGA,
+    At,
     CanonForm,
     Rank,
     CanonTerm,
@@ -95,7 +96,9 @@ from genexpr import (
 from reference import (
     correctness_formula,
     domain,
+    expand,
     models,
+    omega_sym,
     rank_filter,
     reduce_term,
     reference_serialize,
@@ -153,7 +156,7 @@ def runs():
     out = []
     for name, text in texts:
         problem = parse_problem(text)
-        hs = HistoricalSubstitution.initial(problem.omega_sym)
+        hs = HistoricalSubstitution.initial(omega_sym(problem))
         states = [hs]
         while compute_plan(hs, problem.crits, problem.ctx) is not None:
             hs, _ = h_step(hs, problem.crits, problem.ctx, len(states) - 1)
@@ -224,7 +227,7 @@ def test_closure_witness_repair_loses_the_tie_to_a_lower_index(runs):
 def test_rank_bound_is_a_lower_bound_and_exact_but_for_closure(runs):
     strict = 0
     for name, p, states in runs:
-        omega = p.omega_sym
+        omega = omega_sym(p)
         for hs in states:
             for cf in p.crits:
                 pair = analyze(cf, hs, p.ctx)
@@ -342,7 +345,7 @@ def test_verdict_stays_out_of_construction_equality_and_repr(runs):
     assert built == made and repr(built) == repr(made)
     verdicts.follow(built.sub)  # the same map
     assert verdicts.ci is False
-    verdicts.follow(Substitution(dict(made.sub.items()), omega_sym=p.omega_sym))
+    verdicts.follow(Substitution(dict(made.sub.items()), omega_sym=omega_sym(p)))
     assert verdicts.ci is None and not verdicts.known
 
 
@@ -504,6 +507,46 @@ def test_truth_matches_the_reference_on_every_state(runs):
                 assert holds == indep_formula(phi, assign, members), name
                 verdicts.add(("extension", holds))
     assert {("stored", None), ("extension", True), ("extension", False)} <= verdicts
+
+
+def test_an_axiom_reads_what_its_instance_reads(runs):
+    """Each `At` node of every axiom, and the whole axiom, against the tree
+    `substitute` builds for it, on every reached state's stored map and
+    standard extension: the same verdict and the same set of lookups (not
+    their order, nor the repeats of arg's at each hole), and the same
+    text."""
+    nodes, verdicts = set(), set()
+    # matrices without the hole, whose instances are the matrices themselves
+    # and read nothing of the term
+    p = parse_problem(
+        "(clause (y x X) (or (not (< y x)) (in y X)))\n"
+        "(crit eps (+ 1 1) (exists (x) (< 0 (+ 1 1))))\n"
+        "(crit ind (x) (in 1 I) 3)\n(crit closure (z) (in 2 I))\n(crit inddef 1)\n"
+    )
+    hole_free = [HistoricalSubstitution.initial(p.ctx.omega_sym)]  # solving
+    for name, p, states in [*runs, ("hole-free", p, hole_free)]:
+        pairs = [(cf.formula, expand(cf.formula)) for cf in p.crits]
+        pairs += [
+            (e, substitute(e.template, {0: e.arg}))
+            for cf in p.crits
+            for e in _subterms(cf.formula)
+            if isinstance(e, At)
+        ]
+        for phi, instance in pairs:
+            assert to_sexpr(phi) == to_sexpr(instance), name
+            nodes.add(id(phi))
+        for hs in states:
+            for view in (hs.sub, hs.sub.extended()):
+                for phi, instance in pairs:
+                    mine, theirs = LookupLog(view), LookupLog(view)
+                    verdict = truth(phi, mine)
+                    assert verdict == truth(instance, theirs), (name, to_sexpr(phi))
+                    assert set(mine.lookups) == set(theirs.lookups), (name, to_sexpr(phi))
+                    verdicts.add((view.lazy, verdict))
+    assert len(nodes) > 2000
+    assert verdicts == {
+        (False, True), (False, False), (False, None), (True, True), (True, False)
+    }
 
 
 def test_truth_matches_the_reference_on_random_formulas(ctx):
@@ -873,7 +916,7 @@ def _followed_run(p, followed, by_reads, check_step):
     """Step p from the initial state with the followed table and, apart,
     with by_reads.  Both runs must take the same steps; check_step(hs)
     runs after each."""
-    hs = HistoricalSubstitution.initial(p.omega_sym)
+    hs = HistoricalSubstitution.initial(omega_sym(p))
     other = hs
     solving = is_solving(hs.sub, p.crits, followed)
     assert solving == is_solving(other.sub, p.crits, by_reads)

@@ -170,3 +170,46 @@ def test_admissibility_matches_the_check_over_fresh_maps_on_every_run_state():
                 assert is_admissible(q, ctx, p) == want, (q, p)
                 verdicts[want] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
+def test_a_history_keeps_its_own_copy_of_v(ctx):
+    """The constructor copies V: changing the dict it was given afterwards
+    leaves the history as it was."""
+    empty = Substitution.empty(ctx.omega_sym)
+    snap = Substitution({ctx.c_n(2): num_val(1)}, omega_sym=ctx.omega_sym)
+    v = {0: empty}
+    hs = HistoricalSubstitution(members(ctx, 0), p=(0,), v=v)
+    v[0] = snap
+    v[3] = empty
+    assert dict(hs.v) == {0: empty} and hs.v[0] is empty
+    assert validate(hs, ctx) == []
+
+
+def test_a_step_copies_v_at_most_once_and_shares_it_when_unchanged():
+    """Along rebuild_cascade: a step above rank Omega, or at it, that leaves
+    P as it was holds the very V of the history it stepped from; one that
+    changes P holds a V of its own, and the history it stepped from keeps
+    its V unchanged.  (A finite-rank step clears the history.)"""
+    from pathlib import Path
+
+    from epsengine.history import HistoricalSubstitution as HS
+    from epsengine.problems import parse_problem
+    from epsengine.process import apply_plan, compute_plan
+    from reference import omega_sym
+
+    text = (Path(__file__).parent.parent / "problems" / "rebuild_cascade.eps").read_text()
+    p = parse_problem(text)
+    hs, cases = HS.initial(omega_sym(p)), set()
+    while (plan := compute_plan(hs, p.crits, p.ctx)) is not None:
+        before = dict(hs.v)
+        after = apply_plan(hs, plan, p.ctx)
+        assert dict(hs.v) == before
+        if plan.case == "low":
+            assert after.p == () and not after.v
+        elif after.p == hs.p:
+            assert after.v is hs.v, plan.case
+        else:
+            assert after.v is not hs.v and set(after.v) == set(after.p)
+        cases.add((plan.case, after.p == hs.p))
+        hs = after
+    assert {("high", True), ("omega-pos", False), ("omega-neg", False)} <= cases

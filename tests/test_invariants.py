@@ -43,6 +43,7 @@ from reference import (
     correctness_formula,
     decides,
     is_computing,
+    omega_sym,
     reduce_formula,
     reduce_term,
     to_term,
@@ -174,7 +175,7 @@ def test_oracle_equivalence_on_final_states():
     for cp in build_corpus()[:40]:
         problem = parse_problem(cp.text)
         out = run(problem.crits, problem.ctx, max_steps=10**4)
-        hs = HistoricalSubstitution.initial(problem.omega_sym)
+        hs = HistoricalSubstitution.initial(omega_sym(problem))
         while not is_solving(hs.sub, problem.crits):
             plan = compute_plan(hs, problem.crits, problem.ctx)
             hs = apply_plan(hs, plan, problem.ctx)

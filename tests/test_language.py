@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from epsengine import substitution
 from epsengine.language import (
+    At,
     CanonForm,
     CanonTerm,
     InductiveContext,
@@ -25,7 +26,6 @@ from epsengine.language import (
     expand_forall,
     in_set,
     lt,
-    mentions_inductive,
     not_,
     num,
     or_,
@@ -40,7 +40,7 @@ from epsengine.language import (
 from epsengine.problems import parse_problem
 from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
-from reference import a_formula, plus
+from reference import a_formula, mentions_inductive, plus
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
 
@@ -109,20 +109,20 @@ def test_mentions_inductive_is_hereditary(ctx):
 
 
 def test_abstract_single_closed_term():
-    index, args = abstract_closed_terms(eq(Var(0), num(1)))
+    index, args, _ = abstract_closed_terms(eq(Var(0), num(1)))
     assert index == eq(Var(0), Var(1))
     assert args == (num(1),)
 
 
 def test_abstract_nothing_to_abstract():
-    index, args = abstract_closed_terms(eq(Var(0), Var(7)))
+    index, args, _ = abstract_closed_terms(eq(Var(0), Var(7)))
     assert index == eq(Var(0), Var(1))
     assert args == (Var(7),)
 
 
 def test_abstract_shares_identical_closed_terms():
     phi = and_(eq(Var(0), num(1)), not_(eq(Var(0), num(1))))
-    index, args = abstract_closed_terms(phi)
+    index, args, _ = abstract_closed_terms(phi)
     assert index == and_(eq(Var(0), Var(1)), not_(eq(Var(0), Var(1))))
     assert args == (num(1),)
 
@@ -131,7 +131,7 @@ def test_abstract_takes_maximal_subterms():
     # S(S(c())) is closed as a whole once the inner symbol has no arguments
     c0 = SkolemSymbol(eq(Var(0), Var(0)), 0)
     phi = lt(Var(0), succ(skolem(c0, ())))
-    index, args = abstract_closed_terms(phi)
+    index, args, _ = abstract_closed_terms(phi)
     assert index == lt(Var(0), Var(1))
     assert args == (succ(skolem(c0, ())),)
 
@@ -140,8 +140,8 @@ def test_abstract_idempotent_on_random_matrices():
     rng = random.Random(7)
     for _ in range(200):
         phi = random_formula(rng, FIN_SYMS, depth=3)
-        index, _ = abstract_closed_terms(phi)
-        again, args = abstract_closed_terms(index)
+        index, _, _ = abstract_closed_terms(phi)
+        again, args, _ = abstract_closed_terms(index)
         assert again == index
         assert args == tuple(Var(i + 1) for i in range(len(args)))
 
@@ -195,7 +195,7 @@ def test_symbol_rank_matches_the_tree_walks(seed):
     if rng.random() < 0.7:  # a symbol at the distinguished variable stays in the index
         sym = rng.choice(syms)
         phi = and_(phi, lt(skolem(sym, (Var(0),) * sym.arity), Var(0)))
-    index, args = abstract_closed_terms(phi)
+    index, args, _ = abstract_closed_terms(phi)
     level = 1 + simple_rank(index)
     want = Rank.omega_plus(level) if mentions_inductive(index) else Rank.fin(level)
     assert SkolemSymbol(index, len(args)).rank == want
@@ -285,6 +285,42 @@ def test_inductive_context_builds_canonical_witnesses(ctx):
     assert ctx.member_of(other) is None
 
 
+def test_witness_terms_match_their_instantiated_parameters(ctx):
+    """c_n fills n into a pattern fixed once; the parameter templates
+    instantiated at n as trees give the same term, for every sample clause
+    and every n up to 50."""
+    from pathlib import Path
+
+    from conftest import bench_imports
+    from corpusgen import build_corpus
+    from reference import reference_c_n
+
+    texts = [p.read_text() for p in (Path(__file__).parent.parent / "problems").glob("*.eps")]
+    texts += [cp.text for cp in build_corpus()]
+    with bench_imports():
+        import workloads
+
+        for family in sorted(workloads.FAMILIES):
+            texts += [q.text for q in workloads.generate(family, 1, "tiny")]
+    texts.append("(clause (y x X) (or (not (< (* y 3) (+ x 7))) (in y X)))")
+    ctxs = {ctx} | {p.ctx for p in map(parse_problem, texts) if p.ctx is not None}
+    assert len(ctxs) >= 3 and any(len(c.cn_args_template) > 1 for c in ctxs)
+    for c in ctxs:
+        for n in range(51):
+            got = c.c_n(n)
+            assert got == reference_c_n(c, n) and type(got) is CanonTerm
+            assert c.member_of(got) == n
+
+
+def test_at_takes_a_template_at_a_closed_term():
+    phi = lt(Var(0), num(3))
+    assert At(phi, num(2)).closed and At(phi, succ(num(1))) == At(phi, succ(num(1)))
+    with pytest.raises(LanguageError):
+        At(phi, Var(1))
+    with pytest.raises(LanguageError):
+        At(phi, succ(Var(0)))
+
+
 def test_inductive_context_requires_member_variable():
     with pytest.raises(LanguageError):
         InductiveContext(in_set(Var(0)))  # ignores the member variable
@@ -299,7 +335,7 @@ def test_inductive_context_with_phi(ctx):
 def test_var_canonicalization_first_occurrence():
     # two foreign variables and one repeated closed term, left to right
     phi = and_(eq(Var(3), plus(Var(0), num(2))), lt(Var(9), num(2)))
-    index, args = abstract_closed_terms(phi)
+    index, args, _ = abstract_closed_terms(phi)
     assert args == (Var(3), num(2), Var(9))
     assert index == and_(
         eq(Var(1), plus(Var(0), Var(2))), lt(Var(3), Var(2))

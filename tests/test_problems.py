@@ -236,13 +236,9 @@ def test_goal_candidates_cost_no_skolemization(monkeypatch):
     """A corpus pass skolemizes each goal matrix once, not again for each
     candidate: 734 skolemizations on the seed-1 corpus, 77 of whose goals
     have a candidate."""
-    from conftest import bench_imports
     from epsengine import language, process
 
-    with bench_imports():
-        import workloads
-
-        texts = [q.text for q in workloads.generate("corpus", 1)]
+    texts = _corpus_texts()
     calls = []
     original = language.skolemize_exists
 
@@ -257,6 +253,80 @@ def test_goal_candidates_cost_no_skolemization(monkeypatch):
         candidates += sum(len(g.candidates) for g in parse_problem(text).goals)
     assert candidates == 77
     assert len(calls) == 734
+
+
+def _corpus_texts() -> list[str]:
+    from conftest import bench_imports
+
+    with bench_imports():
+        import workloads
+
+        return [q.text for q in workloads.generate("corpus", 1)]
+
+
+def test_axioms_are_built_from_their_matrices_not_as_instances(monkeypatch):
+    """A corpus pass builds no axiom instance tree: 539 top-level
+    `substitute` calls on the seed-1 corpus, counted once per outermost
+    call, not per node."""
+    from epsengine import language, problems, process
+
+    texts = _corpus_texts()
+    calls, depth = [0], [0]
+    original = language.substitute
+
+    def counted(e, mapping):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(e, mapping)
+        finally:
+            depth[0] -= 1
+
+    for module in (language, process, problems):
+        monkeypatch.setattr(module, "substitute", counted)
+    for text in texts:
+        parse_problem(text)
+    assert calls[0] == 539
+
+
+def test_each_skolemization_builds_its_index_text_in_its_walk(monkeypatch):
+    """Over the corpus, the samples and the tiny bench families, every
+    abstraction's text is `to_sexpr` of its index formula, and every
+    skolemization's symbol is the one of that text."""
+    from pathlib import Path
+
+    from conftest import bench_imports
+    from epsengine import language, process
+    from epsengine.language import to_sexpr
+
+    texts = _corpus_texts()
+    texts += [p.read_text() for p in (Path(__file__).parent.parent / "problems").glob("*.eps")]
+    with bench_imports():
+        import workloads
+
+        for family in sorted(workloads.FAMILIES):
+            texts += [q.text for q in workloads.generate(family, 1, "tiny")]
+    abstract, skolemize = language.abstract_closed_terms, language.skolemize_exists
+    seen = []
+
+    def checked_abstraction(phi):
+        index, args, text = abstract(phi)
+        assert text == to_sexpr(index)
+        return index, args, text
+
+    def checked_skolemization(body):
+        sym, args = skolemize(body)
+        index, args_again, text = abstract(body)
+        assert sym.text == text == to_sexpr(sym.index_formula) and args == args_again
+        seen.append(sym)
+        return sym, args
+
+    monkeypatch.setattr(language, "abstract_closed_terms", checked_abstraction)
+    for module in (language, process):
+        monkeypatch.setattr(module, "skolemize_exists", checked_skolemization)
+    for text in texts:
+        parse_problem(text)
+    assert len(seen) > 800
 
 
 def test_untagged_crit_in_file(ctx):

@@ -40,7 +40,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import SYM_R1A, SYM_R1C
-from reference import domain, leaked, to_term
+from reference import domain, leaked, omega_sym, to_term
 
 
 def sequent_of(ctx, entries, p=(), v=None, flags=None):
@@ -301,7 +301,7 @@ def test_saturated_states_admit_the_step(ctx):
     checked = 0
     for cp in build_corpus()[:60]:
         problem = parse_problem(cp.text)
-        hs = HistoricalSubstitution.initial(problem.omega_sym)
+        hs = HistoricalSubstitution.initial(omega_sym(problem))
         sat = _saturate(hs, problem.crits, problem.ctx)
         if sat is None:
             continue

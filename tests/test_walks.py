@@ -38,6 +38,7 @@ from epsengine.language import SkolemSymbol
 from epsengine.problems import ParseError, _read_plain, _Sym, parse_problem, read_forms
 from genexpr import FIN_SYMS, SYM_R1A, SYM_R2, random_formula, random_term
 from reference import (
+    expand,
     hand_abstract_closed_terms,
     hand_is_closed,
     hand_substitute,
@@ -102,8 +103,8 @@ def _problem_exprs() -> list[Expr]:
     for text in TEXTS:
         p = parse_problem(text)
         roots = [p.ctx.clause, p.ctx.a_template] if p.ctx is not None else []
-        for cf in p.crits:
-            roots += [v for v in cf if isinstance(v, Expr)]
+        for cf in p.crits:  # an axiom's At nodes as the instances they stand for
+            roots += [expand(v) for v in cf if isinstance(v, Expr)]
         roots += [g.goal.phi for g in p.goals]
         for root in roots:
             for e in _subexprs(root, []):
@@ -154,9 +155,10 @@ def test_substitute_matches_the_walk_written_per_node_type():
 
 def test_abstraction_matches_in_index_and_argument_order():
     for e in EXPRS:
-        index, args = abstract_closed_terms(e)
+        index, args, text = abstract_closed_terms(e)
         want_index, want_args = hand_abstract_closed_terms(e)
         assert index == want_index and args == want_args, e
+        assert text == to_sexpr(index), e
         assert [hand_to_sexpr(a) for a in args] == [hand_to_sexpr(a) for a in want_args]
 
 
