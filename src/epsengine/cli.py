@@ -117,13 +117,17 @@ def _load(path: str, err) -> tuple[str, Problem] | None:
     return None
 
 
+# the empty map's standard extension: maps are immutable, so one serves all
+_EMPTY = Substitution.empty().extended()
+
+
 def witness_line(sub: Substitution, goal: Goal) -> str:
     """The report line of one goal on a final substitution."""
     try:
         n = extract_witness(sub, goal)
     except ProcessInvariantError:
         return f"goal {goal.text}: not decided true"
-    holds = compiled(goal.phi)((n,), Substitution.empty().extended()) is True
+    holds = compiled(goal.phi)((n,), _EMPTY) is True
     instance = substitute(goal.phi, {0: num(n)})
     return (
         f"goal {goal.text}: witness {n}; "

@@ -33,14 +33,16 @@ class Expr:
     prints its set's name after its argument instead.
 
     A node's fields are its class's own slots, immutable by contract.
-    Two slots are not fields, so equality, hash and ``repr`` ignore them.
+    Three slots are not fields, so equality, hash and ``repr`` ignore them.
     ``closed``, set by the constructor, says whether no variable occurs in
     the node, so no walk has to look for one.  ``_code`` is None until
     `substitution._compile` writes the node's evaluator there on its first
-    evaluation.
+    evaluation.  ``_solve`` is unset until `substitution.first_interval`
+    writes there its solver, or None, on the node's first search over
+    enough values.
     """
 
-    __slots__ = ("_code", "closed", "__weakref__")
+    __slots__ = ("_code", "_solve", "closed", "__weakref__")
     kids = ()
     remake = lambda self, kids: self
 
@@ -494,6 +496,19 @@ def canon_sexpr(c: Canon) -> str:
 # ---------------------------------------------------------------------------
 # Closed-term abstraction and quantifier expansion
 
+# a node over new kids without the constructors' checks: abstraction keeps
+# each node's kind, and nothing it builds can fold, since a non-closed
+# application keeps a variable among its kids and a closed term becomes one
+_REBUILD = {
+    FnApp: lambda e, kids: FnApp(e.fn, tuple(kids)),
+    SkolemApp: lambda e, kids: SkolemApp(e.sym, tuple(kids)),
+    RelAtom: lambda e, kids: RelAtom(e.rel, tuple(kids)),
+    Not: lambda e, kids: Not(kids[0]),
+    And: lambda e, kids: And(*kids),
+    Or: lambda e, kids: Or(*kids),
+}
+
+
 def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...], str]:
     """Split a matrix into a simple index formula and its argument vector.
 
@@ -526,9 +541,12 @@ def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...], str]:
             k, text = walk(k)
             new.append(k)
             texts.append(text)
-        if e.__class__ is InSet:
-            return e.remake(new), f"(in {texts[0]} I)"
-        return e.remake(new), f"({e.head} {' '.join(texts)})"
+        cls = e.__class__
+        if cls is InSet:
+            return InSet(new[0]), f"(in {texts[0]} I)"
+        build = _REBUILD.get(cls)
+        e = e.remake(new) if build is None else build(e, new)
+        return e, f"({e.head} {' '.join(texts)})"
 
     index, text = walk(phi)
     return index, tuple(args), text

@@ -52,6 +52,7 @@ from .substitution import (
     compiled,
     digest,
     entry_is_positive,
+    first_interval,
     is_ci,
     is_correct,
     member_conflict,
@@ -219,15 +220,41 @@ def _least_witness(
 
     The upper bound itself is guaranteed to qualify when the critical
     formula is unsatisfied; picking the least qualifying value keeps the
-    minimality half of the correctness condition true after the step.
+    minimality half of the correctness condition true after the step.  It
+    is the start of the index formula's first interval when that solves at
+    the hole (see `first_interval`); otherwise each value is tried in turn.
     """
-    index = compiled(sym.index_formula)
-    for w in range(upper + 1):
-        if index((w, *args), ext) is True:
-            return w
+    first = first_interval(sym.index_formula, (0, *args), upper, ext)
+    if first is None:
+        index = compiled(sym.index_formula)
+        for w in range(upper + 1):
+            if index((w, *args), ext) is True:
+                return w
+    elif first:
+        return first[0]
     raise ProcessInvariantError(
         "no witness up to the reduced bound; evaluation is inconsistent"
     )
+
+
+def _descent(phi: Expr, t: int, ext) -> int | None:
+    """The least m < t with phi(m) true and phi(m + 1) false, or None.
+
+    It is the end of the first interval of phi's truth set on [0, t], when
+    that is below t and phi solves at the hole; otherwise each point is
+    tried in turn.
+    """
+    first = first_interval(phi, (0,), t, ext)
+    if first is not None:
+        return first[1] if first and first[1] < t else None
+    code = compiled(phi)
+    here = code((0,), ext)
+    for m in range(t):
+        above = code((m + 1,), ext)
+        if here is True and above is False:
+            return m
+        here = above
+    return None
 
 
 def _guard_term_value(v: int, what: str) -> Value:
@@ -273,15 +300,10 @@ def analyze(
         return CanonTerm(cf.sym, nargs), _guard_term_value(w, "epsilon analysis")
 
     if isinstance(cf, InductionCF):
-        tv = _reduce_numeral(cf.t, ext)
-        phi = compiled(cf.phi)
-        here = phi((0,), ext)
-        for m in range(tv):
-            above = phi((m + 1,), ext)
-            if here is True and above is False:
-                e = CanonTerm(cf.sym, _reduce_args(cf.args, ext))
-                return e, _guard_term_value(m, "induction analysis")
-            here = above
+        m = _descent(cf.phi, _reduce_numeral(cf.t, ext), ext)
+        if m is not None:
+            e = CanonTerm(cf.sym, _reduce_args(cf.args, ext))
+            return e, _guard_term_value(m, "induction analysis")
         raise ProcessInvariantError(
             "induction axiom unsatisfied but no descent point exists"
         )

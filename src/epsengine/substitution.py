@@ -695,6 +695,234 @@ def truth(phi: Expr, view) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
+# Solving at the hole.  The witness search, the induction descent and the
+# minimality condition each ask where a one-hole formula holds on [0, upper].
+# When the hole occurs only in atoms a*w + b REL c*w + d, with terms built
+# from s, + and * by a hole-free factor, the formula holds on a finite union
+# of intervals, which is computed instead of evaluating the formula at every
+# w: one-variable Presburger reasoning, as in Cooper, *Theorem proving in
+# arithmetic without multiplication* (1972).  The hole-free terms are read
+# through the view by their own closures, in formula order, so the solver
+# reads what one evaluation reads; as no lookup of such a formula depends on
+# the hole, that is what the evaluations at every w read.  The solver answers
+# None, and the caller scans, when the hole sits under a Skolem application,
+# a membership atom or a product of two hole terms, and when a hole-free part
+# is undecided, so no verdict or error depends on which way was taken.
+#
+# An atom's truth set is one interval.  A boolean combination of them is
+# kept as its list of change points [lo1, hi1 + 1, lo2, hi2 + 1, ...] within
+# [0, upper + 1]; a lone atom, or its negation, answers from its interval.
+#
+# A search over a few values scans: building a solver costs some
+# microseconds, and solving a combination about as many, where one
+# evaluation costs a few tenths of one.
+
+SCAN_BELOW = 8  # the least bound a search solves at
+
+
+def first_interval(phi: Expr, env: tuple, upper: int, view) -> tuple | None:
+    """The first maximal interval (lo, hi) of the w in [0, upper] at which
+    phi holds at (w, *env[1:]), () when there is none, or None when the
+    caller should scan.  env[0] is 0.  The solver is built on the first
+    search over phi that reaches SCAN_BELOW, and kept on phi."""
+    if upper < SCAN_BELOW:
+        return None
+    try:
+        solve = phi._solve
+    except AttributeError:
+        solve = phi._solve = _solver(phi)
+    return None if solve is None else solve(env, view, upper)
+
+
+def _solver(phi: Expr) -> Callable | None:
+    """phi's solver, (env, view, upper) -> (lo, hi) | () | None, or None
+    when phi's shape falls back."""
+    # compiled first, at two frames a level, so that a formula too deep to
+    # compile fails as the scan would fail; the solver's walks take one
+    compiled(phi)
+    if phi.__class__ is RelAtom:
+        return _interval(phi)
+    if phi.__class__ is Not and phi.body.__class__ is RelAtom:
+        return _negated(_interval(phi.body))
+    code = _points(phi)
+    if code is None:
+        return None
+
+    def solve(env, view, upper, code=code):
+        xs = code(env, view, upper + 1)
+        return xs if xs is None else (xs[0], xs[1] - 1) if xs else ()
+
+    return solve
+
+
+def _degree(t: Expr) -> int | None:
+    """0 when the term t is hole-free, 1 when it is affine in the hole, and
+    None when the hole sits under a Skolem application or in a product of
+    two hole terms."""
+    if t.closed:
+        return 0
+    if t.__class__ is Var:
+        return 1 if t.index == 0 else 0
+    degrees = []
+    for a in t.args:  # a loop calls no comprehension's frame
+        degrees.append(_degree(a))
+    if t.__class__ is SkolemApp:
+        return 0 if all(d == 0 for d in degrees) else None
+    if None in degrees or (t.fn == "*" and degrees == [1, 1]):
+        return None
+    return max(degrees)
+
+
+def _side(t: Expr) -> tuple | None:
+    """How an atom reads its side t, as (f, i, d, k): its value at w = 0 by
+    `_leaf`'s reading, and its coefficient k of w, None when that is read
+    off its closure at w = 1."""
+    degree = _degree(t)
+    if degree is None:
+        return None
+    f, i, d = _leaf(t) or (t._code or _compile(t), 0, None)
+    if degree == 0:
+        return f, i, d, 0
+    return f, i, d, 1 if t.__class__ is Var else None
+
+
+def _interval(phi: RelAtom) -> Callable | None:
+    """The atom's solver, or None when its shape falls back.  With x and y
+    its sides at w = 0 and k the difference of their coefficients, the atom
+    holds where k*w = y - x, or k*w < y - x: one interval."""
+    left, right = map(_side, phi.args)
+    if left is None or right is None:
+        return None
+    fa, ia, da, ka = left
+    fb, ib, db, kb = right
+
+    def interval(
+        env, view, upper,
+        fa=fa, ia=ia, da=da, ka=ka, fb=fb, ib=ib, db=db, kb=kb, is_eq=phi.rel == "=",
+    ):
+        x = fa(env, view) if fa is not None else env[ia] if ia < len(env) else da
+        y = fb(env, view) if fb is not None else env[ib] if ib < len(env) else db
+        if x is None or y is None:
+            return None
+        if ka is None or kb is None:  # a compound side: read again at w = 1
+            one = (1, *env[1:])
+            if ka is None:
+                ka = fa(one, view) - x
+            if kb is None:
+                kb = fb(one, view) - y
+        k, m = ka - kb, y - x
+        if k == 0:
+            return (0, upper) if ((m == 0) if is_eq else (m > 0)) else ()
+        if is_eq:
+            if m % k:
+                return ()
+            lo = hi = m // k
+        elif k > 0:
+            lo, hi = 0, (m - 1) // k
+        else:
+            lo, hi = m // k + 1, upper
+        if lo < 0:
+            lo = 0
+        if hi > upper:
+            hi = upper
+        return (lo, hi) if lo <= hi else ()
+
+    return interval
+
+
+def _negated(interval: Callable | None) -> Callable | None:
+    """The solver of a negated atom, from the atom's."""
+    if interval is None:
+        return None
+
+    def negated(env, view, upper, interval=interval):
+        r = interval(env, view, upper)
+        if not r:
+            return r if r is None else (0, upper)
+        lo, hi = r
+        if lo:
+            return 0, lo - 1
+        return (hi + 1, upper) if hi < upper else ()
+
+    return negated
+
+
+def _points(phi: Expr) -> Callable | None:
+    """phi's truth set on [0, n) as change points, (env, view, n) -> list,
+    or None when a hole-free part is undecided; None when phi's shape falls
+    back."""
+    cls = phi.__class__
+    if cls is RelAtom:
+        interval = _interval(phi)
+        if interval is None:
+            return None
+
+        def atom(env, view, n, interval=interval):
+            r = interval(env, view, n - 1)
+            return r if r is None else [r[0], r[1] + 1] if r else []
+
+        return atom
+    if cls is Not:
+        body = _points(phi.body)
+        if body is None:
+            return None
+
+        def complement(env, view, n, body=body):
+            xs = body(env, view, n)
+            if xs is None:
+                return None
+            xs = xs[1:] if xs and xs[0] == 0 else [0, *xs]
+            if xs and xs[-1] == n:
+                xs.pop()
+            else:
+                xs.append(n)
+            return xs
+
+        return complement
+    if cls is And or cls is Or:
+        left, right = _points(phi.left), _points(phi.right)
+        if left is None or right is None:
+            return None
+
+        def connective(env, view, n, left=left, right=right, conj=cls is And):
+            xs = left(env, view, n)
+            ys = None if xs is None else right(env, view, n)
+            return None if ys is None else _merge(xs, ys, conj)
+
+        return connective
+    if phi.closed or (cls is InSet and _degree(phi.arg) == 0):
+        code = phi._code or _compile(phi)
+
+        def whole(env, view, n, code=code):
+            v = code(env, view)
+            return None if v is None else [0, n] if v else []
+
+        return whole
+    return None  # membership at the hole
+
+
+_END = float("inf")  # past every point, however large the bound
+
+
+def _merge(xs: list, ys: list, conj: bool) -> list:
+    """The change points of the intersection (conj) or union of two sets:
+    a point is inside a set when an odd number of its points lie at or
+    below it."""
+    out, i, j, inside = [], 0, 0, 0
+    xs, ys = xs + [_END], ys + [_END]
+    while True:
+        p = xs[i] if xs[i] < ys[j] else ys[j]
+        if p == _END:
+            return out
+        i += xs[i] == p
+        j += ys[j] == p
+        now = i & j & 1 if conj else (i | j) & 1
+        if now != inside:
+            out.append(p)
+            inside = now
+
+
+# ---------------------------------------------------------------------------
 # Correctness
 
 def correctness(
@@ -711,18 +939,26 @@ def correctness(
 
     A valued term's condition is a loop over its index instances: the head
     at u, then the negation at each w < u, all evaluated in that order; an
-    undecided instance leaves the whole condition undecided.
+    undecided instance leaves the whole condition undecided.  When the head
+    is decided and the index formula solves at the hole, "no w < u" is the
+    emptiness of its truth set below u (see `first_interval`), which reads
+    nothing the head did not.
     """
     if u.kind == "unknown":
         return True
     if isinstance(e, CanonTerm):
         if u.kind != "num":
             raise SubstitutionError("incompatible value for a canonical term")
-        index, args = compiled(e.sym.index_formula), e.args
+        sym, args = e
+        phi = sym.index_formula
+        index = phi._code or _compile(phi)
         verdict = index((u.n, *args), view)
-        omega = ctx.omega_sym if ctx is not None else None
-        if rank_of(e, omega).is_omega:
+        if ctx is not None and sym is ctx.omega_sym:  # rank Omega
             return verdict
+        if verdict is not None:
+            first = first_interval(phi, (0, *args), u.n - 1, view)
+            if first is not None:
+                return verdict and not first
         for w in range(u.n):
             below = index((w, *args), view)
             if verdict is not None:

@@ -5,6 +5,14 @@ their negations, numeral and variable operands on either side, Skolem
 applications of one, two and three arguments, all numerals or mixed, and
 membership of numerals, variables and compound terms.  Templates (``nvars``
 above 0) hold variables below nvars.
+
+One-hole linear formulas (`random_linear_formula`) are what the solver at
+the hole takes: atoms over s, + and * by a hole-free factor, on either
+side, with numerals up to 10**6, under not, and, or and implication; and,
+with ``fallback`` set, the shapes it leaves to the scan: a Skolem
+application or membership at the hole, a product of two hole terms.  Their
+hole-free parts are parameters Var(1..nvars-1), numerals and Skolem
+applications over those, which a map may leave undecided.
 """
 
 from __future__ import annotations
@@ -131,3 +139,71 @@ def random_substitution(
             )
     omega = ctx.omega_sym if ctx is not None else None
     return Substitution(entries, omega_sym=omega)
+
+
+def random_hole_free_term(
+    rng: random.Random, syms: list[SkolemSymbol], depth: int, nvars: int
+) -> Expr:
+    """A term without the hole: a parameter, a numeral or a Skolem
+    application over such terms."""
+    pick = rng.random()
+    if depth > 0 and pick < 0.15:
+        sym = rng.choice(syms)
+        args = (random_hole_free_term(rng, syms, depth - 1, nvars) for _ in range(sym.arity))
+        return skolem(sym, tuple(args))
+    if nvars > 1 and pick < 0.6:
+        return Var(rng.randrange(1, nvars))
+    return num(rng.randint(0, 10**6) if rng.random() < 0.15 else rng.randint(0, 12))
+
+
+def random_linear_term(
+    rng: random.Random,
+    syms: list[SkolemSymbol],
+    depth: int = 3,
+    nvars: int = 2,
+    fallback: bool = False,
+) -> Expr:
+    """A term affine in the hole Var(0), or with fallback set now and then
+    one that is not."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Var(0)
+        return random_hole_free_term(rng, syms, 1, nvars)
+    pick = rng.random()
+    if fallback and pick < 0.1:
+        sym = rng.choice([s for s in syms if s.arity == 1] or syms)
+        hole = random_linear_term(rng, syms, depth - 1, nvars)
+        return skolem(sym, (hole,) + tuple(Var(0) for _ in range(sym.arity - 1)))
+    if fallback and pick < 0.2:
+        return fn("*", Var(0), random_linear_term(rng, syms, depth - 1, nvars))
+    if pick < 0.45:
+        return succ(random_linear_term(rng, syms, depth - 1, nvars, fallback))
+    a = random_linear_term(rng, syms, depth - 1, nvars, fallback)
+    if pick < 0.75:
+        return fn("+", *rng.sample([a, random_linear_term(rng, syms, depth - 1, nvars)], 2))
+    k = random_hole_free_term(rng, syms, 1, nvars)  # a coefficient, either side
+    return fn("*", k, a) if rng.random() < 0.5 else fn("*", a, k)
+
+
+def random_linear_formula(
+    rng: random.Random,
+    syms: list[SkolemSymbol],
+    depth: int = 3,
+    nvars: int = 2,
+    fallback: bool = False,
+) -> Expr:
+    """A boolean combination of linear atoms in the hole; with fallback set,
+    now and then membership at the hole and the fallback terms."""
+    if depth == 0 or rng.random() < 0.3:
+        if fallback and rng.random() < 0.1:
+            return in_set(random_linear_term(rng, syms, 1, nvars))
+        a = random_linear_term(rng, syms, 2, nvars, fallback)
+        b = random_linear_term(rng, syms, 2, nvars, fallback)
+        return eq(a, b) if rng.random() < 0.5 else lt(a, b)
+    pick = rng.random()
+    part = lambda: random_linear_formula(rng, syms, depth - 1, nvars, fallback)
+    if pick < 0.3:
+        return not_(part())
+    if pick < 0.55:
+        return and_(part(), part())
+    return or_(part(), part()) if pick < 0.8 else implies(part(), part())
