@@ -7,7 +7,7 @@ import hashlib
 import json
 import sys
 
-from .language import num, substitute, to_sexpr
+from .language import Expr, FnApp, InSet, Numeral, Var, _apply_fn, to_sexpr
 from .problems import ParseError, Problem, parse_problem
 from .process import (
     Goal,
@@ -128,11 +128,31 @@ def witness_line(sub: Substitution, goal: Goal) -> str:
     except ProcessInvariantError:
         return f"goal {goal.text}: not decided true"
     holds = compiled(goal.phi)((n,), _EMPTY) is True
-    instance = substitute(goal.phi, {0: num(n)})
     return (
         f"goal {goal.text}: witness {n}; "
-        f"instance {to_sexpr(instance)} is {'true' if holds else 'false'}"
+        f"instance {_at_hole(goal.phi, n)[0]} is {'true' if holds else 'false'}"
     )
+
+
+def _at_hole(e: Expr, n: int) -> tuple[str, int | None]:
+    """The text of the template e's instance at n, as `to_sexpr` prints the
+    tree `substitute` would build, and the numeral it folds to, or None:
+    arithmetic over numerals folds as `language.fn` folds it."""
+    if e.closed:
+        return to_sexpr(e), e.value if e.__class__ is Numeral else None
+    if e.__class__ is Var:
+        return (str(n), n) if e.index == 0 else (e.head, None)
+    parts, values = [], []
+    for k in e.kids:
+        text, value = _at_hole(k, n)
+        parts.append(text)
+        values.append(value)
+    if e.__class__ is FnApp and None not in values:
+        value = _apply_fn(e.fn, values)
+        return str(value), value
+    if e.__class__ is InSet:
+        return f"(in {parts[0]} I)", None
+    return f"({e.head} {' '.join(parts)})", None
 
 
 def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:

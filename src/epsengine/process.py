@@ -11,7 +11,7 @@ member entered.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .language import (
     At,
@@ -48,16 +48,16 @@ from .substitution import (
     TOP_VAL,
     Value,
     Verdicts,
-    change,
     compiled,
     digest,
     entry_is_positive,
     first_interval,
     is_ci,
     is_correct,
+    layer_change,
     member_conflict,
     num_val,
-    pending,
+    put_change,
     refutes,
     serialize,
     truth,
@@ -346,12 +346,12 @@ def is_solving(
     verdicts: Verdicts | None = None,
 ) -> bool:
     """Every critical formula holds; with a table, keyed by its index, and
-    the formulas known to hold are skipped."""
+    only the formulas not known to hold are visited."""
     ext = sub.extended()
     return all(
         truth_with(verdicts, i, ext, lambda v: compiled(crs[i].formula)((), v))
         is True
-        for i in pending(verdicts, ext, range(len(crs)))
+        for _, i in _formulas(crs, ext, sub.omega_sym, verdicts)
     )
 
 
@@ -368,6 +368,27 @@ def repair_rank_bound(cf: CriticalFormula, omega: SkolemSymbol | None) -> Rank:
     return rank_of_symbol(cf.sym, omega)
 
 
+def _formulas(
+    crs: Sequence[CriticalFormula],
+    view,
+    omega: SkolemSymbol | None,
+    verdicts: Verdicts | None,
+) -> Iterable[tuple[Rank, int]]:
+    """(rank bound, index) of each formula to visit on view's map, in
+    order: every formula without a table, else those the table does not
+    know to hold.  A table keeps the order, which is fixed for its list of
+    formulas, so a run sorts its bounds once."""
+    if verdicts is not None:
+        verdicts.follow(view)
+        if verdicts.order is not None:
+            return verdicts.pending_formulas()
+    order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
+    if verdicts is None:
+        return order
+    verdicts.arrange(order)
+    return verdicts.pending_formulas()
+
+
 def compute_plan(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
@@ -380,26 +401,18 @@ def compute_plan(
     Formulas are analyzed in the order of their rank bound, and the search
     stops at the first whose bound cannot beat the best repair found, so
     only formulas that can still win are tested and searched.  A table
-    answers the satisfaction tests under the keys `is_solving` uses, keeps
-    the order, which is fixed for its list of formulas, and spares the
-    formulas known to hold: one that holds is never the plan.
+    answers the satisfaction tests under the keys `is_solving` uses, and
+    the walk passes over only the formulas it does not know to hold: one
+    that holds is never the plan.
     """
     if ext is None:
         ext = hs.sub.extended()
     omega = hs.sub.omega_sym
-    order = None if verdicts is None else verdicts.order
-    if order is None:
-        order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
-        if verdicts is not None:
-            verdicts.order = order
-    known = () if verdicts is None else verdicts.follow(ext)
     best: tuple[Rank, int, Canon, Value] | None = None
-    for key in order:
+    for key in _formulas(crs, ext, omega, verdicts):
         if best is not None and key > best[:2]:
             break
         i = key[1]
-        if i in known:
-            continue
         cf = crs[i]
         holds = (
             truth_with(verdicts, i, ext, lambda v: compiled(cf.formula)((), v))
@@ -537,16 +550,17 @@ def _step_ci(
     entries of strictly lower rank, and the step keeps all of those
     verbatim, so every entry it kept keeps its verdict.  Only the entries it
     added or revalued, and, when the change touches rank Omega, that layer
-    (whose entries read each other) and the member-witness conflict need a
-    recheck; otherwise the layer is the input's, which is consistent.
-    Removing an entry only leaves what reads it undecided, which refutes
-    nothing.
+    (whose entries read each other) and the member-witness conflicts among
+    the rows it added need a recheck; otherwise the layer is the input's,
+    which is consistent.  Removing an entry only leaves what reads it
+    undecided, which refutes nothing.
     """
     rows = delta.rows
     if delta.omega:
-        if member_conflict(after, ctx):
+        if member_conflict(after, ctx, rows):
             return True
-        rows = [r for r in rows if not after.rank_of(r[2]).is_omega]
+        omega = OMEGA.kind
+        rows = [r for r in rows if r[0][0] != omega]
         rows += after.split_omega()[1]
     return any(refutes(after, r[2], r[3], ctx, verdicts) for r in rows)
 
@@ -560,11 +574,15 @@ def h_step(
 ) -> tuple[HistoricalSubstitution, HStep]:
     """One step of the process; refuses computationally inconsistent input.
 
-    A table carried from step to step (one per list of critical formulas)
-    spares the evaluations whose reads the previous step left unchanged: the
-    step tells it the change, so it re-reads nothing the step did not touch.
-    It also keeps the guard's verdict on the state the step made, so the
-    next step need not run the full guard.
+    The step's change is built from the plan: a step off rank Omega puts
+    one row and cuts the rows above its rank, one at rank Omega keeps every
+    row below it.  A table carried from step to step (one per list of
+    critical formulas) spares the evaluations whose reads the previous step
+    left unchanged: the step tells it the change, so it re-reads nothing
+    the step did not touch.  It also keeps the guard's verdict on the state
+    the step made, so the next step need not run the full guard.  The
+    members whose snapshot the step added or dropped are those past the
+    prefix the two membership orders share.
     """
     ci = None
     if verdicts is not None:
@@ -578,22 +596,24 @@ def h_step(
     if plan is None:
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
-    delta = change(hs.sub, hs2.sub)
+    e = canon_sexpr(plan.e)
+    if plan.rank.is_omega:
+        delta = layer_change(hs.sub, hs2.sub)
+    else:
+        delta = put_change(hs.sub, hs2.sub, (*plan.rank, e))
     if verdicts is not None:
         verdicts.advance(hs.sub, hs2.sub, delta)
         verdicts.ci = _step_ci(hs2.sub, delta, ctx, verdicts)
-    v_added = {
-        m: serialize(snap)
-        for m, snap in hs2.v.items()
-        if hs.v.get(m) is not snap
-        and (m not in hs.v or serialize(hs.v[m]) != serialize(snap))
-    }
-    v_removed = tuple(sorted(m for m in hs.v if m not in hs2.v))
+    v_added, v_removed = {}, ()
+    if hs2.p != hs.p:
+        shared = min(len(hs.p), len(hs2.p))
+        v_added = {m: serialize(hs2.v[m]) for m in hs2.p[shared:] if m in hs2.v}
+        v_removed = tuple(sorted(m for m in hs.p[shared:] if m not in hs2.v))
     record = HStep(
         index=step_index,
         cr_index=plan.cr_index,
         case=plan.case,
-        e=canon_sexpr(plan.e),
+        e=e,
         v=str(plan.v),
         rank=str(plan.rank),
         before=digest(hs.sub),
@@ -620,6 +640,33 @@ class Outcome(NamedTuple):
         return self.status == "solved"
 
 
+def _check(
+    before: HistoricalSubstitution,
+    hs: HistoricalSubstitution,
+    ctx: InductiveContext | None,
+    verdicts: Verdicts,
+    valid: HistoricalSubstitution | None,
+) -> list[str]:
+    """Invariant violations of hs, the state the step the table last
+    followed made from before, which is valid (the state ``valid`` checked
+    last, or the initial one).
+
+    Only the entries the step added or revalued, and those whose verdict it
+    made stale, are checked again (see `Verdicts.touched`).  An entry's
+    verdict is reused only while every entry its correctness formula read
+    is unchanged, or taken from the guard's when that held on the stored
+    map.  A step that touched no rank-Omega entry and kept P and V keeps
+    the history valid; otherwise only the members past the longest prefix
+    shared with ``valid``'s P, and only the snapshots it does not hold, are
+    tested again.
+    """
+    if not is_correct(hs.sub, ctx, verdicts, verdicts.touched(hs.sub)):
+        return ["substitution is not correct"]
+    if verdicts.step.omega or (hs.p, hs.v) != (before.p, before.v):
+        return validate(hs, ctx, valid)
+    return []
+
+
 def run(
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
@@ -635,12 +682,7 @@ def run(
 
     With check set, every produced state is verified against the invariants
     the process is supposed to preserve: correctness of each entry and
-    validity (including admissibility) of the history.  An entry's verdict
-    is reused only while every entry its correctness formula read is
-    unchanged, or taken from the guard's when that held on the stored map;
-    only the members past the longest prefix shared with the last valid
-    state's P, and only the snapshots that state does not hold, are tested
-    again.
+    validity (including admissibility) of the history; see `_check`.
     """
     omega = ctx.omega_sym if ctx is not None else None
     hs, before = HistoricalSubstitution.initial(omega), None
@@ -661,10 +703,7 @@ def run(
             before, hs = hs, after
             steps.append(record)
             if check:
-                if not is_correct(hs.sub, ctx, verdicts):
-                    issues = ["substitution is not correct"]
-                else:
-                    issues = validate(hs, ctx, valid)
+                issues = _check(before, hs, ctx, verdicts, valid)
                 if issues:
                     status = "internal-error"
                     diagnostics = f"step {record.index}: {'; '.join(issues)}"

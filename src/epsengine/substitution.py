@@ -107,7 +107,6 @@ def entry_is_positive(e: Canon, u: Value) -> bool:
 
 _KEY = itemgetter(0)
 _TEXT = itemgetter(1)
-_EXPR = itemgetter(2)
 _PAIR = itemgetter(2, 3)
 
 
@@ -285,41 +284,64 @@ class Change(NamedTuple):
 
     ``added`` and ``removed`` are the entry texts only the second and only
     the first map holds, sorted; ``rows`` are the second map's rows behind
-    ``added`` (entries added or revalued), in order; ``exprs`` are the
-    canonical expressions whose stored value differs, whether added,
-    revalued (listed twice) or removed; ``omega`` tells whether one of them
-    has rank Omega.
+    ``added`` (entries added or revalued) and ``gone`` the first map's rows
+    behind ``removed`` (entries removed or revalued), each in order; so the
+    canonical expressions whose stored value differs are those of both.
+    ``omega`` tells whether one of them has rank Omega.
+
+    A step builds its change from what it did, not from the two whole maps
+    (see `put_change` and `layer_change`).
     """
 
     added: tuple[str, ...]
     removed: tuple[str, ...]
     rows: list
-    exprs: tuple
+    gone: list
     omega: bool
 
 
-def change(before: Substitution, after: Substitution) -> Change:
-    """The change from before to after.
+def _is_omega(rows: list) -> bool:
+    omega = OMEGA.kind
+    return any([r[0][0] == omega for r in rows])
 
-    The set differences of the two maps' row texts are taken in C; Python
-    work follows only the rows that differ.
-    """
-    b_rows, a_rows = before._rows, after._rows
+
+def put_change(before: Substitution, after: Substitution, key: tuple) -> Change:
+    """The change of a step that keeps before's rows up to key's rank and
+    puts after's row of key there, with a value before's row of key, if
+    any, does not hold: that row against the old one and the rows past the
+    cut."""
+    b_rows = before._rows
+    new = after._rows[bisect_left(after._rows, key, key=_KEY)]
+    stop = bisect_left(b_rows, (key[0], key[1] + 1), key=_KEY)
+    gone = b_rows[stop:]
+    i = bisect_left(b_rows, key, key=_KEY)
+    if i < stop and b_rows[i][0] == key:  # a ? the step values
+        gone.insert(0, b_rows[i])
+    return Change(
+        (new[1],),
+        tuple(sorted(map(_TEXT, gone))),
+        [new],
+        gone,
+        _is_omega(gone),  # the put row has the rank of a step off Omega
+    )
+
+
+def layer_change(before: Substitution, after: Substitution) -> Change:
+    """The change of a step that keeps every row below rank Omega: the set
+    differences of the texts of the rows from rank Omega on, taken in C;
+    Python work follows only the rows that differ."""
+    b_rows = before._rows[bisect_left(before._rows, OMEGA, key=_KEY) :]
+    a_rows = after._rows[bisect_left(after._rows, OMEGA, key=_KEY) :]
     b_texts, a_texts = set(map(_TEXT, b_rows)), set(map(_TEXT, a_rows))
     added, removed = a_texts - b_texts, b_texts - a_texts
-    new = list(compress(a_rows, map(added.__contains__, map(_TEXT, a_rows))))
-    changed = new
-    if removed:
-        changed = new + list(
-            compress(b_rows, map(removed.__contains__, map(_TEXT, b_rows)))
-        )
-    omega = OMEGA.kind
+    rows = list(compress(a_rows, map(added.__contains__, map(_TEXT, a_rows))))
+    gone = list(compress(b_rows, map(removed.__contains__, map(_TEXT, b_rows))))
     return Change(
         tuple(sorted(added)),
         tuple(sorted(removed)),
-        new,
-        tuple(map(_EXPR, changed)),
-        any([r[0][0] == omega for r in changed]),
+        rows,
+        gone,
+        _is_omega(rows) or _is_omega(gone),
     )
 
 
@@ -362,16 +384,29 @@ class Verdicts:
     ``_readers`` maps each canonical expression to the keys whose recorded
     reads include it.  `advance` moves the table along a step whose
     `Change` it is told: exactly the keys that read a changed expression
-    leave ``_current`` and ``known``.  A key in ``_current`` is answered
-    without re-reading, and callers skip the keys in ``known`` (see
-    `pending`); any other key, and any key on a state the table did not
-    follow, is validated by its reads.  ``ci`` is the guard's verdict on
-    the followed state, as the step that made it found it (see
-    `process.h_step`), or None; ``order`` keeps the planner's visiting
-    order (see `process.compute_plan`).
+    leave ``_current`` and ``known``, and it keeps them in ``stale`` and
+    the change in ``step`` (both None after a map the table did not
+    follow).  The correctness and refutation keys of the entries steps
+    removed leave the table once it holds about three times its live keys
+    (see `_forget`), so its size stays within a constant of theirs.  A key
+    in ``_current`` is answered without re-reading, and callers skip the
+    keys in ``known`` (see `pending`); any other key, and any key on a
+    state the table did not follow, is validated by its reads.  ``ci`` is
+    the guard's verdict on the followed state, as the step that made it
+    found it (see `process.h_step`), or None.
+
+    The formulas' keys are their indices.  ``order`` maps each to its place
+    (rank bound, index) in the planner's visiting order, in that order (see
+    `arrange`), and ``_pending`` lists the places of the keys not in
+    ``known``, in order: a key a walk finds known leaves the list as the
+    walk passes it (see `pending_formulas`), and `advance` puts back the
+    keys it makes stale.
     """
 
-    __slots__ = ("_memo", "_readers", "_state", "_current", "known", "ci", "order")
+    __slots__ = (
+        "_memo", "_readers", "_state", "_current", "known", "ci", "stale", "step",
+        "order", "_pending",
+    )
 
     def __init__(self) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
@@ -380,7 +415,10 @@ class Verdicts:
         self._current: set = set()
         self.known: set = set()
         self.ci: bool | None = None
-        self.order: list | None = None
+        self.stale: set | None = None
+        self.step: Change | None = None
+        self.order: dict | None = None
+        self._pending: list | None = None
 
     def follow(self, sub: Substitution) -> set:
         """Follow sub's map, and return the keys known to hold on it; a map
@@ -389,8 +427,31 @@ class Verdicts:
             self._state = sub._entries
             self._current.clear()
             self.known.clear()
-            self.ci = None
+            self.ci = self.stale = self.step = self._pending = None
         return self.known
+
+    def arrange(self, order: list) -> None:
+        """Take the formulas' visiting order, a sorted list of (rank bound,
+        index) with one entry per formula."""
+        self.order = {key[1]: key for key in order}
+        self._pending = None
+
+    def pending_formulas(self) -> Iterator[tuple]:
+        """The places of the formulas not known to hold, in order; one
+        found known, before it is yielded or after, leaves the list.  The
+        list is derived from ``known`` on first need."""
+        known = self.known
+        if self._pending is None:
+            self._pending = [key for i, key in self.order.items() if i not in known]
+        pending, j = self._pending, 0
+        while j < len(pending):
+            key = pending[j]
+            if key[1] not in known:
+                yield key
+                if key[1] not in known:
+                    j += 1
+                    continue
+            del pending[j]
 
     def advance(self, before: Substitution, after: Substitution, delta: Change) -> None:
         """Follow the step from before to after, whose change is delta."""
@@ -399,14 +460,61 @@ class Verdicts:
             return
         stale: set = set()
         readers = self._readers
-        for e in delta.exprs:
-            keys = readers.get(e)
+        for r in delta.rows + delta.gone:
+            keys = readers.get(r[2])
             if keys:
                 stale |= keys
+        back = self.known & stale
         self._current -= stale
         self.known -= stale
+        pending = self._pending
+        if back and pending is not None:
+            slot = self.order.get
+            for key in back:  # into a sorted list: the set's order is lost
+                key = slot(key)
+                if key is not None:
+                    i = bisect_left(pending, key)
+                    if i == len(pending) or pending[i] != key:
+                        pending.insert(i, key)
+        if delta.gone:
+            self._forget(after._entries)
         self._state = after._entries
         self.ci = None
+        self.stale, self.step = stale, delta
+
+    def _forget(self, entries: dict) -> None:
+        """Once the table holds more than three times a key per formula and
+        two per pair of entries, the map it now follows, and a constant,
+        drop the correctness and refutation keys of the pairs not in it.
+        Not at once: a rollback restores the pairs a member displaced, whose
+        verdicts mostly still hold.  A drop follows a growth of the table by
+        twice its live keys, and costs about as much."""
+        memo = self._memo
+        if len(memo) <= 3 * (len(self.order or ()) + 2 * len(entries)) + 64:
+            return
+        readers, get = self._readers, entries.get
+        for key in [k for k in memo if k.__class__ is tuple and get(k[1]) != k[-1]]:
+            for d in memo.pop(key)[1]:
+                keys = readers[d]
+                keys.discard(key)
+                if not keys:
+                    del readers[d]
+            self._current.discard(key)
+            self.known.discard(key)
+
+    def touched(self, sub: Substitution) -> Iterable[tuple[Canon, Value]]:
+        """The pairs of sub, the map the table follows, whose correctness the
+        step it followed there may have changed: those the step added or
+        revalued, and those with a correctness or refutation key it made
+        stale; every pair of sub after a map the table did not follow."""
+        if self.stale is None:
+            return sub.items()
+        pairs = dict.fromkeys(map(_PAIR, self.step.rows))
+        get = sub._entries.get
+        for key in self.stale:
+            if key.__class__ is tuple and get(key[1]) == key[2]:
+                pairs[key[1], key[2]] = None
+        return pairs
 
     def truth(
         self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
@@ -975,6 +1083,7 @@ def is_correct(
     sub: Substitution,
     ctx: InductiveContext | None = None,
     verdicts: Verdicts | None = None,
+    pairs: Iterable[tuple[Canon, Value]] | None = None,
 ) -> bool:
     """Every entry satisfies its correctness formula in the standard extension.
 
@@ -982,10 +1091,12 @@ def is_correct(
     the entries known to hold are skipped, as are those whose ("refutes", e,
     u) the table knows to hold: a condition decided true on the stored map
     read only stored entries, which the standard extension reads alike.
+    With pairs, only those pairs of sub are visited: the caller vouches for
+    the rest (see `Verdicts.touched`).
     """
     ext = sub.extended()
     held = () if verdicts is None else verdicts.follow(sub)
-    keys = [("correct", e, u) for e, u in sub.items()]
+    keys = [("correct", e, u) for e, u in (sub.items() if pairs is None else pairs)]
     return all(
         truth_with(verdicts, k, ext, lambda v: correctness(k[1], k[2], v, ctx))
         is True
@@ -994,15 +1105,27 @@ def is_correct(
     )
 
 
-def member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
-    """Some member n in I has its rank-Omega witness term c_n valued."""
+def member_conflict(
+    sub: Substitution, ctx: InductiveContext | None, rows: list | None = None
+) -> bool:
+    """Some member n in I has its rank-Omega witness term c_n valued; with
+    rows, rows of sub, only a conflict that involves one of them is looked
+    for.  A change to a map without a conflict makes one only among the
+    rows it adds or revalues."""
     if ctx is None:
         return False
-    members = set(sub.positive_omega_forms())
-    return bool(members) and any(
-        isinstance(e, CanonTerm) and u.kind == "num" and ctx.member_of(e) in members
-        for e, u in sub.items()
-    )
+    get = sub._entries.get
+    for _, _, e, u in sub._rows if rows is None else rows:
+        if e.__class__ is CanonForm:
+            w = u.kind == "top" and get(ctx.c_n(e.n))
+            if w and w.kind == "num":
+                return True
+        elif u.kind == "num":
+            n = ctx.member_of(e)
+            w = n is not None and get(CanonForm(n))
+            if w and w.kind == "top":
+                return True
+    return False
 
 
 def refutes(

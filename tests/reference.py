@@ -21,7 +21,9 @@ condition written out as a formula (`correctness_formula`), `models`, and
 the views of maps and recordings that only the tests ask for (`domain`,
 `sorted_items`, `rank_filter`, `positive_omega`, `consulted`, `leaked`);
 last the small builders and readers of canonical expressions that only
-the tests use.
+the tests use, and the step's change and snapshot records computed from
+the two whole states (`change`, `v_changes`), and the member-witness
+conflict search over every entry (`reference_member_conflict`).
 """
 
 from __future__ import annotations
@@ -83,9 +85,11 @@ from epsengine.process import (
 )
 from epsengine.substitution import (
     TOP_VAL,
+    Change,
     Substitution,
     SubstitutionError,
     entry_is_positive,
+    serialize,
     truth,
 )
 
@@ -607,6 +611,47 @@ def positive_omega(sub: Substitution) -> Substitution:
     """The rank-Omega entries of positive polarity."""
     layer = sub.split_omega()[1]
     return sub.derive([r for r in layer if entry_is_positive(r[2], r[3])])
+
+
+def change(before: Substitution, after: Substitution) -> Change:
+    """The change from before to after, from the set differences of the two
+    whole maps' row texts: what a step builds from its plan (`put_change`,
+    `layer_change`) must equal it."""
+    b_rows, a_rows = before._rows, after._rows
+    b_texts = {text for _, text, _, _ in b_rows}
+    a_texts = {text for _, text, _, _ in a_rows}
+    added, removed = a_texts - b_texts, b_texts - a_texts
+    rows = [r for r in a_rows if r[1] in added]
+    gone = [r for r in b_rows if r[1] in removed]
+    return Change(
+        tuple(sorted(added)),
+        tuple(sorted(removed)),
+        rows,
+        gone,
+        any(r[0][0] == OMEGA.kind for r in rows + gone),
+    )
+
+
+def reference_member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
+    """`member_conflict` as it was: the set of members, then every entry."""
+    if ctx is None:
+        return False
+    members = set(sub.positive_omega_forms())
+    return bool(members) and any(
+        isinstance(e, CanonTerm) and u.kind == "num" and ctx.member_of(e) in members
+        for e, u in sub.items()
+    )
+
+
+def v_changes(before, after) -> tuple[dict[int, str], tuple[int, ...]]:
+    """A step record's `v_added` and `v_removed`, from every snapshot of the
+    two histories."""
+    added = {
+        m: serialize(snap)
+        for m, snap in after.v.items()
+        if m not in before.v or serialize(before.v[m]) != serialize(snap)
+    }
+    return added, tuple(sorted(m for m in before.v if m not in after.v))
 
 
 def consulted(rec) -> set[Canon]:

@@ -7,12 +7,14 @@ stored text; a `Verdicts` table reuses a verdict while its reads are
 unchanged; `truth` runs a compiled closure where the reference reduces
 and then evaluates; a compiled template evaluated at a hole stands in for
 its instance, and the `correctness` loop for the conjunction of
-`correctness_formula`; a step's change set comes from set differences of
-entry texts, `serialize` joins rows kept in order, a table that follows
-the run trusts the keys no change touched and skips the keys it knows to
-hold, and the goal report evaluates the template at the witness.  Each
-is compared with the full computation on every state reached by the
-sample problems, the acceptance corpus and the tiny benchmark families.
+`correctness_formula`; a step builds its change from its plan,
+`serialize` joins rows kept in order, a table that follows the run
+trusts the keys no change touched, skips the keys it knows to hold and
+walks only the formulas not known to hold, the guard and `--check` visit
+only what the step changed, and the goal report evaluates and prints the
+template at the witness.  Each is compared with the full computation on
+every state reached by the sample problems, the acceptance corpus and
+the tiny benchmark families, and on mutations of those states.
 """
 
 import gc
@@ -24,7 +26,7 @@ import pytest
 
 from conftest import bench_imports
 from corpusgen import build_corpus
-from epsengine.history import HistoricalSubstitution
+from epsengine.history import HistoricalSubstitution, validate
 from epsengine.language import (
     OMEGA,
     At,
@@ -74,11 +76,11 @@ from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     Verdicts,
-    change,
     compiled,
     correctness,
     is_ci,
     is_correct,
+    member_conflict,
     num_val,
     refutes,
     serialize,
@@ -94,6 +96,7 @@ from genexpr import (
     random_term,
 )
 from reference import (
+    change,
     correctness_formula,
     domain,
     expand,
@@ -101,12 +104,14 @@ from reference import (
     omega_sym,
     rank_filter,
     reduce_term,
+    reference_member_conflict,
     reference_serialize,
     reference_truth,
     reference_witness_line,
     sorted_items,
     to_formula,
     to_term,
+    v_changes,
 )
 from test_acceptance import indep_formula
 
@@ -844,7 +849,7 @@ def test_change_set_is_the_symmetric_difference_of_the_maps(runs):
     for name, p, before, after in _step_pairs(runs):
         delta = change(before, after)
         exprs, diff = _brute_change(before, after)
-        assert set(delta.exprs) == exprs, name
+        assert {r[2] for r in delta.rows + delta.gone} == exprs, name
         assert (delta.added, delta.removed) == diff, name
         assert [(r[2], r[3]) for r in delta.rows] == [
             (e, u) for e, u in sorted_items(after) if before.raw(e) != u
@@ -1060,3 +1065,292 @@ def test_witness_line_matches_the_instance_tree_report(runs):
                 assert line == reference_witness_line(hs.sub, spec.goal), name
                 lines.add(line.split(":")[1].split()[0])
     assert lines == {"witness", "not"}
+
+
+# ---------------------------------------------------------------------------
+# Steps and checks in proportion to the change: each fast result against
+# its full version, on every step of every run and on mutated states
+
+
+def _followed_steps(runs):
+    """(name, p, before, after, verdicts) for every step of every run,
+    taken by `h_step` with one followed table per run, each state checked
+    as `run(check=True)` checks it; the table is the one the step left."""
+    for name, p, states in runs:
+        verdicts, hs = Verdicts(), states[0]
+        is_solving(hs.sub, p.crits, verdicts)
+        for k, want in enumerate(states[1:]):
+            after, _ = h_step(hs, p.crits, p.ctx, k, verdicts)
+            assert after == want, (name, k)
+            yield name, p, hs, after, verdicts
+            assert process._check(hs, after, p.ctx, verdicts, hs) == [], (name, k)
+            hs = after
+
+
+def _consistent_mutations(runs):
+    """(name, p, kind, state) for each one-entry mutation of a reached
+    state that is correct and not solving, with its membership history when
+    the mutation keeps the members."""
+    for name, p, states in runs:
+        for hs in states[1:]:
+            top = max(hs.sub.rank_of(e) for e in domain(hs.sub))
+            more = [  # a top-rank term: nothing of lower rank reads it
+                ("drop-top", e, hs.sub.without(e))
+                for e in domain(hs.sub)
+                if isinstance(e, CanonTerm) and hs.sub.rank_of(e) == top
+            ]
+            plan = compute_plan(hs, p.crits, p.ctx)
+            if plan is not None and plan.case in (CASE_LOW, CASE_HIGH):
+                # the step's expression stored as ?: the step revalues it
+                more.append(("unknown-at-plan", plan.e, hs.sub.with_entry(plan.e, UNKNOWN)))
+            for kind, _, mutated in [*_mutations(hs.sub, p.ctx), *more]:
+                if (
+                    is_ci(mutated, p.ctx)
+                    or not is_correct(mutated, p.ctx)
+                    or is_solving(mutated, p.crits)
+                ):
+                    continue
+                if mutated.positive_omega_forms() == hs.sub.positive_omega_forms():
+                    yield name, p, kind, HistoricalSubstitution._make((mutated, hs.p, hs.v))
+                elif not hs.p:
+                    yield name, p, kind, HistoricalSubstitution(mutated)
+
+
+def _assert_same_change(delta, want, where):
+    assert delta == want, where
+    assert delta.rows == want.rows and delta.gone == want.gone, where
+
+
+def test_step_built_change_matches_the_whole_map_change(runs):
+    """The change `h_step` builds from its plan, which the table and the
+    record are told, against the set differences of the two whole maps;
+    also for steps taken from mutated states."""
+    cases = set()
+    for name, p, before, after, verdicts in _followed_steps(runs):
+        want = change(before.sub, after.sub)
+        _assert_same_change(verdicts.step, want, name)
+        cases.add((bool(want.rows), bool(want.gone), want.omega))
+    assert cases >= {(True, False, False), (True, True, True), (True, False, True)}
+    stepped = set()
+    for name, p, kind, hs in _consistent_mutations(runs):
+        verdicts = Verdicts()
+        after, record = h_step(hs, p.crits, p.ctx, 0, verdicts)
+        want = change(hs.sub, after.sub)
+        _assert_same_change(verdicts.step, want, (name, kind))
+        assert (record.added, record.removed) == (want.added, want.removed)
+        stepped.add((kind, record.case))
+    kinds = {kind for kind, _ in stepped}
+    assert {"drop-top", "unknown-at-plan"} <= kinds
+    assert {CASE_LOW, CASE_HIGH, CASE_OMEGA_POS} <= {case for _, case in stepped}
+
+
+def test_step_records_the_snapshots_of_the_members_it_changed(runs):
+    for name, p, states in runs:
+        hs, verdicts = states[0], Verdicts()
+        for k, want in enumerate(states[1:]):
+            after, record = h_step(hs, p.crits, p.ctx, k, verdicts)
+            assert (record.v_added, record.v_removed) == v_changes(hs, after), name
+            hs = after
+
+
+def _full_pending(verdicts):
+    order = sorted(verdicts.order.values())
+    return [key for key in order if key[1] not in verdicts.known]
+
+
+def test_pending_list_is_the_order_less_what_is_known(runs):
+    """After every step, and after a table that knew everything on a state
+    is advanced by a mutation's change: the kept list, read without
+    pruning, is sorted, holds no key twice and misses no key not known, and
+    a walk yields exactly the full walk's keys."""
+    walked = 0
+    for name, p, before, after, verdicts in _followed_steps(runs):
+        kept = verdicts._pending
+        assert kept == sorted(set(kept)) and set(kept) >= set(_full_pending(verdicts))
+        want = _full_pending(verdicts)
+        assert list(verdicts.pending_formulas()) == want, name
+        assert verdicts._pending == want, name
+        walked += len(want)
+    assert walked > 100
+    put_back = 0
+    for name, p, states in runs:
+        for hs in states[1:]:
+            for kind, _, mutated in _mutations(hs.sub, p.ctx):
+                verdicts = Verdicts()
+                is_solving(hs.sub, p.crits, verdicts)
+                for i in range(len(p.crits)):  # every formula, true or not
+                    verdicts.truth(i, hs.sub.extended(), _evaluator(lambda i=i: p.crits[i].formula))
+                known = set(verdicts.known)
+                verdicts.advance(hs.sub, mutated, change(hs.sub, mutated))
+                put_back += len(known - verdicts.known)
+                want = _full_pending(verdicts)
+                assert list(verdicts.pending_formulas()) == want, (name, kind)
+                assert is_solving(mutated, p.crits, verdicts) == is_solving(mutated, p.crits)
+    assert put_back > 0
+
+
+def test_conflict_among_the_changed_rows_matches_the_full_search(runs):
+    """On a map made by a change from one without a conflict, the conflicts
+    among the rows the change added are all there are."""
+    seen = set()
+    for name, p, before, after, verdicts in _followed_steps(runs):
+        got = member_conflict(after.sub, p.ctx, verdicts.step.rows)
+        assert got == reference_member_conflict(after.sub, p.ctx) is False, name
+        assert member_conflict(after.sub, p.ctx) is False, name
+    for name, p, states in runs:
+        for hs in states[1:]:
+            for kind, _, mutated in _mutations(hs.sub, p.ctx):
+                rows = change(hs.sub, mutated).rows
+                want = reference_member_conflict(mutated, p.ctx)
+                assert member_conflict(mutated, p.ctx, rows) == want, (name, kind)
+                assert member_conflict(mutated, p.ctx) == want, (name, kind)
+                seen.add((kind, want))
+    assert ("member-witness", True) in seen and ("add-member", False) in seen
+
+
+def test_check_over_the_touched_pairs_matches_the_full_check(runs):
+    """`is_correct` over the pairs a step touched, on a table that checked
+    the state the step left, against the table-free check of every entry;
+    also after a mutation, some of which make the state incorrect."""
+    touched = 0
+    for name, p, before, after, verdicts in _followed_steps(runs):
+        pairs = list(verdicts.touched(after.sub))
+        assert is_correct(after.sub, p.ctx, verdicts, pairs) is True, name
+        assert is_correct(after.sub, p.ctx), name
+        touched += len(pairs)
+    assert touched > 100
+    incorrect = 0
+    for name, p, states in runs:
+        for hs in states[1:]:
+            for kind, _, mutated in _mutations(hs.sub, p.ctx):
+                verdicts = Verdicts()
+                assert is_correct(hs.sub, p.ctx, verdicts), name
+                verdicts.advance(hs.sub, mutated, change(hs.sub, mutated))
+                want = is_correct(mutated, p.ctx)
+                got = is_correct(mutated, p.ctx, verdicts, verdicts.touched(mutated))
+                assert got == want, (name, kind)
+                incorrect += not want
+    assert incorrect > 0
+
+
+def test_validate_short_path_matches_the_full_validate(runs):
+    """A step that touched no rank-Omega entry and kept P and V leaves a
+    valid history valid; a broken history that looks like such a step in
+    its map is still sent to the full `validate`."""
+    short = 0
+    for name, p, before, after, verdicts in _followed_steps(runs):
+        kept = not verdicts.step.omega and (after.p, after.v) == (before.p, before.v)
+        short += kept
+        assert validate(after, p.ctx) == [], name
+        broken = HistoricalSubstitution._make((after.sub, after.p + (7,), after.v))
+        issues = process._check(before, broken, p.ctx, verdicts, before)
+        assert issues == validate(broken, p.ctx) != [], name
+    assert short > 100
+
+
+def _chain(n):
+    return parse_problem(
+        "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in range(1, n + 1))
+    )
+
+
+def test_a_step_visits_what_it_changed(monkeypatch):
+    """Counted, not timed, on chains of n = 50 and 400 eps axioms: the
+    formulas the planner and the satisfaction test walk, the rows of the
+    step's change and the pairs the check visits do not grow with n."""
+    walked = []
+    real_walk = Verdicts.pending_formulas
+
+    def counted(self):
+        for key in real_walk(self):
+            walked.append(key)
+            yield key
+
+    monkeypatch.setattr(Verdicts, "pending_formulas", counted)
+    per_step = {}
+    for n in (50, 400):
+        p, hs, verdicts = _chain(n), HistoricalSubstitution.initial(), Verdicts()
+        is_solving(hs.sub, p.crits, verdicts)
+        counts = set()
+        for k in range(n):
+            walked.clear()
+            after, _ = h_step(hs, p.crits, None, k, verdicts)
+            step = verdicts.step
+            pairs = list(verdicts.touched(after.sub))
+            assert is_correct(after.sub, None, verdicts, pairs)
+            counts.add((len(walked), len(step.rows) + len(step.gone), len(pairs)))
+            hs = after
+        assert len(after.sub) == n and verdicts.known >= set(range(n))
+        per_step[n] = max(counts)
+    # two formulas walked by the planner and two by the satisfaction test;
+    # one row put and one pair checked
+    assert per_step[50] == per_step[400] == (4, 1, 1)
+
+
+def test_the_table_forgets_the_keys_of_removed_entries():
+    """On a ladder with rollbacks, checked as a run checks it, the table
+    holds at most four times a key per formula and two per live entry, and
+    a constant: a drop leaves three times, and the new state adds its own."""
+    with bench_imports():
+        import workloads
+
+        (ladder,) = workloads.omega_ladder(random.Random(1), (12,))
+    problem = parse_problem(ladder.text)
+    crs, ctx = problem.crits, problem.ctx
+    hs, verdicts = HistoricalSubstitution.initial(ctx.omega_sym), Verdicts()
+    solving, rollbacks, k = is_solving(hs.sub, crs, verdicts), 0, 0
+    while not solving:
+        after, record = h_step(hs, crs, ctx, k, verdicts)
+        assert process._check(hs, after, ctx, verdicts, hs) == []
+        rollbacks += len(after.p) < len(hs.p)
+        live = len(crs) + 2 * len(after.sub)
+        assert len(verdicts._memo) <= 4 * live + 64, k
+        readers = {key for keys in verdicts._readers.values() for key in keys}
+        assert readers <= set(verdicts._memo), k
+        hs, solving, k = after, record.solving, k + 1
+    assert rollbacks > 10
+
+
+def test_the_table_drops_the_keys_of_many_removed_entries():
+    """A map that swaps one entry for another 1000 times beside one that
+    stays: the table keeps no more than a constant of keys for its two live
+    entries, drops the keys of the pairs gone, readers and all, and keeps
+    those of the entry that stays."""
+    (cf,) = _chain(1).crits
+    stays = (CanonTerm(cf.sym, (5000,)), num_val(5000))
+    hs = HistoricalSubstitution(Substitution(dict([stays])))
+    verdicts, sizes = Verdicts(), []
+    assert not refutes(hs.sub, *stays, None, verdicts)
+    for k in range(1, 1001):
+        e = CanonTerm(cf.sym, (k,))
+        after = Substitution(dict([stays, (e, num_val(k))]))
+        verdicts.advance(hs.sub, after, change(hs.sub, after))
+        assert ("refutes", *stays) in verdicts.known, k
+        assert not refutes(after, e, num_val(k), None, verdicts)
+        assert is_correct(after, None, verdicts, verdicts.touched(after))
+        sizes.append(len(verdicts._memo))
+        readers = {key for keys in verdicts._readers.values() for key in keys}
+        assert readers <= set(verdicts._memo), k
+        hs = HistoricalSubstitution(after)
+    assert max(sizes) <= 4 * 4 + 64
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 10
+
+
+def test_witness_printer_matches_the_instance_tree_on_random_templates():
+    from epsengine.cli import _at_hole
+
+    rng = random.Random(21)
+    folded = 0
+    for _ in range(3000):
+        nvars = rng.randint(1, 2)
+        if rng.random() < 0.5:
+            template = random_formula(rng, FIN_SYMS, 4, allow_inset=True, nvars=nvars)
+        else:
+            template = random_term(rng, FIN_SYMS, 4, nvars=nvars)
+        n = rng.randint(0, 12)
+        instance = substitute(template, {0: num(n)})
+        text, value = _at_hole(template, n)
+        assert text == to_sexpr(instance), to_sexpr(template)
+        assert value == (instance.value if isinstance(instance, Numeral) else None)
+        folded += value is not None and not isinstance(template, Numeral)
+    assert folded > 100
