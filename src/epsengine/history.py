@@ -29,6 +29,9 @@ class _History(NamedTuple):
     v: Mapping[int, Substitution]
 
 
+EMPTY_V = MappingProxyType({})  # the V of every history without members
+
+
 class HistoricalSubstitution(_History):
     """A substitution together with its membership history (P, V).
 
@@ -36,17 +39,19 @@ class HistoricalSubstitution(_History):
     maps each of them to the negative rank-Omega entries removed when it was
     added, as a read-only copy of the mapping it is built from.  A step
     builds its result with ``_make((sub, p, v))``, which takes v as it is: a
-    read-only V that no one changes, its own or the one it steps from.
+    read-only V that no one changes, its own, the one it steps from or, for
+    a history without members, the shared ``EMPTY_V``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, sub, p=(), v=MappingProxyType({})):
+    def __new__(cls, sub, p=(), v=EMPTY_V):
         return tuple.__new__(cls, (sub, p, MappingProxyType(dict(v))))
 
     @staticmethod
     def initial(omega_sym=None) -> "HistoricalSubstitution":
-        return HistoricalSubstitution(Substitution.empty(omega_sym))
+        sub = Substitution.empty(omega_sym)
+        return HistoricalSubstitution._make((sub, (), EMPTY_V))
 
 
 def is_admissible(

@@ -85,29 +85,47 @@ _TOKEN = re.compile(r"[();]|[^ \t\r();]+")
 _PLAIN_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
 
 
-class _Sym(str):
-    def __new__(cls, text: str, line: int, col: int):
-        obj = super().__new__(cls, text)
-        obj.line = line
-        obj.col = col
+class _Placed:
+    """An atom that knows its line and column."""
+
+    def __new__(cls, value, line: int, col: int):
+        obj = super().__new__(cls, value)
+        obj.line, obj.col = line, col
         return obj
 
 
+class _Sym(_Placed, str):
+    pass
+
+
+class _Num(_Placed, int):
+    pass
+
+
+class _List(list):
+    """A list that knows the line and column of its opening parenthesis."""
+
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line, self.col = line, col
+
+
 def read_forms(text: str) -> list:
-    """The forms of text: nested lists of numerals and positioned symbols."""
+    """The forms of text: nested lists, numerals and symbols, each of them
+    knowing its line and column (a list, those of its '(')."""
     forms: list = []
     items = forms  # the innermost open list
-    outer: list = []  # the lists enclosing it, each with its '(' position
+    outer: list = []  # the lists enclosing it
     for line, row in enumerate(text.split("\n"), 1):
         for m in _TOKEN.finditer(row):
             tok = m[0]
             if tok == "(":
-                outer.append((items, line, m.start() + 1))
-                items = []
+                outer.append(items)
+                items = _List(line, m.start() + 1)
             elif tok == ")":
                 if not outer:
                     raise ParseError("unexpected ')'", (line, m.start() + 1))
-                done, items = items, outer.pop()[0]
+                done, items = items, outer.pop()
                 items.append(done)
             elif tok == ";":
                 break
@@ -118,11 +136,11 @@ def read_forms(text: str) -> list:
                     raise ParseError("malformed numeral", (line, m.start() + 1)) from None
                 if value < 0:
                     raise ParseError("negative numeral", (line, m.start() + 1))
-                items.append(value)
+                items.append(_Num(value, line, m.start() + 1))
             else:
                 items.append(_Sym(tok, line, m.start() + 1))
     if outer:
-        raise ParseError("unclosed parenthesis", outer[-1][1:])
+        raise ParseError("unclosed parenthesis", (items.line, items.col))
     return forms
 
 
@@ -161,14 +179,30 @@ def _read_plain(text: str) -> list:
 
 
 def _pos(sx) -> tuple[int, int] | None:
-    if isinstance(sx, _Sym):
-        return (sx.line, sx.col)
+    """Where sx starts, for forms `read_forms` read: the line and column of
+    the first symbol, numeral or empty list in sx, in text order (a list's
+    are those of its '('); None for forms `_read_plain` read."""
     if isinstance(sx, list):
         for item in sx:
             p = _pos(item)
             if p:
                 return p
+    if isinstance(sx, (_Sym, _Num, _List)):
+        return (sx.line, sx.col)
     return None
+
+
+def _shown(sx) -> str:
+    """sx in a message: a symbol quoted, a numeral or list as text writes it."""
+    if isinstance(sx, str):
+        return repr(str(sx))
+    return _text(sx)
+
+
+def _text(sx) -> str:
+    if isinstance(sx, list):
+        return "(" + " ".join(map(_text, sx)) + ")"
+    return str(sx)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +233,7 @@ class _Parser:
             for a in sx[1:]:
                 args.append(self.term(a, env))
             return fn(str(sx[0]), *args)
-        raise ParseError(f"expected a term, got {sx!r}", _pos(sx))
+        raise ParseError(f"expected a term, got {_shown(sx)}", _pos(sx))
 
     def formula(self, sx, env: dict[str, int]) -> Expr:
         if sx == "true":
@@ -207,7 +241,7 @@ class _Parser:
         if sx == "false":
             return BOTTOM
         if not isinstance(sx, list) or not sx:
-            raise ParseError(f"expected a formula, got {sx!r}", _pos(sx))
+            raise ParseError(f"expected a formula, got {_shown(sx)}", _pos(sx))
         head = sx[0]
         if head in ("=", "<"):
             if len(sx) != 3:
@@ -252,7 +286,7 @@ class _Parser:
             k = self.fresh()
             inner = {name: k if i == 0 else i for name, i in env.items()}
             return substitute(expand(self.binder_matrix(sx, inner)), {k: Var(0)})
-        raise ParseError(f"expected a formula, got {sx!r}", _pos(sx))
+        raise ParseError(f"expected a formula, got {_shown(sx)}", _pos(sx))
 
     def binder_matrix(self, sx, env: dict[str, int]) -> Expr:
         """Parse (Q (x) BODY) with the bound variable as the hole Var(0).
@@ -263,7 +297,7 @@ class _Parser:
             raise ParseError("binders are ((Q (x) BODY))", _pos(sx))
         name = sx[1][0]
         if not isinstance(name, str) or name in RESERVED:
-            raise ParseError(f"bad variable name {name!r}", _pos(sx))
+            raise ParseError(f"bad variable name {_shown(name)}", _pos(sx))
         return self.formula(sx[2], {**env, str(name): 0})
 
 
@@ -309,7 +343,7 @@ def _build_problem(forms: list) -> Problem:
 
     for form in forms:
         if not isinstance(form, list) or not form:
-            raise ParseError(f"unexpected top-level form {form!r}", _pos(form))
+            raise ParseError(f"unexpected top-level form {_shown(form)}", _pos(form))
         head = form[0]
         if head == "clause":
             if ctx is not None:
@@ -352,7 +386,7 @@ def _build_problem(forms: list) -> Problem:
         elif head == "goal":
             goal_forms.append(form)
         else:
-            raise ParseError(f"unknown form {head!r}", _pos(form))
+            raise ParseError(f"unknown form {_shown(head)}", _pos(form))
 
     crits: list[CriticalFormula] = []
     for form in crit_forms:

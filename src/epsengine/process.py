@@ -11,7 +11,7 @@ member entered.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .language import (
     At,
@@ -41,7 +41,7 @@ from .language import (
     succ,
     to_sexpr,
 )
-from .history import HistoricalSubstitution, validate
+from .history import EMPTY_V, HistoricalSubstitution, validate
 from .substitution import (
     Change,
     Substitution,
@@ -60,8 +60,6 @@ from .substitution import (
     put_change,
     refutes,
     serialize,
-    truth,
-    truth_with,
 )
 
 
@@ -270,17 +268,14 @@ def analyze(
     cf: CriticalFormula,
     hs: HistoricalSubstitution,
     ctx: InductiveContext | None,
-    ext=None,
-    holds: bool | None = None,
+    ext,
+    holds: bool,
 ) -> tuple[Canon, Value] | None:
     """Repair pair for an unsatisfied critical formula, None when satisfied.
 
-    holds is the caller's satisfaction verdict for cf, when it has one.
+    ext is the view of hs's map that the analysis reads, and holds the
+    caller's satisfaction verdict for cf on it.
     """
-    if ext is None:
-        ext = hs.sub.extended()
-    if holds is None:
-        holds = truth(cf.formula, ext) is True
     if holds:
         return None
 
@@ -341,17 +336,16 @@ def analyze(
 
 
 def is_solving(
-    sub: Substitution,
-    crs: Sequence[CriticalFormula],
-    verdicts: Verdicts | None = None,
+    sub: Substitution, crs: Sequence[CriticalFormula], verdicts: Verdicts
 ) -> bool:
-    """Every critical formula holds; with a table, keyed by its index, and
-    only the formulas not known to hold are visited."""
+    """Every critical formula holds: each verdict is kept in the table,
+    keyed by the formula's index, and only the formulas not known to hold
+    are visited."""
     ext = sub.extended()
+    verdicts.follow(ext)
     return all(
-        truth_with(verdicts, i, ext, lambda v: compiled(crs[i].formula)((), v))
-        is True
-        for _, i in _formulas(crs, ext, sub.omega_sym, verdicts)
+        verdicts.truth(i, ext, lambda v: compiled(crs[i].formula)((), v)) is True
+        for _, i in verdicts.pending_formulas()
     )
 
 
@@ -368,56 +362,31 @@ def repair_rank_bound(cf: CriticalFormula, omega: SkolemSymbol | None) -> Rank:
     return rank_of_symbol(cf.sym, omega)
 
 
-def _formulas(
-    crs: Sequence[CriticalFormula],
-    view,
-    omega: SkolemSymbol | None,
-    verdicts: Verdicts | None,
-) -> Iterable[tuple[Rank, int]]:
-    """(rank bound, index) of each formula to visit on view's map, in
-    order: every formula without a table, else those the table does not
-    know to hold.  A table keeps the order, which is fixed for its list of
-    formulas, so a run sorts its bounds once."""
-    if verdicts is not None:
-        verdicts.follow(view)
-        if verdicts.order is not None:
-            return verdicts.pending_formulas()
-    order = sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
-    if verdicts is None:
-        return order
-    verdicts.arrange(order)
-    return verdicts.pending_formulas()
-
-
 def compute_plan(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
-    ext=None,
-    verdicts: Verdicts | None = None,
+    verdicts: Verdicts,
 ) -> StepPlan | None:
     """The pending step: least-rank unsatisfied formula, ties by index.
 
-    Formulas are analyzed in the order of their rank bound, and the search
-    stops at the first whose bound cannot beat the best repair found, so
-    only formulas that can still win are tested and searched.  A table
-    answers the satisfaction tests under the keys `is_solving` uses, and
-    the walk passes over only the formulas it does not know to hold: one
-    that holds is never the plan.
+    Formulas are analyzed in the table's order of their rank bound, and the
+    search stops at the first whose bound cannot beat the best repair
+    found, so only formulas that can still win are tested and searched.
+    The table answers the satisfaction tests under the keys `is_solving`
+    uses, and the walk passes over only the formulas it does not know to
+    hold: one that holds is never the plan.
     """
-    if ext is None:
-        ext = hs.sub.extended()
+    ext = hs.sub.extended()
     omega = hs.sub.omega_sym
+    verdicts.follow(ext)
     best: tuple[Rank, int, Canon, Value] | None = None
-    for key in _formulas(crs, ext, omega, verdicts):
+    for key in verdicts.pending_formulas():
         if best is not None and key > best[:2]:
             break
         i = key[1]
         cf = crs[i]
-        holds = (
-            truth_with(verdicts, i, ext, lambda v: compiled(cf.formula)((), v))
-            is True
-        )
+        holds = verdicts.truth(i, ext, lambda v: compiled(cf.formula)((), v)) is True
         pair = analyze(cf, hs, ctx, ext, holds)
         if pair is None:
             continue
@@ -506,7 +475,7 @@ def apply_plan(
             )
         sub = kept.with_entry(plan.e, plan.v)
         if plan.case == CASE_LOW:
-            return HistoricalSubstitution(sub)
+            return HistoricalSubstitution._make((sub, (), EMPTY_V))
         return HistoricalSubstitution._make((sub, hs.p, hs.v))
     if plan.case == CASE_OMEGA_POS:
         assert isinstance(plan.e, CanonForm)
@@ -541,7 +510,7 @@ def _step_ci(
     after: Substitution,
     delta: Change,
     ctx: InductiveContext | None,
-    verdicts: Verdicts | None = None,
+    verdicts: Verdicts,
 ) -> bool:
     """Computational inconsistency of a step's result from a consistent input,
     given the step's change.
@@ -569,30 +538,30 @@ def h_step(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
     ctx: InductiveContext | None,
-    step_index: int = 0,
-    verdicts: Verdicts | None = None,
+    step_index: int,
+    verdicts: Verdicts,
 ) -> tuple[HistoricalSubstitution, HStep]:
     """One step of the process; refuses computationally inconsistent input.
 
     The step's change is built from the plan: a step off rank Omega puts
     one row and cuts the rows above its rank, one at rank Omega keeps every
-    row below it.  A table carried from step to step (one per list of
-    critical formulas) spares the evaluations whose reads the previous step
-    left unchanged: the step tells it the change, so it re-reads nothing
-    the step did not touch.  It also keeps the guard's verdict on the state
-    the step made, so the next step need not run the full guard.  The
-    members whose snapshot the step added or dropped are those past the
-    prefix the two membership orders share.
+    row below it.  The table, carried from step to step (one per list of
+    critical formulas), spares the evaluations whose reads the previous
+    step left unchanged: the step tells it the change, so it re-reads
+    nothing the step did not touch.  It also keeps the guard's verdict on
+    the state the step made, so the next step need not run the full guard;
+    on a state the table did not follow, the run's first among them, the
+    step runs the full guard (`is_ci`).  The members whose snapshot the
+    step added or dropped are those past the prefix the two membership
+    orders share.
     """
-    ci = None
-    if verdicts is not None:
-        verdicts.follow(hs.sub)
-        ci = verdicts.ci
+    verdicts.follow(hs.sub)
+    ci = verdicts.ci
     if is_ci(hs.sub, ctx) if ci is None else ci:
         raise ProcessInvariantError(
             "refusing to step a computationally inconsistent substitution"
         )
-    plan = compute_plan(hs, crs, ctx, verdicts=verdicts)
+    plan = compute_plan(hs, crs, ctx, verdicts)
     if plan is None:
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
@@ -601,9 +570,8 @@ def h_step(
         delta = layer_change(hs.sub, hs2.sub)
     else:
         delta = put_change(hs.sub, hs2.sub, (*plan.rank, e))
-    if verdicts is not None:
-        verdicts.advance(hs.sub, hs2.sub, delta)
-        verdicts.ci = _step_ci(hs2.sub, delta, ctx, verdicts)
+    verdicts.advance(hs.sub, hs2.sub, delta)
+    verdicts.ci = _step_ci(hs2.sub, delta, ctx, verdicts)
     v_added, v_removed = {}, ()
     if hs2.p != hs.p:
         shared = min(len(hs.p), len(hs2.p))
@@ -677,8 +645,9 @@ def run(
 
     Satisfaction is tested once per state: here for the initial state, and
     by the step that produced it (`HStep.solving`) for every later one.  One
-    table of verdicts serves the whole run, so a formula is evaluated again
-    only when an entry it read has changed.
+    table of verdicts serves the whole run, built with the formulas' order
+    of (rank bound, index), so a formula is evaluated again only when an
+    entry it read has changed.
 
     With check set, every produced state is verified against the invariants
     the process is supposed to preserve: correctness of each entry and
@@ -687,7 +656,9 @@ def run(
     omega = ctx.omega_sym if ctx is not None else None
     hs, before = HistoricalSubstitution.initial(omega), None
     steps: list[HStep] = []
-    verdicts = Verdicts()
+    verdicts = Verdicts(
+        sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
+    )
     valid = None  # the last state checked valid
     status, diagnostics = "solved", None
     try:  # the first evaluation compiles the formulas, and may overflow too
@@ -697,9 +668,7 @@ def run(
                 status = "step-limit"
                 diagnostics = f"no solution within {max_steps} steps"
                 break
-            after, record = h_step(
-                hs, crs, ctx, step_index=len(steps), verdicts=verdicts
-            )
+            after, record = h_step(hs, crs, ctx, len(steps), verdicts)
             before, hs = hs, after
             steps.append(record)
             if check:

@@ -14,7 +14,7 @@ import operator
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import compress, filterfalse
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -390,17 +390,20 @@ class Verdicts:
     removed leave the table once it holds about three times its live keys
     (see `_forget`), so its size stays within a constant of theirs.  A key
     in ``_current`` is answered without re-reading, and callers skip the
-    keys in ``known`` (see `pending`); any other key, and any key on a
+    keys in ``known`` (see `is_correct`); any other key, and any key on a
     state the table did not follow, is validated by its reads.  ``ci`` is
     the guard's verdict on the followed state, as the step that made it
     found it (see `process.h_step`), or None.
 
-    The formulas' keys are their indices.  ``order`` maps each to its place
-    (rank bound, index) in the planner's visiting order, in that order (see
-    `arrange`), and ``_pending`` lists the places of the keys not in
+    A table serves one list of critical formulas, whose keys are their
+    indices, and is built with their visiting order: ``order``, a sorted
+    iterable of (rank bound, index) with one place per formula, which
+    `process.run` makes once.  ``order`` maps each index to its place, in
+    that order, and ``_pending`` lists the places of the keys not in
     ``known``, in order: a key a walk finds known leaves the list as the
     walk passes it (see `pending_formulas`), and `advance` puts back the
-    keys it makes stale.
+    keys it makes stale.  There is no default order: a table without its
+    formulas would find every list of them solving.
     """
 
     __slots__ = (
@@ -408,7 +411,7 @@ class Verdicts:
         "order", "_pending",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, order: Iterable[tuple]) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
         self._readers: defaultdict[Canon, set] = defaultdict(set)
         self._state: dict | None = None
@@ -417,7 +420,7 @@ class Verdicts:
         self.ci: bool | None = None
         self.stale: set | None = None
         self.step: Change | None = None
-        self.order: dict | None = None
+        self.order = {key[1]: key for key in order}
         self._pending: list | None = None
 
     def follow(self, sub: Substitution) -> set:
@@ -429,12 +432,6 @@ class Verdicts:
             self.known.clear()
             self.ci = self.stale = self.step = self._pending = None
         return self.known
-
-    def arrange(self, order: list) -> None:
-        """Take the formulas' visiting order, a sorted list of (rank bound,
-        index) with one entry per formula."""
-        self.order = {key[1]: key for key in order}
-        self._pending = None
 
     def pending_formulas(self) -> Iterator[tuple]:
         """The places of the formulas not known to hold, in order; one
@@ -490,7 +487,7 @@ class Verdicts:
         verdicts mostly still hold.  A drop follows a growth of the table by
         twice its live keys, and costs about as much."""
         memo = self._memo
-        if len(memo) <= 3 * (len(self.order or ()) + 2 * len(entries)) + 64:
+        if len(memo) <= 3 * (len(self.order) + 2 * len(entries)) + 64:
             return
         readers, get = self._readers, entries.get
         for key in [k for k in memo if k.__class__ is tuple and get(k[1]) != k[-1]]:
@@ -543,26 +540,6 @@ class Verdicts:
         if verdict is True:
             self.known.add(key)
         return verdict
-
-
-def truth_with(
-    verdicts: Verdicts | None,
-    key: object,
-    view,
-    evaluate: Callable[[object], bool | None],
-) -> bool | None:
-    """evaluate(view), through the table when there is one."""
-    if verdicts is None:
-        return evaluate(view)
-    return verdicts.truth(key, view, evaluate)
-
-
-def pending(verdicts: Verdicts | None, view, keys: Iterable) -> Iterable:
-    """The keys not known to hold on view's map, lazily; all of them
-    without a table."""
-    if verdicts is None:
-        return keys
-    return filterfalse(verdicts.follow(view).__contains__, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,27 +1058,26 @@ def correctness(
 
 def is_correct(
     sub: Substitution,
-    ctx: InductiveContext | None = None,
-    verdicts: Verdicts | None = None,
+    ctx: InductiveContext | None,
+    verdicts: Verdicts,
     pairs: Iterable[tuple[Canon, Value]] | None = None,
 ) -> bool:
     """Every entry satisfies its correctness formula in the standard extension.
 
-    With a table, each entry's verdict is kept under ("correct", e, u), and
-    the entries known to hold are skipped, as are those whose ("refutes", e,
-    u) the table knows to hold: a condition decided true on the stored map
-    read only stored entries, which the standard extension reads alike.
+    Each entry's verdict is kept in the table under ("correct", e, u), and
+    the entries known to hold are skipped, as are those whose ("refutes",
+    e, u) the table knows to hold: a condition decided true on the stored
+    map read only stored entries, which the standard extension reads alike.
     With pairs, only those pairs of sub are visited: the caller vouches for
     the rest (see `Verdicts.touched`).
     """
     ext = sub.extended()
-    held = () if verdicts is None else verdicts.follow(sub)
+    held = verdicts.follow(sub)
     keys = [("correct", e, u) for e, u in (sub.items() if pairs is None else pairs)]
     return all(
-        truth_with(verdicts, k, ext, lambda v: correctness(k[1], k[2], v, ctx))
-        is True
-        for k in pending(verdicts, ext, keys)
-        if ("refutes", k[1], k[2]) not in held
+        verdicts.truth(k, ext, lambda v: correctness(k[1], k[2], v, ctx)) is True
+        for k in keys
+        if k not in held and ("refutes", k[1], k[2]) not in held
     )
 
 
@@ -1132,22 +1108,26 @@ def refutes(
     sub: Substitution,
     e: Canon,
     u: Value,
-    ctx: InductiveContext | None = None,
-    verdicts: Verdicts | None = None,
+    ctx: InductiveContext | None,
+    verdicts: Verdicts,
 ) -> bool:
     """Whether the stored entries of sub decide the pair (e, u) incorrect.
 
-    With a table, the verdict is kept under ("refutes", e, u), and a pair
+    The verdict is kept in the table under ("refutes", e, u), and a pair
     known to hold is not asked about.
     """
-    return any(
-        truth_with(verdicts, k, sub, lambda v: correctness(e, u, v, ctx)) is False
-        for k in pending(verdicts, sub, [("refutes", e, u)])
-    )
+    key = ("refutes", e, u)
+    return key not in verdicts.follow(sub) and verdicts.truth(
+        key, sub, lambda v: correctness(e, u, v, ctx)
+    ) is False
 
 
 def is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
-    """Computational inconsistency: a refuted entry or a witness conflict."""
+    """Computational inconsistency: a refuted entry or a witness conflict.
+
+    The full guard, for a map no table follows: every entry's condition is
+    evaluated on the stored map.
+    """
     return member_conflict(sub, ctx) or any(
-        refutes(sub, e, u, ctx) for e, u in sub.items()
+        correctness(e, u, sub, ctx) is False for e, u in sub.items()
     )

@@ -14,9 +14,16 @@ serialization that sorts every entry, the walks written out by hand for
 every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`),
 the reader that tokenizes first and then recurses, the parse that reads
 positioned tokens and renames each binder's variable into the hole after
-its body is built, the problem serializer (`serialize_problem`) that
-only the round-trip test calls, and the admissibility check that builds a
-map of the whole prefix for every member.  Then come the correctness
+its body is built, and the problem serializer (`serialize_problem`) that
+only the round-trip test calls.  Then the engine's paths without a verdict
+table, which the table's differential tests compare with: the planner that
+tests every formula afresh on a view it is given (`reference_compute_plan`,
+with `reference_analyze` and the visiting order `formula_order`), the
+solving test over every formula (`reference_is_solving`), and the
+correctness check and refutation of every entry (`reference_is_correct`,
+`reference_refutes`); `table_for` builds the fresh table a test hands the
+engine where it once passed none.  Then the admissibility check that
+builds a map of the whole prefix for every member, the correctness
 condition written out as a formula (`correctness_formula`), `models`, and
 the views of maps and recordings that only the tests ask for (`domain`,
 `sorted_items`, `rank_filter`, `positive_omega`, `consulted`, `leaked`);
@@ -72,8 +79,14 @@ from epsengine.language import (
     to_sexpr,
 )
 from epsengine import problems
-from epsengine.problems import RESERVED, ParseError, _Parser, _pos, _Sym, read_forms
+from epsengine.problems import (
+    RESERVED, ParseError, _List, _Num, _Parser, _pos, _shown, _Sym, read_forms,
+)
 from epsengine.process import (
+    CASE_HIGH,
+    CASE_LOW,
+    CASE_OMEGA_NEG,
+    CASE_OMEGA_POS,
     ClosureCF,
     EpsilonCF,
     Goal,
@@ -81,13 +94,18 @@ from epsengine.process import (
     InductiveDefCF,
     PredCF,
     ProcessInvariantError,
+    StepPlan,
     _reduce_numeral,
+    analyze,
+    repair_rank_bound,
 )
 from epsengine.substitution import (
     TOP_VAL,
     Change,
     Substitution,
     SubstitutionError,
+    Verdicts,
+    correctness,
     entry_is_positive,
     serialize,
     truth,
@@ -412,7 +430,7 @@ def _read(toks: list[_Tok], at: int):
         raise ParseError("unexpected end of input")
     tok = toks[at]
     if tok.text == "(":
-        items = []
+        items = _List(tok.line, tok.col)
         at += 1
         while True:
             if at >= len(toks):
@@ -431,7 +449,7 @@ def _read(toks: list[_Tok], at: int):
             raise ParseError("malformed numeral", (tok.line, tok.col)) from None
         if value < 0:
             raise ParseError("negative numeral", (tok.line, tok.col))
-        return value, at + 1
+        return _Num(value, tok.line, tok.col), at + 1
     return _Sym(text, tok.line, tok.col), at + 1
 
 
@@ -455,7 +473,7 @@ class _RenamingParser(_Parser):
             raise ParseError("binders are ((Q (x) BODY))", _pos(sx))
         name = sx[1][0]
         if not isinstance(name, str) or name in RESERVED:
-            raise ParseError(f"bad variable name {name!r}", _pos(sx))
+            raise ParseError(f"bad variable name {_shown(name)}", _pos(sx))
         k = self.fresh()
         body = self.formula(sx[2], {**env, str(name): k})
         return substitute(body, {k: Var(0)})
@@ -513,6 +531,76 @@ def serialize_problem(problem: problems.Problem, set_name: str = "X") -> str:
             cands = " (candidates " + " ".join(map(to_sexpr, spec.candidates)) + ")"
         lines.append(f"(goal {_emit_template(spec.goal.phi)}{cands})")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The engine's paths without a verdict table: every formula and every entry
+# evaluated afresh on each state, as the table's differential tests want
+
+def formula_order(crs, omega) -> list[tuple[Rank, int]]:
+    """The planner's visiting order: (rank bound, index) of each formula,
+    sorted, as `process.run` builds its table with it."""
+    return sorted((repair_rank_bound(cf, omega), i) for i, cf in enumerate(crs))
+
+
+def table_for(crs, omega) -> Verdicts:
+    """A fresh verdict table over crs, whose witness terms rank by omega."""
+    return Verdicts(formula_order(crs, omega))
+
+
+def reference_analyze(cf, hs, ctx, ext=None):
+    """`analyze` after its own satisfaction test, on ext (by default the
+    standard extension of hs's map)."""
+    if ext is None:
+        ext = hs.sub.extended()
+    return analyze(cf, hs, ctx, ext, truth(cf.formula, ext) is True)
+
+
+def reference_compute_plan(hs, crs, ctx, ext=None) -> StepPlan | None:
+    """`compute_plan` without a table: every formula in the order of its
+    rank bound, until none can win, each tested on ext; ext may be a view
+    that records the lookups (`sequents.h_step_applies`)."""
+    if ext is None:
+        ext = hs.sub.extended()
+    omega = hs.sub.omega_sym
+    best = None
+    for key in formula_order(crs, omega):
+        if best is not None and key > best[:2]:
+            break
+        i = key[1]
+        pair = reference_analyze(crs[i], hs, ctx, ext)
+        if pair is None:
+            continue
+        e, v = pair
+        r = rank_of(e, omega)
+        if best is None or (r, i) < best[:2]:
+            best = (r, i, e, v)
+    if best is None:
+        return None
+    r, i, e, v = best
+    if r.is_omega:
+        case = CASE_OMEGA_POS if isinstance(e, CanonForm) else CASE_OMEGA_NEG
+    else:
+        case = CASE_LOW if r < OMEGA else CASE_HIGH
+    return StepPlan(cr_index=i, e=e, v=v, rank=r, case=case)
+
+
+def reference_is_solving(sub: Substitution, crs) -> bool:
+    """Every critical formula holds on sub's standard extension."""
+    ext = sub.extended()
+    return all(truth(cf.formula, ext) is True for cf in crs)
+
+
+def reference_is_correct(sub: Substitution, ctx: InductiveContext | None = None):
+    """Every entry satisfies its correctness condition in the standard
+    extension."""
+    ext = sub.extended()
+    return all(correctness(e, u, ext, ctx) is True for e, u in sub.items())
+
+
+def reference_refutes(sub: Substitution, e, u, ctx: InductiveContext | None = None):
+    """The stored entries of sub decide the pair (e, u) incorrect."""
+    return correctness(e, u, sub, ctx) is False
 
 
 # ---------------------------------------------------------------------------

@@ -31,20 +31,21 @@ from epsengine.language import (
     simple_rank,
     to_sexpr as _to_sexpr,
 )
-from epsengine.process import (
-    CriticalFormula,
-    ProcessInvariantError,
-    apply_plan,
-    compute_plan,
-    is_solving,
-)
+from epsengine.process import CriticalFormula, ProcessInvariantError, apply_plan
 from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     entry_is_positive,
     is_ci,
 )
-from reference import correctness_formula, leaked, reduce_formula, sorted_items
+from reference import (
+    correctness_formula,
+    leaked,
+    reduce_formula,
+    reference_compute_plan,
+    reference_is_solving,
+    sorted_items,
+)
 
 
 
@@ -187,7 +188,7 @@ def h_step_applies(
     sub = theta.sub
     recorder = RecordingSubstitution(sub)
     try:
-        plan = compute_plan(theta.hs, crs, ctx, ext=recorder)
+        plan = reference_compute_plan(theta.hs, crs, ctx, recorder)
     except ProcessInvariantError:
         return False
     if plan is None or leaked(recorder):
@@ -222,7 +223,7 @@ def active_expressions(
     """Entries of the step's rank that the step removes or revalues."""
     if not h_step_applies(theta, crs, ctx):
         raise SequentError("the step does not apply to this sequent")
-    plan = compute_plan(theta.hs, crs, ctx)
+    plan = reference_compute_plan(theta.hs, crs, ctx)
     assert plan is not None
     after = apply_plan(theta.hs, plan, ctx).sub
     sub = theta.sub
@@ -248,10 +249,10 @@ def classify_axiom(
     out: list = []
     if is_ci(theta.sub, ctx):
         out.append("AxF")
-    if is_solving(theta.sub, crs):
+    if reference_is_solving(theta.sub, crs):
         out.append("AxS")
-    if not is_solving(theta.sub, crs) and h_step_applies(theta, crs, ctx):
-        plan = compute_plan(theta.hs, crs, ctx)
+    if not reference_is_solving(theta.sub, crs) and h_step_applies(theta, crs, ctx):
+        plan = reference_compute_plan(theta.hs, crs, ctx)
         if plan is not None:
             active = active_expressions(theta, crs, ctx)
             if any(theta.flags.get(e) == "f" for e in active):

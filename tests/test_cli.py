@@ -24,8 +24,9 @@ from epsengine.cli import (
 from epsengine.history import HistoricalSubstitution
 from epsengine.language import to_sexpr
 from epsengine.problems import parse_problem
-from epsengine.process import ProcessInvariantError, compute_plan, run
+from epsengine.process import ProcessInvariantError, run
 from epsengine.substitution import num_val, serialize
+from reference import reference_compute_plan
 
 PROBLEMS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.eps")
@@ -260,6 +261,18 @@ BAD_PROBLEMS = {
     "huge-numeral": b"(crit pred " + b"7" * 5000 + b")\n",
     "repeated-option": b"(option max-steps 5)\n(option max-steps 1)\n" + TWO_STEP.encode(),
     "max-steps-zero": b"(option max-steps 0)\n" + TWO_STEP.encode(),
+    "empty-form": b"()\n",
+    "numeral-form": b"(crit pred 1)\n5\n",
+    "empty-head": b"(())\n",
+    "list-head": b"((crit pred 1))\n",
+}
+# what follows "error: PATH" for some of them: a position for every form,
+# and a form written as the problem text writes it
+BAD_PROBLEM_ERRORS = {
+    "empty-form": ":1:1: unexpected top-level form ()",
+    "numeral-form": ":2:1: unexpected top-level form 5",
+    "empty-head": ":1:2: unknown form ()",
+    "list-head": ":1:3: unknown form (crit pred 1)",
 }
 BAD_TRACES = {
     "not-utf8": b"\xff\n",
@@ -307,6 +320,8 @@ def test_malformed_input_exits_1_with_one_line(
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert "Traceback" not in captured.err
+    if which == "problem" and kind in BAD_PROBLEM_ERRORS:
+        assert captured.err == f"error: {problem}{BAD_PROBLEM_ERRORS[kind]}\n"
     if which == "trace-path-unrun":
         assert captured.err.startswith("error: "), captured.err
 
@@ -439,7 +454,7 @@ def explain_reference(path: str, k: int) -> tuple[int, str, str]:
         return EXIT_INPUT, "", err
     before = run(crs, ctx, max_steps=k)
     after = run(crs, ctx, max_steps=k + 1)
-    plan = compute_plan(before.hs, crs, ctx)
+    plan = reference_compute_plan(before.hs, crs, ctx)
     cf = crs[plan.cr_index]
     record = full.steps[k]
     lines = [
@@ -491,7 +506,7 @@ def test_explain_matches_slow_path_when_a_step_fails(tmp_path, monkeypatch, caps
     # and of any later step reports the failure
     real_step = process.h_step
 
-    def failing(hs, crs, ctx, step_index=0, verdicts=None):
+    def failing(hs, crs, ctx, step_index, verdicts):
         if step_index == 2:
             raise ProcessInvariantError("injected failure")
         return real_step(hs, crs, ctx, step_index, verdicts)

@@ -189,23 +189,25 @@ def test_a_step_copies_v_at_most_once_and_shares_it_when_unchanged():
     """Along rebuild_cascade: a step above rank Omega, or at it, that leaves
     P as it was holds the very V of the history it stepped from; one that
     changes P holds a V of its own, and the history it stepped from keeps
-    its V unchanged.  (A finite-rank step clears the history.)"""
+    its V unchanged.  A finite-rank step clears the history: it holds the
+    one shared empty V, as the initial history does, not a copy of it."""
     from pathlib import Path
 
-    from epsengine.history import HistoricalSubstitution as HS
+    from epsengine.history import EMPTY_V, HistoricalSubstitution as HS
     from epsengine.problems import parse_problem
-    from epsengine.process import apply_plan, compute_plan
-    from reference import omega_sym
+    from epsengine.process import apply_plan
+    from reference import omega_sym, reference_compute_plan
 
     text = (Path(__file__).parent.parent / "problems" / "rebuild_cascade.eps").read_text()
     p = parse_problem(text)
     hs, cases = HS.initial(omega_sym(p)), set()
-    while (plan := compute_plan(hs, p.crits, p.ctx)) is not None:
+    assert hs.v is EMPTY_V
+    while (plan := reference_compute_plan(hs, p.crits, p.ctx)) is not None:
         before = dict(hs.v)
         after = apply_plan(hs, plan, p.ctx)
         assert dict(hs.v) == before
-        if plan.case == "low":
-            assert after.p == () and not after.v
+        if plan.case == "low":  # the one shared empty V, not a copy
+            assert after.p == () and after.v is EMPTY_V
         elif after.p == hs.p:
             assert after.v is hs.v, plan.case
         else:
@@ -213,3 +215,4 @@ def test_a_step_copies_v_at_most_once_and_shares_it_when_unchanged():
         cases.add((plan.case, after.p == hs.p))
         hs = after
     assert {("high", True), ("omega-pos", False), ("omega-neg", False)} <= cases
+    assert {case for case, _ in cases} >= {"low"}

@@ -19,7 +19,6 @@ from epsengine.language import (
 )
 from epsengine.problems import parse_problem
 from epsengine.process import (
-    compute_plan,
     apply_plan,
     is_solving,
     make_pred,
@@ -28,7 +27,6 @@ from epsengine.process import (
 from epsengine.substitution import (
     Substitution,
     UNKNOWN,
-    is_correct,
     num_val,
 )
 from genexpr import (
@@ -46,6 +44,10 @@ from reference import (
     omega_sym,
     reduce_formula,
     reduce_term,
+    reference_compute_plan,
+    reference_is_correct,
+    reference_is_solving,
+    table_for,
     to_term,
 )
 from sequents import Sequent, classify_axiom, d
@@ -111,7 +113,7 @@ def test_correct_states_are_never_refutation_axioms(ctx):
         s = random_substitution(
             rng, ctx, n_entries=rng.randint(1, 4), include_omega=True
         )
-        if not is_correct(s, ctx):
+        if not reference_is_correct(s, ctx):
             continue
         positives = sorted(s.positive_omega_forms())
         hs = HistoricalSubstitution(
@@ -148,8 +150,8 @@ def test_reduction_chain_through_unknown_argument():
 def test_is_solving_pred_example():
     cf = make_pred(num(2))
     e = CanonTerm(cf.sym, (2,))
-    assert is_solving(Substitution({e: num_val(1)}), [cf])
-    assert not is_solving(Substitution.empty(), [cf])
+    assert is_solving(Substitution({e: num_val(1)}), [cf], table_for([cf], None))
+    assert not is_solving(Substitution.empty(), [cf], table_for([cf], None))
 
 
 def test_prefix_stability_across_corpus():
@@ -176,8 +178,8 @@ def test_oracle_equivalence_on_final_states():
         problem = parse_problem(cp.text)
         out = run(problem.crits, problem.ctx, max_steps=10**4)
         hs = HistoricalSubstitution.initial(omega_sym(problem))
-        while not is_solving(hs.sub, problem.crits):
-            plan = compute_plan(hs, problem.crits, problem.ctx)
+        while not reference_is_solving(hs.sub, problem.crits):
+            plan = reference_compute_plan(hs, problem.crits, problem.ctx)
             hs = apply_plan(hs, plan, problem.ctx)
         assert dict(hs.sub.items()) == dict(out.hs.sub.items())
         assert hs.p == out.hs.p

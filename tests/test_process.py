@@ -18,7 +18,6 @@ from epsengine.language import (
 )
 from epsengine.process import (
     ProcessInvariantError,
-    analyze,
     apply_omega_neg,
     compute_plan,
     extract_witness,
@@ -39,9 +38,22 @@ from epsengine.substitution import (
     serialize,
 )
 from genexpr import SYM_R1C
-from reference import domain
+from reference import domain, reference_analyze, table_for
 
 HS0 = HistoricalSubstitution.initial()
+
+
+def plan_of(hs, crs, ctx):
+    return compute_plan(hs, crs, ctx, table_for(crs, hs.sub.omega_sym))
+
+
+def step(hs, crs, ctx):
+    """One step on a fresh table: the full guard, and a plan from scratch."""
+    return h_step(hs, crs, ctx, 0, table_for(crs, hs.sub.omega_sym))
+
+
+def solving(sub, crs):
+    return is_solving(sub, crs, table_for(crs, sub.omega_sym))
 
 
 def hs_of(ctx, entries, p=(), v=None):
@@ -54,7 +66,7 @@ def hs_of(ctx, entries, p=(), v=None):
 
 def test_analyze_pred():
     cf = make_pred(num(2))
-    pair = analyze(cf, HS0, None)
+    pair = reference_analyze(cf, HS0, None)
     assert pair is not None
     e, v = pair
     assert e == CanonTerm(SkolemSymbol(eq(Var(1), succ(Var(0))), 1), (2,))
@@ -64,12 +76,12 @@ def test_analyze_pred():
 def test_analyze_pred_satisfied_when_scrutinee_is_one():
     # the default witness 0 already satisfies 1 = S x
     cf = make_pred(num(1))
-    assert analyze(cf, HS0, None) is None
+    assert reference_analyze(cf, HS0, None) is None
 
 
 def test_analyze_epsilon():
     cf = make_epsilon(num(1), eq(Var(0), num(1)))
-    pair = analyze(cf, HS0, None)
+    pair = reference_analyze(cf, HS0, None)
     assert pair == (CanonTerm(cf.sym, (1,)), num_val(1))
 
 
@@ -77,13 +89,13 @@ def test_analyze_epsilon_takes_least_witness():
     # matrix true at 2 and 4; the premise instance is 4, the repair is 2
     phi = or_(eq(Var(0), num(2)), eq(Var(0), num(4)))
     cf = make_epsilon(num(4), phi)
-    pair = analyze(cf, HS0, None)
+    pair = reference_analyze(cf, HS0, None)
     assert pair == (CanonTerm(cf.sym, (2, 4)), num_val(2))
 
 
 def test_analyze_induction_least_descent():
     cf = make_induction(num(5), lt(Var(0), num(3)))
-    pair = analyze(cf, HS0, None)
+    pair = reference_analyze(cf, HS0, None)
     assert pair is not None
     e, v = pair
     assert v == num_val(2)
@@ -93,13 +105,13 @@ def test_analyze_induction_least_descent():
 def test_analyze_inductive_def(ctx):
     cf = make_inductive_def(num(0), ctx)
     hs = HistoricalSubstitution.initial(ctx.omega_sym)
-    pair = analyze(cf, hs, ctx)
+    pair = reference_analyze(cf, hs, ctx)
     assert pair == (CanonForm(0), TOP_VAL)
 
 
 def test_analyze_satisfied_returns_none():
     cf = make_epsilon(num(0), eq(Var(0), num(0)))
-    assert analyze(cf, HS0, None) is None
+    assert reference_analyze(cf, HS0, None) is None
 
 
 def test_analyze_rejects_zero_value():
@@ -109,7 +121,7 @@ def test_analyze_rejects_zero_value():
     e = CanonTerm(cf.sym, (1,))
     hs = HistoricalSubstitution(Substitution({e: num_val(2)}))
     with pytest.raises(ProcessInvariantError):
-        analyze(cf, hs, None)
+        reference_analyze(cf, hs, None)
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +131,24 @@ def test_choose_prefers_least_rank(ctx):
     eps = make_epsilon(num(1), eq(Var(0), num(1)))
     idf = make_inductive_def(num(0), ctx)
     hs = HistoricalSubstitution.initial(ctx.omega_sym)
-    assert compute_plan(hs, [idf, eps], ctx).cr_index == 1
-    plan = compute_plan(hs, [idf, eps], ctx)
+    plan = plan_of(hs, [idf, eps], ctx)
+    assert plan.cr_index == 1
     assert plan.rank == Rank.fin(1) and plan.case == "low"
 
 
 def test_choose_breaks_ties_by_index():
     a = make_epsilon(num(1), eq(Var(0), num(1)))
     b = make_epsilon(num(2), eq(Var(0), num(2)))
-    assert compute_plan(HS0, [a, b], None).cr_index == 0
-    assert compute_plan(HS0, [b, a], None).cr_index == 0
+    assert plan_of(HS0, [a, b], None).cr_index == 0
+    assert plan_of(HS0, [b, a], None).cr_index == 0
 
 
 def test_is_solving_examples():
-    assert is_solving(Substitution.empty(), [])
+    assert solving(Substitution.empty(), [])
     cf = make_epsilon(num(1), eq(Var(0), num(1)))
-    assert not is_solving(Substitution.empty(), [cf])
+    assert not solving(Substitution.empty(), [cf])
     solved = Substitution({CanonTerm(cf.sym, (1,)): num_val(1)})
-    assert is_solving(solved, [cf])
+    assert solving(solved, [cf])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,7 @@ def test_low_case_resets_history(ctx):
         p=(0,),
         v={0: Substitution.empty(ctx.omega_sym)},
     )
-    hs2, rec = h_step(hs, [eps], ctx)
+    hs2, rec = step(hs, [eps], ctx)
     assert rec.case == "low"
     assert hs2.p == () and not hs2.v
     # everything above the step rank is gone
@@ -168,7 +180,7 @@ def test_high_case_keeps_history(ctx):
         p=(2,),
         v={2: Substitution.empty(ctx.omega_sym)},
     )
-    hs2, rec = h_step(hs, [eps], ctx)
+    hs2, rec = step(hs, [eps], ctx)
     assert rec.case == "high"
     assert hs2.p == (2,) and set(hs2.v) == {2}
     assert CanonForm(2) in hs2.sub
@@ -178,7 +190,7 @@ def test_omega_pos_records_displaced_negatives(ctx):
     idf = make_inductive_def(num(0), ctx)
     neg = {ctx.c_n(3): num_val(2)}
     hs = hs_of(ctx, neg)
-    hs2, rec = h_step(hs, [idf], ctx)
+    hs2, rec = step(hs, [idf], ctx)
     assert rec.case == "omega-pos"
     assert hs2.p == (0,)
     assert CanonForm(0) in hs2.sub and ctx.c_n(3) not in hs2.sub
@@ -198,7 +210,7 @@ def test_omega_pos_keeps_positive_omega_and_lower(ctx):
         p=(0,),
         v={0: Substitution.empty(ctx.omega_sym)},
     )
-    hs2, rec = h_step(hs, [idf], ctx)
+    hs2, rec = step(hs, [idf], ctx)
     assert rec.case == "omega-pos"
     assert domain(hs2.sub) == {CanonForm(0), CanonForm(1), ctx.c_n(2), fin}
     assert hs2.p == (0, 1)
@@ -271,12 +283,12 @@ def test_h_step_refuses_inconsistent_input(ctx):
     bad = hs_of(ctx, {ctx.c_n(1): num_val(1), CanonForm(1): TOP_VAL}, p=(1,),
                 v={1: Substitution.empty(ctx.omega_sym)})
     with pytest.raises(ProcessInvariantError):
-        h_step(bad, [eps], ctx)
+        step(bad, [eps], ctx)
 
 
 def test_h_step_refuses_solving_input():
     with pytest.raises(ProcessInvariantError):
-        h_step(HS0, [], None)
+        step(HS0, [], None)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +366,7 @@ def test_solving_state_is_a_fixpoint(ctx):
     assert out.solved
     again = run(crs, ctx, max_steps=10**6)
     assert len(again.steps) == len(out.steps)
-    assert is_solving(out.hs.sub, crs)
+    assert solving(out.hs.sub, crs)
 
 
 def test_deep_minimality_conjunction_stays_tractable():
@@ -370,17 +382,17 @@ def test_deep_minimality_conjunction_stays_tractable():
 def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
     monkeypatch,
 ):
-    # counted at the evaluators the table calls, `truth` and the closures
-    # `compiled` hands out: every top-level evaluation of a critical
-    # formula, on whichever path, with the state it read and the reads it
-    # made
+    # counted at the closures `compiled` hands out to `process`, which every
+    # path of the engine evaluates a critical formula with, through the
+    # table: every top-level evaluation, with the state it read and the
+    # reads it made
     import pathlib
 
-    from epsengine import process, substitution
+    from epsengine import process
     from epsengine.problems import parse_problem
 
     evaluations = []
-    real_truth, real_compiled = substitution.truth, process.compiled
+    real_compiled = process.compiled
     depth = [0]
 
     def evaluated(phi, view, evaluate):
@@ -394,9 +406,6 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
             base = getattr(view, "base", view)
             evaluations.append((id(phi), base._entries, reads and dict(reads)))
         return verdict
-
-    def counting(phi, view):
-        return evaluated(phi, view, lambda: real_truth(phi, view))
 
     def counting_compiled(e):
         code = real_compiled(e)
@@ -412,8 +421,6 @@ def test_run_evaluates_a_formula_once_per_state_and_only_on_changed_reads(
         states.append(hs.sub._entries)
         return hs, record
 
-    monkeypatch.setattr(substitution, "truth", counting)
-    monkeypatch.setattr(process, "truth", counting)
     monkeypatch.setattr(process, "compiled", counting_compiled)
     monkeypatch.setattr(process, "h_step", recording)
     root = pathlib.Path(__file__).resolve().parent.parent / "problems"

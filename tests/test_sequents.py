@@ -255,12 +255,12 @@ def test_rho_uses_reduced_formulas():
 def _saturate(hs, crs, ctx, cap=60):
     """Add indeterminate entries until the pending step's footprint is stored."""
     from epsengine.history import HistoricalSubstitution
-    from epsengine.process import compute_plan
     from epsengine.substitution import RecordingSubstitution
+    from reference import reference_compute_plan
 
     for _ in range(cap):
         rec = RecordingSubstitution(hs.sub)
-        plan = compute_plan(hs, crs, ctx, ext=rec)
+        plan = reference_compute_plan(hs, crs, ctx, rec)
         if plan is None:
             return None
         missing = leaked(rec)
@@ -295,8 +295,8 @@ def test_saturated_states_admit_the_step(ctx):
     from corpusgen import build_corpus
     from epsengine.history import HistoricalSubstitution
     from epsengine.problems import parse_problem
-    from epsengine.process import compute_plan
     from epsengine.substitution import UNKNOWN as UNK
+    from reference import reference_compute_plan
 
     checked = 0
     for cp in build_corpus()[:60]:
@@ -307,7 +307,7 @@ def test_saturated_states_admit_the_step(ctx):
             continue
         theta = Sequent.from_historical(sat)
         assert h_step_applies(theta, problem.crits, problem.ctx)
-        plan = compute_plan(sat, problem.crits, problem.ctx)
+        plan = reference_compute_plan(sat, problem.crits, problem.ctx)
         assert sat.sub.raw(plan.e) == UNK  # the step expression sits at ?
         active = active_expressions(theta, problem.crits, problem.ctx)
         assert plan.e in active

@@ -30,6 +30,7 @@ from epsengine.substitution import (
     TOP_VAL,
     UNKNOWN,
     ValueError_,
+    Verdicts,
     digest,
     is_ci,
     is_correct,
@@ -213,8 +214,13 @@ def test_correctness_formula_rejects_bad_pairs():
         correctness_formula(CanonForm(1), TOP_VAL, None)
 
 
+def correct(sub, ctx=None):
+    """`is_correct` on a fresh table."""
+    return is_correct(sub, ctx, Verdicts([]))
+
+
 def test_empty_substitution_is_correct_cc_computing():
-    assert is_correct(EMPTY)
+    assert correct(EMPTY)
     assert not is_ci(EMPTY)
     assert is_computing(EMPTY)
 
@@ -231,19 +237,19 @@ def test_correct_membership_entry(ctx):
     # membership of 0 is vacuously justified; membership of 3 alone is not,
     # because its witness defaults to 0 and 0 < 3 demands 0 in I
     s0 = Substitution({CanonForm(0): TOP_VAL}, omega_sym=ctx.omega_sym)
-    assert is_correct(s0, ctx)
+    assert correct(s0, ctx)
     s3 = Substitution({CanonForm(3): TOP_VAL}, omega_sym=ctx.omega_sym)
-    assert not is_correct(s3, ctx)
+    assert not correct(s3, ctx)
     both = s3.with_entry(CanonForm(0), TOP_VAL)
-    assert is_correct(both, ctx)
+    assert correct(both, ctx)
 
 
 def test_incorrect_entry_detected():
     e = CanonTerm(SYM_R1C, (2,))  # value must satisfy x = S 2
     s = EMPTY.with_entry(e, num_val(1))
-    assert not is_correct(s)
+    assert not correct(s)
     s2 = EMPTY.with_entry(e, num_val(3))
-    assert is_correct(s2)
+    assert correct(s2)
 
 
 def test_rank_filters_and_partitions(ctx):

@@ -39,7 +39,6 @@ from epsengine.process import (
     HStep,
     InductionCF,
     StepPlan,
-    compute_plan,
     h_step,
     is_solving,
     make_epsilon,
@@ -50,12 +49,12 @@ from epsengine.substitution import (
     UNKNOWN,
     Substitution,
     Value,
-    Verdicts,
     is_correct,
     num_val,
     serialize,
 )
 from genexpr import SYM_OMEGA_PLUS, SYM_R1A
+from reference import reference_compute_plan, table_for
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CASCADE = ROOT / "problems" / "rebuild_cascade.eps"
@@ -105,9 +104,9 @@ def test_a_run_keys_every_expression_and_verdict_by_what_it_denotes():
     problem = parse_problem(CASCADE.read_text())
     crs, ctx = problem.crits, problem.ctx
     hs = HistoricalSubstitution.initial(ctx.omega_sym)
-    verdicts = Verdicts()
+    verdicts, k = table_for(crs, ctx.omega_sym), 0
     while not is_solving(hs.sub, crs, verdicts):
-        hs = h_step(hs, crs, ctx, verdicts=verdicts)[0]
+        hs, k = h_step(hs, crs, ctx, k, verdicts)[0], k + 1
         assert is_correct(hs.sub, ctx, verdicts)
         entries = [e for e, _ in hs.sub.items()]
         assert len({canon_sexpr(e) for e in entries}) == len(entries)
@@ -145,8 +144,9 @@ def test_ranks_sort_in_ordinal_order():
 def step_values() -> dict:
     problem = parse_problem(CASCADE.read_text())
     hs = HistoricalSubstitution.initial(problem.ctx.omega_sym)
-    plan = compute_plan(hs, problem.crits, problem.ctx)
-    record = h_step(hs, problem.crits, problem.ctx)[1]
+    plan = reference_compute_plan(hs, problem.crits, problem.ctx)
+    fresh = table_for(problem.crits, problem.ctx.omega_sym)
+    record = h_step(hs, problem.crits, problem.ctx, 0, fresh)[1]
     return {
         CanonTerm: CanonTerm(SYM_R1A, (2,)),
         CanonForm: CanonForm(2),

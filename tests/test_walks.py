@@ -201,13 +201,18 @@ def _read(reader, text: str):
         return "error", str(err)
 
 
+def _where(x):
+    return getattr(x, "line", None), getattr(x, "col", None)
+
+
 def _same(a, b) -> bool:
-    """Equal forms, with each symbol at the same line and column."""
+    """Equal forms, with each symbol, numeral and list at the same line and
+    column."""
+    if type(a) is not type(b) or _where(a) != _where(b):
+        return False
     if isinstance(a, list):
-        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, _Sym):
-        return isinstance(b, _Sym) and str(a) == str(b) and (a.line, a.col) == (b.line, b.col)
-    return type(a) is type(b) and a == b
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def _assert_readers_agree(text: str) -> None:
