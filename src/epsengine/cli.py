@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .language import Expr, FnApp, InSet, Numeral, Var, _apply_fn, to_sexpr
 from .problems import ParseError, Problem, parse_problem
@@ -86,21 +87,54 @@ def trace_lines(problem_text: str, problem: Problem, outcome: Outcome) -> list[s
         "problem": _problem_digest(problem_text),
     }
     lines = [_encode(header)]
-    lines += [_encode(step_record(s)) for s in outcome.steps]
+    q = encode_basestring_ascii  # what `_encode` quotes a string with
+    for (
+        index, cr_index, case, e, v, rank, before, after,
+        added, removed, p_after, v_added, v_removed, solving,
+    ) in outcome.steps:
+        # `_encode(step_record(s))`, its keys in sorted order, in one string
+        lines.append(
+            f'{{"I":{cr_index},"P":[{",".join(map(str, p_after))}],'
+            f'"Vadded":{{{_members(v_added) if v_added else ""}}},'
+            f'"Vremoved":[{",".join(map(str, v_removed))}],'
+            f'"added":[{",".join(map(q, added))}],"after":{q(after)},'
+            f'"before":{q(before)},"e":{q(e)},"rank":{q(rank)},'
+            f'"rankCase":{q(case)},"removed":[{",".join(map(q, removed))}],'
+            f'"solving":{"true" if solving else "false"},"step":{index},'
+            f'"type":"step","v":{q(v)}}}'
+        )
     lines.append(_encode(summary_record(outcome)))
     return lines
 
 
+def _members(v_added: dict[int, str]) -> str:
+    """The members of a step's "Vadded" object: keyed by the member's
+    numeral as text and sorted as text, so "10" comes before "9"."""
+    items = sorted([(str(m), v) for m, v in v_added.items()])
+    return ",".join([f'"{m}":{encode_basestring_ascii(v)}' for m, v in items])
+
+
 def _read(path: str, err) -> str | None:
-    """The file's text, or None after a one-line error on err."""
+    """The file's text, or None after a one-line error on err.
+
+    The bytes are decoded as UTF-8, with the newlines text mode reads: a
+    carriage return, alone or before a line feed, is a line feed.  One
+    leading byte order mark is not part of the text.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
     except OSError as e:
         print(f"error: {e}", file=err)
-    except UnicodeDecodeError as e:
+        return None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:  # e.start counts from the file's first byte
         print(f"error: {path}: not UTF-8 (byte {e.start})", file=err)
-    return None
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text[1:] if text[:1] == "\ufeff" else text
 
 
 def _load(path: str, err) -> tuple[str, Problem] | None:
@@ -164,7 +198,7 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     text, problem = loaded
     max_steps = cfg.max_steps or problem.max_steps or DEFAULT_MAX_STEPS
     try:  # a trace path that cannot be written fails before the run
-        fh = open(cfg.trace, "w", encoding="utf-8") if cfg.trace else None
+        fh = open(cfg.trace, "wb") if cfg.trace else None
     except OSError as e:
         print(f"error: {e}", file=err)
         return EXIT_INPUT
@@ -172,10 +206,10 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
         outcome = run(
             problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check
         )
-        lines = trace_lines(text, problem, outcome)
+        trace = "\n".join(trace_lines(text, problem, outcome)) + "\n"
         if fh is not None:
             try:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(trace.encode())
                 fh.close()
             except OSError as e:
                 print(f"error: {e}", file=err)
@@ -192,24 +226,22 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
             reports.append("internal-error: formula nesting too deep")
             overflow = True
     if cfg.fmt == "structured":
-        for line in lines:
-            print(line, file=out)
+        out.write(trace)
         if overflow:  # stdout keeps exactly the trace
             print(reports[-1], file=err)
     else:
-        for s in outcome.steps:
-            print(
-                f"step {s.index}: Cr[{s.cr_index}] case {s.case} "
-                f"rank {s.rank}: {s.e} := {s.v}",
-                file=out,
-            )
+        report = [
+            f"step {s.index}: Cr[{s.cr_index}] case {s.case} "
+            f"rank {s.rank}: {s.e} := {s.v}"
+            for s in outcome.steps
+        ]
         if outcome.solved:
-            print(f"solved in {len(outcome.steps)} steps", file=out)
+            report.append(f"solved in {len(outcome.steps)} steps")
         else:
-            print(f"{outcome.status}: {outcome.diagnostics}", file=out)
-        print(f"final substitution: {serialize(outcome.hs.sub)}", file=out)
-        for line in reports:
-            print(line, file=out)
+            report.append(f"{outcome.status}: {outcome.diagnostics}")
+        report.append(f"final substitution: {serialize(outcome.hs.sub)}")
+        report += reports
+        out.write("\n".join(report) + "\n")
     if overflow:
         return EXIT_INTERNAL
     if outcome.status == "solved":

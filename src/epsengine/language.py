@@ -28,9 +28,18 @@ class Expr:
     Every walk over the trees is written over two things: ``kids``, the
     node's subexpressions in order (leaves have none), and ``remake(kids)``,
     a node of the same kind over new subexpressions, built by the checked
-    constructors below, so arithmetic over numerals folds.  ``head`` is the
-    node's operator as printed (a leaf's whole text); a membership atom
-    prints its set's name after its argument instead.
+    constructors below, so arithmetic over numerals folds.  The builders
+    of a parse call the node classes directly, where what goes in is
+    checked already: `problems._Parser` (its `term` returns only terms,
+    through `fn`, which folds, and its `formula` only formulas), the axiom
+    builders in `process`, `InductiveContext`, the quantifier expansions
+    and `abstract_closed_terms` (a witness symbol's arguments are terms of
+    its arity, and an application is built only over a variable, which
+    cannot fold).  So each node they build equals its ``remake`` over its
+    own kids, which `tests/test_text_path.py` checks on every node of the
+    problems it parses.  ``head`` is the node's operator as printed (a
+    leaf's whole text); a membership atom prints its set's name after its
+    argument instead.
 
     A node's fields are its class's own slots, immutable by contract.
     Three slots are not fields, so equality, hash and ``repr`` ignore them.
@@ -235,10 +244,6 @@ def fn(name: str, *args: Expr) -> Expr:
     return FnApp(name, tuple(args))
 
 
-def succ(t: Expr) -> Expr:
-    return fn("s", t)
-
-
 def skolem(sym: "SkolemSymbol", args: tuple[Expr, ...] | list[Expr]) -> SkolemApp:
     args = tuple(args)
     if len(args) != sym.arity:
@@ -286,11 +291,6 @@ def or_(a: Expr, b: Expr) -> Or:
     if not (isinstance(a, _FORMULA_TYPES) and isinstance(b, _FORMULA_TYPES)):
         raise LanguageError("disjunction needs formulas")
     return Or(a, b)
-
-
-def implies(a: Expr, b: Expr) -> Or:
-    """Material implication, stored as (or (not a) b)."""
-    return or_(not_(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +496,6 @@ def canon_sexpr(c: Canon) -> str:
 # ---------------------------------------------------------------------------
 # Closed-term abstraction and quantifier expansion
 
-# a node over new kids without the constructors' checks: abstraction keeps
-# each node's kind, and nothing it builds can fold, since a non-closed
-# application keeps a variable among its kids and a closed term becomes one
-_REBUILD = {
-    FnApp: lambda e, kids: FnApp(e.fn, tuple(kids)),
-    SkolemApp: lambda e, kids: SkolemApp(e.sym, tuple(kids)),
-    RelAtom: lambda e, kids: RelAtom(e.rel, tuple(kids)),
-    Not: lambda e, kids: Not(kids[0]),
-    And: lambda e, kids: And(*kids),
-    Or: lambda e, kids: Or(*kids),
-}
-
-
 def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...], str]:
     """Split a matrix into a simple index formula and its argument vector.
 
@@ -517,36 +504,57 @@ def abstract_closed_terms(phi: Expr) -> tuple[Expr, tuple[Expr, ...], str]:
     numbered jointly by first occurrence; identical closed terms share one
     parameter.  Returns the renamed formula, the abstracted arguments and
     the formula's text, built in the same walk as `to_sexpr` prints it.
+
+    Each node is rebuilt from its class, without the constructors' checks:
+    it keeps its kind, and no application it builds can fold, since a
+    closed term becomes a parameter and an application that is not closed
+    keeps a variable among its arguments.
     """
     slots: dict[object, int] = {}  # a variable's index, a closed term's text
     args: list[Expr] = []
 
-    def param(key: object, original: Expr) -> tuple[Expr, str]:
+    def term(e: Expr) -> tuple[Expr, str]:
+        if e.__class__ is Var:
+            if e.index == 0:
+                return e, "v0"
+            key = e.index
+        elif e.__class__ is Numeral:
+            key = str(e.value)
+        elif e.closed:
+            key = to_sexpr(e)
+        else:  # an application over a variable
+            new, texts = [], []
+            for k in e.args:
+                k, text = term(k)
+                new.append(k)
+                texts.append(text)
+            if e.__class__ is FnApp:
+                return FnApp(e.fn, tuple(new)), f"({e.fn} {' '.join(texts)})"
+            e = SkolemApp(e.sym, tuple(new))
+            return e, f"({e.head} {' '.join(texts)})"
         i = slots.get(key)
         if i is None:
             i = slots[key] = len(args) + 1
-            args.append(original)
+            args.append(e)
         return Var(i), f"v{i}"
 
     def walk(e: Expr) -> tuple[Expr, str]:
-        if e.__class__ is Var:
-            return (e, "v0") if e.index == 0 else param(e.index, e)
-        if e.closed and isinstance(e, _TERM_TYPES):
-            return param(to_sexpr(e), e)
-        kids = e.kids
-        if not kids:
-            return e, e.head
-        new, texts = [], []
-        for k in kids:
-            k, text = walk(k)
-            new.append(k)
-            texts.append(text)
         cls = e.__class__
+        if cls is RelAtom:
+            (a, ta), (b, tb) = term(e.args[0]), term(e.args[1])
+            return RelAtom(e.rel, (a, b)), f"({e.rel} {ta} {tb})"
+        if cls is Not:
+            body, text = walk(e.body)
+            return Not(body), f"(not {text})"
+        if cls is And or cls is Or:
+            (a, ta), (b, tb) = walk(e.left), walk(e.right)
+            return cls(a, b), f"({cls.head} {ta} {tb})"
         if cls is InSet:
-            return InSet(new[0]), f"(in {texts[0]} I)"
-        build = _REBUILD.get(cls)
-        e = e.remake(new) if build is None else build(e, new)
-        return e, f"({e.head} {' '.join(texts)})"
+            a, text = term(e.arg)
+            return InSet(a), f"(in {text} I)"
+        if cls is Top or cls is Bottom:
+            return e, e.head
+        return term(e)
 
     index, text = walk(phi)
     return index, tuple(args), text
@@ -565,13 +573,13 @@ def skolemize_exists(body: Expr) -> tuple[SkolemSymbol, tuple[Expr, ...]]:
 def expand_exists(body: Expr) -> Expr:
     """The formula abbreviated by an existential over the given matrix."""
     sym, args = skolemize_exists(body)
-    return substitute(body, {0: skolem(sym, args)})
+    return substitute(body, {0: SkolemApp(sym, args)})
 
 
 def expand_forall(body: Expr) -> Expr:
     """The formula abbreviated by a universal over the given matrix."""
     sym, args = skolemize_exists(not_(body))
-    return substitute(body, {0: skolem(sym, args)})
+    return substitute(body, {0: SkolemApp(sym, args)})
 
 
 def instantiate_index(sym: SkolemSymbol, value: int, args: tuple[int, ...]) -> Expr:
@@ -606,7 +614,7 @@ class InductiveContext:
         if 1 not in fv:
             raise LanguageError("inductive clause must mention the member variable")
         self.clause = clause
-        sym, raw_args = skolemize_exists(not_(clause))
+        sym, raw_args = skolemize_exists(Not(clause))
         self.omega_sym = sym
         # raw_args live over Var(1); re-expressed over the hole Var(0), each
         # is the member or a numeral (the clause has no binders)
@@ -617,7 +625,7 @@ class InductiveContext:
         self.x_slot = x = pattern.index(None)
         self._around = pattern[:x], pattern[x + 1 :]  # the member's slot between
         # the clause at its witness, then re-expressed over the hole: one walk
-        witness = skolem(sym, self.cn_args_template)
+        witness = SkolemApp(sym, self.cn_args_template)
         self.a_template = substitute(clause, {0: witness, 1: Var(0)})
 
     def __eq__(self, other: object) -> bool:

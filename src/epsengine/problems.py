@@ -24,24 +24,21 @@ import re
 from typing import NamedTuple
 
 from .language import (
+    And,
     BOTTOM,
     Expr,
     InductiveContext,
     InSet,
     LanguageError,
     Not,
+    Numeral,
+    Or,
+    RelAtom,
     TOP,
     Var,
-    eq,
     expand_exists,
     expand_forall,
     fn,
-    in_set,
-    lt,
-    not_,
-    num,
-    or_,
-    and_,
     substitute,
     to_sexpr,
 )
@@ -209,6 +206,10 @@ def _text(sx) -> str:
 # Core parsing
 
 class _Parser:
+    """Terms and formulas from forms, built from the node classes (`term`
+    returns only terms, `formula` only formulas); an application goes
+    through `fn`, which folds arithmetic over numerals."""
+
     def __init__(self, set_label: str = "I", quantifiers: bool = True):
         self.set_label = set_label  # the set's name in membership atoms
         self.quantifiers = quantifiers
@@ -219,8 +220,8 @@ class _Parser:
         return self._counter
 
     def term(self, sx, env: dict[str, int]) -> Expr:
-        if isinstance(sx, int):
-            return num(sx)
+        if isinstance(sx, int):  # the reader refused negative numerals
+            return Numeral(sx)
         if isinstance(sx, str):
             if sx in env:
                 return Var(env[sx])
@@ -247,7 +248,7 @@ class _Parser:
             if len(sx) != 3:
                 raise ParseError(f"{head} takes 2 arguments", _pos(sx))
             a, b = self.term(sx[1], env), self.term(sx[2], env)
-            return eq(a, b) if head == "=" else lt(a, b)
+            return RelAtom("=" if head == "=" else "<", (a, b))
         if head == "in":
             if len(sx) != 3 or not isinstance(sx[2], str):
                 raise ParseError("membership is (in TERM SET)", _pos(sx))
@@ -255,11 +256,11 @@ class _Parser:
                 raise ParseError(
                     f"unknown set {str(sx[2])!r} here", _pos(sx)
                 )
-            return in_set(self.term(sx[1], env))
+            return InSet(self.term(sx[1], env))
         if head == "not":
             if len(sx) != 2:
                 raise ParseError("not takes 1 argument", _pos(sx))
-            return not_(self.formula(sx[1], env))
+            return Not(self.formula(sx[1], env))
         if head in ("and", "or"):
             if len(sx) < 3:
                 raise ParseError(f"{head} takes at least 2 arguments", _pos(sx))
@@ -267,14 +268,14 @@ class _Parser:
             for a in sx[1:]:
                 parts.append(self.formula(a, env))
             out = parts.pop()
-            op = and_ if head == "and" else or_
+            op = And if head == "and" else Or
             for p in reversed(parts):
                 out = op(p, out)
             return out
         if head == "->":
             if len(sx) != 3:
                 raise ParseError("-> takes 2 arguments", _pos(sx))
-            return or_(not_(self.formula(sx[1], env)), self.formula(sx[2], env))
+            return Or(Not(self.formula(sx[1], env)), self.formula(sx[2], env))
         if head in ("exists", "forall"):
             if not self.quantifiers:
                 raise ParseError("quantifiers are not allowed here", _pos(sx))

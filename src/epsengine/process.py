@@ -14,31 +14,34 @@ from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .language import (
+    And,
     At,
     Canon,
     CanonForm,
     CanonTerm,
     Expr,
+    FnApp,
     InductiveContext,
+    InSet,
+    Not,
+    Numeral,
     OMEGA,
+    Or,
     Rank,
+    RelAtom,
+    SkolemApp,
     SkolemSymbol,
     Var,
     and_,
     canon_sexpr,
     eq,
-    implies,
     in_set,
     instantiate_index,  # unused here; the benchmark's tracer wraps it by name
-    not_,
-    num,
     or_,
     rank_of,
     rank_of_symbol,
-    skolem,
     skolemize_exists,
     substitute,
-    succ,
     to_sexpr,
 )
 from .history import EMPTY_V, HistoricalSubstitution, validate
@@ -119,12 +122,20 @@ class ClosureCF(NamedTuple):
 CriticalFormula = PredCF | EpsilonCF | InductionCF | InductiveDefCF | ClosureCF
 
 
+# The builders build each node from its class where what goes in is checked
+# already: a witness symbol's arguments are terms of its arity, an `At` node
+# is a formula, and an application over Var(0) does not fold.  The checked
+# constructors left check what the caller hands in: the term of `make_pred`
+# and `make_inductive_def`, the template of `make_induction` and
+# `make_closure`.
+
 def make_pred(s: Expr) -> PredCF:
     if not s.closed:
         raise ProcessInvariantError("predecessor axiom needs a closed term")
-    matrix = eq(s, succ(Var(0)))
+    matrix = eq(s, FnApp("s", (Var(0),)))
     sym, args = skolemize_exists(matrix)
-    formula = implies(not_(eq(s, num(0))), At(matrix, skolem(sym, args)))
+    zero = RelAtom("=", (s, Numeral(0)))
+    formula = Or(Not(Not(zero)), At(matrix, SkolemApp(sym, args)))
     return PredCF(s=s, sym=sym, args=args, formula=formula)
 
 
@@ -134,15 +145,15 @@ def make_epsilon(t: Expr, phi: Expr) -> EpsilonCF:
 
 def _epsilon(t: Expr, phi: Expr, sym: SkolemSymbol, args: tuple) -> EpsilonCF:
     """The epsilon axiom at t of phi, whose witness is sym applied to args."""
-    formula = implies(At(phi, t), At(phi, skolem(sym, args)))
+    formula = Or(Not(At(phi, t)), At(phi, SkolemApp(sym, args)))
     return EpsilonCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
 
 def make_induction(t: Expr, phi: Expr) -> InductionCF:
-    matrix = and_(phi, not_(substitute(phi, {0: succ(Var(0))})))
+    matrix = and_(phi, Not(substitute(phi, {0: FnApp("s", (Var(0),))})))
     sym, args = skolemize_exists(matrix)
-    premise = and_(At(phi, num(0)), not_(At(phi, t)))
-    formula = implies(premise, At(matrix, skolem(sym, args)))
+    premise = And(At(phi, Numeral(0)), Not(At(phi, t)))
+    formula = Or(Not(premise), At(matrix, SkolemApp(sym, args)))
     return InductionCF(t=t, phi=phi, sym=sym, args=args, formula=formula)
 
 
@@ -151,22 +162,22 @@ def make_inductive_def(t: Expr, ctx: InductiveContext) -> InductiveDefCF:
         raise ProcessInvariantError(
             "inductive definition axiom needs a closed term"
         )
-    formula = implies(At(ctx.a_template, t), in_set(t))
+    formula = Or(Not(At(ctx.a_template, t)), in_set(t))
     return InductiveDefCF(t=t, formula=formula)
 
 
 def make_closure(phi: Expr, ctx: InductiveContext) -> ClosureCF:
     b_phi = ctx.with_phi(phi)  # clause with phi for the set; Var(0)=y, Var(1)=x
-    wit_sym, wit_raw = skolemize_exists(not_(b_phi))
+    wit_sym, wit_raw = skolemize_exists(Not(b_phi))
     wit_args = tuple(substitute(a, {1: Var(0)}) for a in wit_raw)
     # the clause at its witness, then re-expressed over the hole: one walk
-    a_phi = substitute(b_phi, {0: skolem(wit_sym, wit_args), 1: Var(0)})
-    psi = or_(not_(a_phi), phi)  # membership condition implies the target
-    premise_sym, premise_args = skolemize_exists(not_(psi))
-    body = or_(not_(in_set(Var(0))), phi)  # the conclusion: forall x body
-    sym, args = skolemize_exists(not_(body))
-    premise = At(psi, skolem(premise_sym, premise_args))
-    formula = implies(premise, At(body, skolem(sym, args)))
+    a_phi = substitute(b_phi, {0: SkolemApp(wit_sym, wit_args), 1: Var(0)})
+    psi = or_(Not(a_phi), phi)  # membership condition implies the target
+    premise_sym, premise_args = skolemize_exists(Not(psi))
+    body = Or(Not(InSet(Var(0))), phi)  # the conclusion: forall x body
+    sym, args = skolemize_exists(Not(body))
+    premise = At(psi, SkolemApp(premise_sym, premise_args))
+    formula = Or(Not(premise), At(body, SkolemApp(sym, args)))
     return ClosureCF(
         phi=phi,
         premise_sym=premise_sym,
@@ -699,7 +710,7 @@ class Goal(NamedTuple):
 
 def make_goal(phi: Expr, text: str = "") -> Goal:
     sym, args = skolemize_exists(phi)
-    return Goal(phi=phi, sym=sym, args=args, text=text, term=skolem(sym, args))
+    return Goal(phi=phi, sym=sym, args=args, text=text, term=SkolemApp(sym, args))
 
 
 def extract_witness(sub: Substitution, goal: Goal) -> int:

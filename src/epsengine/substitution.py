@@ -693,7 +693,7 @@ def _not(phi: Not) -> Code:
 
 def _connective(phi: And | Or) -> Code:
     a, b = phi.left, phi.right
-    if phi.__class__ is Or and a.__class__ is Not:  # as `implies` builds
+    if phi.__class__ is Or and a.__class__ is Not:  # an implication
         a = a.body
         premise, conclusion = a._code or _compile(a), b._code or _compile(b)
 

@@ -30,7 +30,6 @@ from epsengine.language import (
     and_,
     eq,
     fn,
-    implies,
     in_set,
     lt,
     not_,
@@ -38,9 +37,9 @@ from epsengine.language import (
     or_,
     rank_of_symbol,
     skolem,
-    succ,
 )
 from epsengine.substitution import Substitution, TOP_VAL, UNKNOWN, num_val
+from reference import implies, succ
 
 SYM_R1A = SkolemSymbol(eq(Var(0), Var(1)), 1)
 SYM_R1B = SkolemSymbol(lt(Var(0), Var(1)), 1)

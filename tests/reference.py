@@ -11,26 +11,30 @@ compare the two, verdict and lookups alike.
 Beside it sit the earlier forms of engine paths the tests compare with:
 the goal report that builds and evaluates instance trees, the
 serialization that sorts every entry, the walks written out by hand for
-every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`),
-the reader that tokenizes first and then recurses, the parse that reads
+every node type (`substitute`, `to_sexpr`, `abstract_closed_terms`), the
+reader that tokenizes first and then recurses, the parse that reads
 positioned tokens and renames each binder's variable into the hole after
-its body is built, and the problem serializer (`serialize_problem`) that
-only the round-trip test calls.  Then the engine's paths without a verdict
-table, which the table's differential tests compare with: the planner that
-tests every formula afresh on a view it is given (`reference_compute_plan`,
-with `reference_analyze` and the visiting order `formula_order`), the
-solving test over every formula (`reference_is_solving`), and the
-correctness check and refutation of every entry (`reference_is_correct`,
-`reference_refutes`); `table_for` builds the fresh table a test hands the
-engine where it once passed none.  Then the admissibility check that
-builds a map of the whole prefix for every member, the correctness
-condition written out as a formula (`correctness_formula`), `models`, and
-the views of maps and recordings that only the tests ask for (`domain`,
-`sorted_items`, `rank_filter`, `positive_omega`, `consulted`, `leaked`);
-last the small builders and readers of canonical expressions that only
-the tests use, and the step's change and snapshot records computed from
-the two whole states (`change`, `v_changes`), and the member-witness
-conflict search over every entry (`reference_member_conflict`).
+its body is built, the walk over every node and witness symbol of a
+problem and the check of each against its checked rebuild
+(`problem_nodes`, `check_construction`), and the problem serializer
+(`serialize_problem`) that only the round-trip test calls.  Then the
+engine's paths without a verdict table, which the table's differential
+tests compare with: the planner that tests every formula afresh on a
+view it is given (`reference_compute_plan`, with `reference_analyze` and
+the visiting order `formula_order`), the solving test over every formula
+(`reference_is_solving`), and the correctness check and refutation of
+every entry (`reference_is_correct`, `reference_refutes`); `table_for`
+builds the fresh table a test hands the engine where it once passed
+none.  Then the admissibility check that builds a map of the whole
+prefix for every member, the correctness condition written out as a
+formula (`correctness_formula`), `models`, and the views of maps and
+recordings that only the tests ask for (`domain`, `sorted_items`,
+`rank_filter`, `positive_omega`, `consulted`, `leaked`); last the small
+builders of terms and formulas (`plus`, `succ`, `implies`) and the
+builders and readers of canonical expressions that only the tests use,
+and the step's change and snapshot records computed from the two whole
+states (`change`, `v_changes`), and the member-witness conflict search
+over every entry (`reference_member_conflict`).
 """
 
 from __future__ import annotations
@@ -494,6 +498,53 @@ def positioned_parse_problem(text: str) -> problems.Problem:
 
 
 # ---------------------------------------------------------------------------
+# A problem's nodes and witness symbols, every one of them once, for the
+# check that what the parser and the axiom builders build from the node
+# classes is what the checked constructors would build
+
+def problem_nodes(problem: problems.Problem) -> tuple[list[Expr], list]:
+    """Every node reachable from the problem, the symbols' index formulas
+    included, and every witness symbol, each once."""
+    roots: list = []
+    if problem.ctx is not None:
+        ctx = problem.ctx
+        roots += [ctx.clause, ctx.a_template, *ctx.cn_args_template, ctx.omega_sym]
+    for record in [*problem.crits, *(spec.goal for spec in problem.goals)]:
+        for v in record:
+            roots += v if isinstance(v, tuple) else [v]
+    for spec in problem.goals:
+        roots += spec.candidates
+    nodes: dict[int, Expr] = {}
+    syms: dict[int, object] = {}
+    stack = [r for r in roots if not isinstance(r, str)]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Expr):
+            if id(x) not in nodes:
+                nodes[id(x)] = x
+                stack += x.kids
+                if x.__class__ is SkolemApp:
+                    stack.append(x.sym)
+        elif id(x) not in syms:  # a witness symbol
+            syms[id(x)] = x
+            stack.append(x.index_formula)
+    return list(nodes.values()), list(syms.values())
+
+
+def check_construction(problem: problems.Problem, name: str = "") -> None:
+    """Each node of the problem equals its rebuild over its own kids, which
+    goes through the checked constructors: an application over numerals
+    that did not fold, or a node over the wrong kind of kid, fails here.
+    Each witness symbol's text is its index formula's."""
+    nodes, syms = problem_nodes(problem)
+    for node in nodes:
+        rebuilt = node.remake(list(node.kids))
+        assert rebuilt == node and rebuilt.closed == node.closed, (name, node)
+    for sym in syms:
+        assert sym.text == to_sexpr(sym.index_formula), (name, sym)
+
+
+# ---------------------------------------------------------------------------
 # Problems written back as text, which only the round-trip test asks for
 
 def _emit_template(phi: Expr) -> str:
@@ -757,6 +808,15 @@ def leaked(rec) -> set[Canon]:
 
 def plus(a: Expr, b: Expr) -> Expr:
     return fn("+", a, b)
+
+
+def succ(t: Expr) -> Expr:
+    return fn("s", t)
+
+
+def implies(a: Expr, b: Expr) -> Or:
+    """Material implication, stored as (or (not a) b)."""
+    return or_(not_(a), b)
 
 
 def to_term(c: CanonTerm) -> SkolemApp:

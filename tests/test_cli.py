@@ -1,6 +1,8 @@
+import errno
 import functools
 import io
 import json
+import os
 import pathlib
 import re
 import time
@@ -23,10 +25,10 @@ from epsengine.cli import (
 )
 from epsengine.history import HistoricalSubstitution
 from epsengine.language import to_sexpr
-from epsengine.problems import parse_problem
+from epsengine.problems import ParseError, parse_problem
 from epsengine.process import ProcessInvariantError, run
 from epsengine.substitution import num_val, serialize
-from reference import reference_compute_plan
+from reference import check_construction, reference_compute_plan
 
 PROBLEMS = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.eps")
@@ -250,6 +252,122 @@ def test_main_entrypoint(write, capsys):
     assert main(["explain", path, "0"]) == EXIT_SOLVED
     capsys.readouterr()
     assert main(["run", path, "--max-steps", "0"]) == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# files read as bytes: the newlines text mode reads, one leading byte order
+# mark skipped, and the one-line messages of files that cannot be read or
+# written
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _main(argv: list[str], capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _newline_copies(lf: bytes) -> dict[str, bytes]:
+    lines = lf.split(b"\n")
+    mixed = []  # CRLF, CR and LF in turn; a CR never before an empty line
+    for i, line in enumerate(lines[:-1]):
+        end = (b"\r\n", b"\r", b"\n")[i % 3]
+        mixed.append(line + (b"\r\n" if end == b"\r" and not lines[i + 1] else end))
+    mixed.append(lines[-1])
+    return {
+        "crlf": lf.replace(b"\n", b"\r\n"),
+        "cr": lf.replace(b"\n", b"\r"),
+        "mixed": b"".join(mixed),
+        "bom": BOM + lf,
+        "bom-crlf": BOM + lf.replace(b"\n", b"\r\n"),
+    }
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
+def test_other_newlines_and_a_bom_give_the_lf_files_trace_and_report(
+    tmp_path, capsys, path
+):
+    lf_trace = tmp_path / "lf.jsonl"
+    want = _main(["run", str(path), "--trace", str(lf_trace)], capsys)
+    assert want[0] == EXIT_SOLVED and want[2] == ""
+    copies = _newline_copies(path.read_bytes())
+    assert all(b"\r" in data for kind, data in copies.items() if kind != "bom")
+    for kind, data in copies.items():
+        copy, trace = tmp_path / f"{kind}.eps", tmp_path / f"{kind}.jsonl"
+        copy.write_bytes(data)
+        assert _main(["run", str(copy), "--trace", str(trace)], capsys) == want, kind
+        assert trace.read_bytes() == lf_trace.read_bytes(), kind
+        # the header's digest is over the text as read, so the LF file's
+        # trace checks against each copy
+        got = _main(["check", str(lf_trace), str(copy)], capsys)
+        assert got[0] == EXIT_SOLVED and got[2] == "", kind
+    # a trace with CRLF newlines reads as the trace it was
+    crlf_trace = tmp_path / "crlf-trace.jsonl"
+    crlf_trace.write_bytes(lf_trace.read_bytes().replace(b"\n", b"\r\n"))
+    assert _main(["check", str(crlf_trace), str(path)], capsys)[0] == EXIT_SOLVED
+
+
+def test_one_leading_bom_is_skipped(write, tmp_path, capsys):
+    plain = _main(["run", write("p.eps", EPSILON)], capsys)
+    once, twice = tmp_path / "bom.eps", tmp_path / "bom2.eps"
+    once.write_bytes(BOM + EPSILON.encode())
+    twice.write_bytes(BOM + BOM + EPSILON.encode())
+    assert _main(["run", str(once)], capsys) == plain
+    assert _main(["run", str(twice)], capsys) == (
+        EXIT_INPUT, "", f"error: {twice}:1:1: unexpected top-level form '\\ufeff'\n"
+    )
+    only = tmp_path / "only.eps"
+    only.write_bytes(BOM)
+    empty = _main(["run", write("empty.eps", "")], capsys)
+    assert _main(["run", str(only)], capsys) == empty
+
+
+def _os_error(code: int, path: str) -> str:
+    return f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+
+
+def test_file_edge_cases_end_with_the_message_of_each(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("p.eps").write_text(EPSILON)
+    pathlib.Path("empty.eps").write_bytes(b"")
+    missing = _os_error(errno.ENOENT, "missing.eps")
+    is_dir = _os_error(errno.EISDIR, ".")
+    for argv, err in [
+        (["run", "missing.eps"], missing),
+        (["explain", "missing.eps", "0"], missing),
+        (["check", "missing.jsonl", "p.eps"], _os_error(errno.ENOENT, "missing.jsonl")),
+        (["run", "."], is_dir),
+        (["check", ".", "p.eps"], is_dir),
+        (["run", "p.eps", "--trace", "."], is_dir),
+        (["run", "p.eps", "--trace", "no/such/t.jsonl"],
+         _os_error(errno.ENOENT, "no/such/t.jsonl")),
+    ]:
+        assert _main(argv, capsys) == (EXIT_INPUT, "", err), argv
+    # the byte offset of the first byte that is not UTF-8 counts from the
+    # file's first byte, a byte order mark's three included, and past the
+    # size of one read
+    for name, data, at in [
+        ("bad.eps", b"(crit pred \xff)\n", 11),
+        ("bom-bad.eps", BOM + b"(crit pred \xff)\n", 14),
+        ("long-bad.eps", b";" * 10000 + b"\n(crit pred 1 \xc3)\n", 10014),
+        ("cut.eps", b"(crit pred 1)\n\xe2\x82", 14),
+    ]:
+        pathlib.Path(name).write_bytes(data)
+        err = f"error: {name}: not UTF-8 (byte {at})\n"
+        assert _main(["run", name], capsys) == (EXIT_INPUT, "", err), name
+        assert _main(["check", name, "p.eps"], capsys) == (EXIT_INPUT, "", err), name
+    # an empty problem is solved in no steps
+    assert _main(["run", "empty.eps", "--trace", "e.jsonl"], capsys) == (
+        EXIT_SOLVED, "solved in 0 steps\nfinal substitution: {}\n", ""
+    )
+    assert pathlib.Path("e.jsonl").read_bytes() == (
+        b'{"format":1,"problem":"e3b0c44298fc1c14","type":"header"}\n'
+        b'{"final":"{}","status":"solved","steps":0,"type":"summary"}\n'
+    )
+    assert _main(["check", "e.jsonl", "empty.eps"], capsys) == (
+        EXIT_SOLVED, "trace verified: 0 steps\n", ""
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,3 +849,26 @@ for _text in SOURCES:  # every unmutated source, besides the drawn cases
     test_run_and_explain_on_random_and_mutated_inputs_exit_cleanly = example(
         _text.encode()
     )(test_run_and_explain_on_random_and_mutated_inputs_exit_cleanly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(FUZZ_INPUTS)
+def test_random_and_mutated_inputs_that_parse_build_checked_trees(tmp_path_factory, data):
+    """The same inputs: a problem that parses holds only nodes that the
+    checked constructors build."""
+    path = tmp_path_factory.mktemp("fuzz") / "p.eps"
+    path.write_bytes(_small_numerals(data))
+    text = cli._read(str(path), io.StringIO())
+    if text is None:  # not UTF-8
+        return
+    try:
+        problem = parse_problem(text)
+    except (ParseError, RecursionError):
+        return
+    check_construction(problem)
+
+
+for _text in SOURCES:
+    test_random_and_mutated_inputs_that_parse_build_checked_trees = example(
+        _text.encode()
+    )(test_random_and_mutated_inputs_that_parse_build_checked_trees)

@@ -34,13 +34,12 @@ from epsengine.language import (
     simple_rank,
     skolem,
     substitute,
-    succ,
     to_sexpr,
 )
 from epsengine.problems import parse_problem
 from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
-from reference import a_formula, mentions_inductive, plus
+from reference import a_formula, mentions_inductive, plus, succ
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
 

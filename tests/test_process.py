@@ -14,7 +14,6 @@ from epsengine.language import (
     num,
     or_,
     rank_of,
-    succ,
 )
 from epsengine.process import (
     ProcessInvariantError,
@@ -38,7 +37,7 @@ from epsengine.substitution import (
     serialize,
 )
 from genexpr import SYM_R1C
-from reference import domain, reference_analyze, table_for
+from reference import domain, reference_analyze, succ, table_for
 
 HS0 = HistoricalSubstitution.initial()
 

@@ -22,7 +22,6 @@ from epsengine.language import (
     or_,
     skolem,
     substitute,
-    succ,
 )
 from epsengine.substitution import (
     RecordingSubstitution,
@@ -57,6 +56,7 @@ from reference import (
     positive_omega,
     reduce_formula,
     reduce_term,
+    succ,
     to_term,
 )
 

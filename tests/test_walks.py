@@ -31,7 +31,6 @@ from epsengine.language import (
     num,
     skolem,
     substitute,
-    succ,
     to_sexpr,
 )
 from epsengine.language import SkolemSymbol
@@ -45,6 +44,7 @@ from reference import (
     hand_to_sexpr,
     positioned_parse_problem,
     recursive_read_forms,
+    succ,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
