@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -114,8 +116,9 @@ def _members(v_added: dict[int, str]) -> str:
     return ",".join([f'"{m}":{encode_basestring_ascii(v)}' for m, v in items])
 
 
-def _read(path: str, err) -> str | None:
-    """The file's text, or None after a one-line error on err.
+def _read(path: str, err) -> tuple[str, tuple[int, int]] | None:
+    """The file's text and identity, `(st_dev, st_ino)`, or None after a
+    one-line error on err.
 
     The bytes are decoded as UTF-8, with the newlines text mode reads: a
     carriage return, alone or before a line feed, is a line feed.  One
@@ -124,6 +127,7 @@ def _read(path: str, err) -> str | None:
     try:
         with open(path, "rb", buffering=0) as fh:
             data = fh.readall()
+            st = os.fstat(fh.fileno())
     except OSError as e:
         print(f"error: {e}", file=err)
         return None
@@ -134,16 +138,18 @@ def _read(path: str, err) -> str | None:
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text[1:] if text[:1] == "\ufeff" else text
+    return text[1:] if text[:1] == "\ufeff" else text, (st.st_dev, st.st_ino)
 
 
-def _load(path: str, err) -> tuple[str, Problem] | None:
-    """A problem file's text and parse, or None after a one-line error."""
-    text = _read(path, err)
-    if text is None:
+def _load(path: str, err) -> tuple[str, Problem, tuple[int, int]] | None:
+    """A problem file's text, parse and identity, or None after a one-line
+    error."""
+    read = _read(path, err)
+    if read is None:
         return None
+    text, ident = read
     try:
-        return text, parse_problem(text)
+        return text, parse_problem(text), ident
     except ParseError as e:
         print(f"error: {path}:{e}", file=err)
     except RecursionError:
@@ -189,34 +195,54 @@ def _at_hole(e: Expr, n: int) -> tuple[str, int | None]:
     return f"({e.head} {' '.join(parts)})", None
 
 
+# A trace is opened twice, neither time with O_TRUNC.  ext4, with its default
+# auto_da_alloc, takes a truncation to zero and then a write for a "replace
+# via truncate" and flushes the file when that handle is closed, which over
+# an old trace costs several times the write.  So the first handle truncates
+# before the run and writes nothing, and closing it drops that flag with
+# nothing to flush; the second, opened before the first is closed so that a
+# FIFO's reader never sees EOF between them, writes the trace after the run.
+_TRACE_FLAGS = os.O_WRONLY | os.O_CREAT
+
+
 def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     loaded = _load(path, err)
     if loaded is None:
         return EXIT_INPUT
-    text, problem = loaded
+    text, problem, ident = loaded
     max_steps = cfg.max_steps or problem.max_steps or DEFAULT_MAX_STEPS
-    try:  # a trace path that cannot be written fails before the run
-        fh = open(cfg.trace, "wb") if cfg.trace else None
-    except OSError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_INPUT
+    fd = None
     try:
+        if cfg.trace is not None:  # "" too: it fails as a path that cannot be opened
+            try:  # a trace path that cannot be written fails before the run
+                fd = os.open(cfg.trace, _TRACE_FLAGS, 0o666)
+                st = os.fstat(fd)
+                if stat.S_ISREG(st.st_mode):  # O_TRUNC leaves FIFOs and devices be
+                    if (st.st_dev, st.st_ino) == ident:
+                        print(f"error: {path}: --trace names the problem file", file=err)
+                        return EXIT_INPUT
+                    os.ftruncate(fd, 0)
+            except OSError as e:
+                print(f"error: {e}", file=err)
+                return EXIT_INPUT
         outcome = run(
             problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check
         )
         trace = "\n".join(trace_lines(text, problem, outcome)) + "\n"
-        if fh is not None:
+        if fd is not None:
             try:
-                fh.write(trace.encode())
-                fh.close()
+                with open(os.open(cfg.trace, _TRACE_FLAGS, 0o666), "wb") as fh:
+                    first, fd = fd, None
+                    os.close(first)
+                    fh.write(trace.encode())
             except OSError as e:
                 print(f"error: {e}", file=err)
                 return EXIT_INPUT
     finally:
-        if fh is not None:
-            fh.close()
+        if fd is not None:
+            os.close(fd)
     reports, overflow = [], False  # in either format, for the exit code
     if outcome.solved:
         try:  # compiling a goal may overflow, as compiling a formula may
@@ -271,9 +297,10 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     """Replay a trace: re-derive every step and compare record for record."""
     out = out or sys.stdout
     err = err or sys.stderr
-    trace = _read(trace_path, err)
-    if trace is None:
+    read = _read(trace_path, err)
+    if read is None:
         return EXIT_INPUT
+    trace = read[0]
     recorded = []
     for n, line in enumerate(trace.split("\n"), 1):  # each record on its line
         try:
@@ -291,7 +318,7 @@ def cmd_check(trace_path: str, problem_path: str, out=None, err=None) -> int:
     loaded = _load(problem_path, err)
     if loaded is None:
         return EXIT_INPUT
-    text, problem = loaded
+    text, problem, _ = loaded
     bad = [i for i, r in enumerate(recorded) if not isinstance(r, dict)]
     if bad:
         print(f"trace: record {bad[0]} is not a JSON object", file=err)
@@ -423,7 +450,23 @@ def main(argv: list[str] | None = None) -> int:
     p_explain.add_argument("problem")
     p_explain.add_argument("step", type=int)
 
+    if sys.stdout is None:  # Python starts so when its stdout is closed
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_INPUT
     args = ap.parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # here, and not at exit, where it could not be caught
+    except BrokenPipeError as e:
+        # stdout's reader has gone: what is still buffered goes to devnull, so
+        # the flush at exit writes nothing (see the `signal` module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.cmd == "run":
         try:
             cfg = RunConfig(

@@ -5,6 +5,9 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -368,6 +371,157 @@ def test_file_edge_cases_end_with_the_message_of_each(tmp_path, capsys, monkeypa
     assert _main(["check", "e.jsonl", "empty.eps"], capsys) == (
         EXIT_SOLVED, "trace verified: 0 steps\n", ""
     )
+    # "" names no file: it fails as any path that cannot be opened
+    assert _main(["run", "p.eps", "--trace", ""], capsys) == (
+        EXIT_INPUT, "", _os_error(errno.ENOENT, "")
+    )
+
+
+# ---------------------------------------------------------------------------
+# the trace file: truncated before the run, written after it through a
+# second handle that does not truncate, and never the problem file
+
+CASCADE_PATH = next(p for p in PROBLEMS if p.stem == "rebuild_cascade")
+
+
+@pytest.fixture
+def fresh(tmp_path, capsys):
+    """The sample's trace and report, written to a new path."""
+    path = tmp_path / "fresh.jsonl"
+    code, out, err = _main(["run", str(CASCADE_PATH), "--trace", str(path)], capsys)
+    assert (code, err) == (EXIT_SOLVED, "")
+    return path.read_bytes(), out
+
+
+@pytest.mark.parametrize("old", [b"", b"x\n", b"x" * 100_000], ids=["empty", "shorter", "longer"])
+def test_a_trace_over_an_old_file_is_exactly_the_new_trace(tmp_path, capsys, fresh, old):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(old)
+    trace.chmod(0o600)
+    got = _main(["run", str(CASCADE_PATH), "--trace", str(trace)], capsys)
+    assert got == (EXIT_SOLVED, fresh[1], "")
+    assert trace.read_bytes() == fresh[0]
+    assert trace.stat().st_mode & 0o777 == 0o600
+
+
+def test_a_trace_is_written_through_links(tmp_path, capsys, fresh):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"x" * 100_000)
+    soft, hard = tmp_path / "soft.jsonl", tmp_path / "hard.jsonl"
+    soft.symlink_to(target.name)
+    os.link(target, hard)
+    assert _main(["run", str(CASCADE_PATH), "--trace", str(soft)], capsys)[0] == EXIT_SOLVED
+    assert soft.is_symlink() and target.read_bytes() == fresh[0]
+    target.write_bytes(b"x")
+    assert _main(["run", str(CASCADE_PATH), "--trace", str(hard)], capsys)[0] == EXIT_SOLVED
+    assert target.read_bytes() == fresh[0] and os.path.samefile(target, hard)
+
+
+def test_the_trace_file_is_empty_while_the_run_goes_on(tmp_path, capsys, monkeypatch, fresh):
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(b"an old trace\n")
+    sizes = []
+
+    def watched(*args, **kwargs):
+        sizes.append(trace.stat().st_size)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", watched)
+    assert _main(["run", str(CASCADE_PATH), "--trace", str(trace)], capsys)[0] == EXIT_SOLVED
+    assert sizes == [0] and trace.read_bytes() == fresh[0]
+
+
+def test_no_handle_on_the_trace_truncates_it(tmp_path, capsys, monkeypatch, fresh):
+    """A truncating open followed by a write is what makes ext4 flush the
+    file at close; the trace's two opens must not ask for it."""
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(b"x" * 100_000)
+    flags, real_open = [], os.open
+
+    def recording(path, flag, *args, **kwargs):
+        if path == str(trace):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert _main(["run", str(CASCADE_PATH), "--trace", str(trace)], capsys)[0] == EXIT_SOLVED
+    assert trace.read_bytes() == fresh[0]
+    assert len(flags) == 2
+    assert all(f & os.O_WRONLY and not f & (os.O_TRUNC | os.O_APPEND) for f in flags), flags
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_reader_that_reads_once_gets_the_whole_trace(tmp_path, capsys, fresh):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got, ran = [], threading.Event()
+
+    def read_once():
+        got.append(fifo.read_bytes())  # to the first EOF
+        if not ran.wait(timeout=10):  # an open after that EOF waits for a reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+
+    reader = threading.Thread(target=read_once, daemon=True)
+    reader.start()
+    try:
+        code = _main(["run", str(CASCADE_PATH), "--trace", str(fifo)], capsys)[0]
+    finally:
+        ran.set()
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == EXIT_SOLVED and got == [fresh[0]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_a_trace_to_dev_null(capsys, fresh):
+    assert _main(["run", str(CASCADE_PATH), "--trace", "/dev/null"], capsys) == (
+        EXIT_SOLVED, fresh[1], ""
+    )
+    # the same file, but no regular file: nothing of the problem is lost
+    assert _main(["run", "/dev/null", "--trace", "/dev/null"], capsys) == (
+        EXIT_SOLVED, "solved in 0 steps\nfinal substitution: {}\n", ""
+    )
+
+
+def test_a_trace_that_names_the_problem_file_is_refused(tmp_path, capsys, monkeypatch):
+    problem = tmp_path / "p.eps"
+    problem.write_bytes(CASCADE_PATH.read_bytes())
+    (tmp_path / "soft.eps").symlink_to(problem.name)
+    os.link(problem, tmp_path / "hard.eps")
+    monkeypatch.setattr(cli, "run", _must_not_run)
+    for p, t in [("p.eps", "p.eps"), ("p.eps", "soft.eps"), ("soft.eps", "hard.eps")]:
+        argv = ["run", str(tmp_path / p), "--trace", str(tmp_path / t)]
+        assert _main(argv, capsys) == (
+            EXIT_INPUT, "", f"error: {tmp_path / p}: --trace names the problem file\n"
+        ), (p, t)
+        assert problem.read_bytes() == CASCADE_PATH.read_bytes()
+
+
+def _cli_process(argv: list[str], wrap: tuple = (), **kwargs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(CASCADE_PATH.parent.parent / "src")}
+    return subprocess.run(
+        [*wrap, sys.executable, "-m", "epsengine.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs
+    )
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--format", "structured"], ["explain", "3"]])
+def test_a_closed_stdout_ends_with_one_line_and_exit_1(argv):
+    """A reader that has gone, as `run P | true` leaves, and a stdout that
+    was closed before the process started."""
+    argv = [argv[0], str(CASCADE_PATH), *argv[1:]]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _cli_process(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_INPUT, "error: [Errno 32] Broken pipe\n")
+    done = _cli_process(argv, stdout=subprocess.DEVNULL)
+    assert (done.returncode, done.stderr) == (EXIT_SOLVED, "")
+    if os.name == "posix":
+        done = _cli_process(argv, wrap=("sh", "-c", 'exec "$@" >&-', "sh"))
+        assert (done.returncode, done.stderr) == (EXIT_INPUT, "error: stdout is closed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -858,11 +1012,11 @@ def test_random_and_mutated_inputs_that_parse_build_checked_trees(tmp_path_facto
     checked constructors build."""
     path = tmp_path_factory.mktemp("fuzz") / "p.eps"
     path.write_bytes(_small_numerals(data))
-    text = cli._read(str(path), io.StringIO())
-    if text is None:  # not UTF-8
+    read = cli._read(str(path), io.StringIO())
+    if read is None:  # not UTF-8
         return
     try:
-        problem = parse_problem(text)
+        problem = parse_problem(read[0])
     except (ParseError, RecursionError):
         return
     check_construction(problem)
