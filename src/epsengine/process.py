@@ -46,7 +46,6 @@ from .language import (
 )
 from .history import EMPTY_V, HistoricalSubstitution, validate
 from .substitution import (
-    Change,
     Substitution,
     TOP_VAL,
     Value,
@@ -58,10 +57,8 @@ from .substitution import (
     is_ci,
     is_correct,
     layer_change,
-    member_conflict,
     num_val,
     put_change,
-    refutes,
     serialize,
 )
 
@@ -517,34 +514,6 @@ class HStep(NamedTuple):
     solving: bool
 
 
-def _step_ci(
-    after: Substitution,
-    delta: Change,
-    ctx: InductiveContext | None,
-    verdicts: Verdicts,
-) -> bool:
-    """Computational inconsistency of a step's result from a consistent input,
-    given the step's change.
-
-    A finite-rank or above-Omega entry's correctness formula reads only
-    entries of strictly lower rank, and the step keeps all of those
-    verbatim, so every entry it kept keeps its verdict.  Only the entries it
-    added or revalued, and, when the change touches rank Omega, that layer
-    (whose entries read each other) and the member-witness conflicts among
-    the rows it added need a recheck; otherwise the layer is the input's,
-    which is consistent.  Removing an entry only leaves what reads it
-    undecided, which refutes nothing.
-    """
-    rows = delta.rows
-    if delta.omega:
-        if member_conflict(after, ctx, rows):
-            return True
-        omega = OMEGA.kind
-        rows = [r for r in rows if r[0][0] != omega]
-        rows += after.split_omega()[1]
-    return any(refutes(after, r[2], r[3], ctx, verdicts) for r in rows)
-
-
 def h_step(
     hs: HistoricalSubstitution,
     crs: Sequence[CriticalFormula],
@@ -559,16 +528,16 @@ def h_step(
     row below it.  The table, carried from step to step (one per list of
     critical formulas), spares the evaluations whose reads the previous
     step left unchanged: the step tells it the change, so it re-reads
-    nothing the step did not touch.  It also keeps the guard's verdict on
-    the state the step made, so the next step need not run the full guard;
-    on a state the table did not follow, the run's first among them, the
-    step runs the full guard (`is_ci`).  The members whose snapshot the
-    step added or dropped are those past the prefix the two membership
-    orders share.
+    nothing the step did not touch.  The guard (`is_ci`) runs on the state
+    the step made, and the table keeps its verdict for the next step; on an
+    input the table holds no verdict for, in a run only the initial state,
+    it runs first on the input, over every pair.  The members whose
+    snapshot the step added or dropped are those past the prefix the two
+    membership orders share.
     """
     verdicts.follow(hs.sub)
     ci = verdicts.ci
-    if is_ci(hs.sub, ctx) if ci is None else ci:
+    if is_ci(hs.sub, ctx, verdicts) if ci is None else ci:
         raise ProcessInvariantError(
             "refusing to step a computationally inconsistent substitution"
         )
@@ -582,7 +551,7 @@ def h_step(
     else:
         delta = put_change(hs.sub, hs2.sub, (*plan.rank, e))
     verdicts.advance(hs.sub, hs2.sub, delta)
-    verdicts.ci = _step_ci(hs2.sub, delta, ctx, verdicts)
+    verdicts.ci = is_ci(hs2.sub, ctx, verdicts)
     v_added, v_removed = {}, ()
     if hs2.p != hs.p:
         shared = min(len(hs.p), len(hs2.p))

@@ -392,8 +392,9 @@ class Verdicts:
     in ``_current`` is answered without re-reading, and callers skip the
     keys in ``known`` (see `is_correct`); any other key, and any key on a
     state the table did not follow, is validated by its reads.  ``ci`` is
-    the guard's verdict on the followed state, as the step that made it
-    found it (see `process.h_step`), or None.
+    the guard's verdict (`is_ci`) on the followed state, which the step
+    that made it left there (see `process.h_step`), or None: on a map the
+    table did not follow, and after `advance` until the guard runs.
 
     A table serves one list of critical formulas, whose keys are their
     indices, and is built with their visiting order: ``order``, a sorted
@@ -500,12 +501,16 @@ class Verdicts:
             self.known.discard(key)
 
     def touched(self, sub: Substitution) -> Iterable[tuple[Canon, Value]]:
-        """The pairs of sub, the map the table follows, whose correctness the
-        step it followed there may have changed: those the step added or
-        revalued, and those with a correctness or refutation key it made
-        stale; every pair of sub after a map the table did not follow."""
+        """The pairs of sub, the map the table follows, whose verdicts the
+        table cannot vouch for, which the guard and `--check` evaluate:
+        those the step it followed there added or revalued, and those with
+        a correctness or refutation key it made stale; every pair of sub
+        after a map the table did not follow.  A pair the table never
+        evaluated has no reads to go stale, so the others are vouched for
+        only where every pair was evaluated once the table began following,
+        as `run` does by guarding its first state."""
         if self.stale is None:
-            return sub.items()
+            return sub._entries.items()
         pairs = dict.fromkeys(map(_PAIR, self.step.rows))
         get = sub._entries.get
         for key in self.stale:
@@ -1082,16 +1087,17 @@ def is_correct(
 
 
 def member_conflict(
-    sub: Substitution, ctx: InductiveContext | None, rows: list | None = None
+    sub: Substitution,
+    ctx: InductiveContext | None,
+    pairs: Iterable[tuple[Canon, Value]],
 ) -> bool:
-    """Some member n in I has its rank-Omega witness term c_n valued; with
-    rows, rows of sub, only a conflict that involves one of them is looked
-    for.  A change to a map without a conflict makes one only among the
-    rows it adds or revalues."""
+    """Some member n in I has its rank-Omega witness term c_n valued, in a
+    conflict that involves one of pairs, pairs of sub.  A change to a map
+    without a conflict makes one only among the pairs it adds or revalues."""
     if ctx is None:
         return False
     get = sub._entries.get
-    for _, _, e, u in sub._rows if rows is None else rows:
+    for e, u in pairs:
         if e.__class__ is CanonForm:
             w = u.kind == "top" and get(ctx.c_n(e.n))
             if w and w.kind == "num":
@@ -1122,12 +1128,12 @@ def refutes(
     ) is False
 
 
-def is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
-    """Computational inconsistency: a refuted entry or a witness conflict.
-
-    The full guard, for a map no table follows: every entry's condition is
-    evaluated on the stored map.
-    """
-    return member_conflict(sub, ctx) or any(
-        correctness(e, u, sub, ctx) is False for e, u in sub.items()
+def is_ci(sub: Substitution, ctx: InductiveContext | None, verdicts: Verdicts) -> bool:
+    """Computational inconsistency: a refuted entry or a witness conflict
+    among the pairs the table cannot vouch for (see `Verdicts.touched`).
+    Every pair it evaluates leaves its reads in the table, so a pair it
+    skips keeps a verdict whose reads the step left alone."""
+    pairs = verdicts.touched(sub)
+    return member_conflict(sub, ctx, pairs) or any(
+        refutes(sub, e, u, ctx, verdicts) for e, u in pairs
     )

@@ -22,8 +22,9 @@ engine's paths without a verdict table, which the table's differential
 tests compare with: the planner that tests every formula afresh on a
 view it is given (`reference_compute_plan`, with `reference_analyze` and
 the visiting order `formula_order`), the solving test over every formula
-(`reference_is_solving`), and the correctness check and refutation of
-every entry (`reference_is_correct`, `reference_refutes`); `table_for`
+(`reference_is_solving`), the correctness check and refutation of
+every entry (`reference_is_correct`, `reference_refutes`), and the guard
+over every entry (`reference_is_ci`); `table_for`
 builds the fresh table a test hands the engine where it once passed
 none.  Then the admissibility check that builds a map of the whole
 prefix for every member, the correctness condition written out as a
@@ -652,6 +653,14 @@ def reference_is_correct(sub: Substitution, ctx: InductiveContext | None = None)
 def reference_refutes(sub: Substitution, e, u, ctx: InductiveContext | None = None):
     """The stored entries of sub decide the pair (e, u) incorrect."""
     return correctness(e, u, sub, ctx) is False
+
+
+def reference_is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
+    """The guard over every entry: a witness conflict anywhere in the map,
+    or an entry the stored entries decide incorrect."""
+    return reference_member_conflict(sub, ctx) or any(
+        reference_refutes(sub, e, u, ctx) for e, u in sub.items()
+    )
 
 
 # ---------------------------------------------------------------------------

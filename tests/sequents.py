@@ -36,13 +36,13 @@ from epsengine.substitution import (
     RecordingSubstitution,
     Substitution,
     entry_is_positive,
-    is_ci,
 )
 from reference import (
     correctness_formula,
     leaked,
     reduce_formula,
     reference_compute_plan,
+    reference_is_ci,
     reference_is_solving,
     sorted_items,
 )
@@ -247,7 +247,7 @@ def classify_axiom(
     sequent is no axiom.
     """
     out: list = []
-    if is_ci(theta.sub, ctx):
+    if reference_is_ci(theta.sub, ctx):
         out.append("AxF")
     if reference_is_solving(theta.sub, crs):
         out.append("AxS")

@@ -28,10 +28,16 @@ def test_bench_wraps_existing_engine_attributes(bench_modules, tmp_path):
         assert code == 0
     finally:
         assert t.restore() == []
-    # one satisfaction test for the initial state and one per step
+    # one satisfaction test and one guard for the initial state, and one
+    # of each per step
     steps = t.counts[(bench_run.RUN_ROOT, "steps.low")]
     assert steps == 1
     assert t.counts[(bench_run.RUN_ROOT, "is_solving_calls")] == steps + 1
+    guards = [
+        span for span in t.spans
+        if span[0] == "substitution.is_ci" and t.spans[span[5]][0] == bench_run.RUN_ROOT
+    ]
+    assert len(guards) == steps + 1
 
 
 def test_every_bench_wrapper_sees_its_layer(bench_modules, tmp_path):

@@ -57,7 +57,7 @@ from epsengine.language import (
     to_sexpr,
 )
 from epsengine.problems import parse_problem
-from epsengine import process
+from epsengine import process, substitution
 from epsengine.process import (
     CASE_HIGH,
     CASE_LOW,
@@ -65,7 +65,6 @@ from epsengine.process import (
     CASE_OMEGA_POS,
     ProcessInvariantError,
     StepPlan,
-    _step_ci,
     compute_plan,
     h_step,
     is_solving,
@@ -110,6 +109,7 @@ from reference import (
     reduce_term,
     reference_analyze,
     reference_compute_plan,
+    reference_is_ci,
     reference_is_correct,
     reference_is_solving,
     reference_member_conflict,
@@ -165,8 +165,8 @@ def _tiny_bench_texts():
 @pytest.fixture(scope="module")
 def runs():
     """(name, problem, states) per problem; states[k + 1] is step k's result,
-    taken with a fresh table, so each step runs the full guard and plans
-    from scratch."""
+    taken with a fresh table, so each step guards every pair of its input
+    and plans from scratch."""
     texts = [(p.name, p.read_text()) for p in sorted((ROOT / "problems").glob("*.eps"))]
     texts += [(cp.name, cp.text) for cp in build_corpus()]
     texts += _tiny_bench_texts()
@@ -264,15 +264,19 @@ def test_rank_bound_is_a_lower_bound_and_exact_but_for_closure(runs):
 
 
 def test_step_local_verdict_matches_full_guard(runs):
-    """The guard's verdict a step leaves in the table is the full guard's
-    on the state the step made; a fresh table holds none."""
+    """The guard's verdict a step leaves in the table, which rechecked only
+    the pairs the table could not vouch for, is the table-free guard's over
+    every entry on the state the step made; a fresh table holds none."""
     assert Verdicts([]).ci is None
+    compared = 0
     for name, p, states in runs:
         verdicts, hs = table_for(p.crits, omega_sym(p)), states[0]
         for k, want in enumerate(states[1:]):
             hs, _ = h_step(hs, p.crits, p.ctx, k, verdicts)
             assert hs == want, f"{name} step {k}"
-            assert verdicts.ci == is_ci(hs.sub, p.ctx), f"{name} step {k}"
+            assert verdicts.ci == reference_is_ci(hs.sub, p.ctx), f"{name} step {k}"
+            compared += 1
+    assert compared > 800
 
 
 def _mutations(sub: Substitution, ctx):
@@ -305,19 +309,24 @@ def _mutations(sub: Substitution, ctx):
 
 
 def test_step_local_verdict_on_mutations(runs):
-    """Dropping a member only undecides entries, so it never yields an
-    inconsistent state; adding one is what reaches the rank-Omega layer."""
+    """The guard on a table that guarded a consistent state and was then
+    told a one-entry change, and on a fresh table, against the table-free
+    guard.  Dropping a member only undecides entries, so it never yields an
+    inconsistent state; adding one is what reaches the rank-Omega layer,
+    where it can refute an entry the change left alone."""
     tried: dict[str, int] = {}
     inconsistent: dict[str, int] = {}
     for name, p, states in runs:
         for hs in states[1:]:
-            if is_ci(hs.sub, p.ctx):
+            if reference_is_ci(hs.sub, p.ctx):
                 continue
             for kind, changed, mutated in _mutations(hs.sub, p.ctx):
-                verdict = is_ci(mutated, p.ctx)
-                delta = change(hs.sub, mutated)
-                fresh = Verdicts([])
-                assert _step_ci(mutated, delta, p.ctx, fresh) == verdict, (name, kind)
+                verdict = reference_is_ci(mutated, p.ctx)
+                table = Verdicts([])
+                assert is_ci(hs.sub, p.ctx, table) is False, (name, kind)
+                table.advance(hs.sub, mutated, change(hs.sub, mutated))
+                assert is_ci(mutated, p.ctx, table) == verdict, (name, kind)
+                assert is_ci(mutated, p.ctx, Verdicts([])) == verdict, (name, kind)
                 tried[kind] = tried.get(kind, 0) + 1
                 inconsistent[kind] = inconsistent.get(kind, 0) + verdict
                 if kind == "add-member" and verdict:
@@ -335,25 +344,31 @@ def test_h_step_carries_the_verdict_to_the_next_step(monkeypatch):
     problem = parse_problem(
         "".join(f"(crit eps {k} (exists (x) (= x {k})))\n" for k in (1, 2, 3))
     )
-    guarded = []
-    full_guard = process.is_ci
-    monkeypatch.setattr(
-        process, "is_ci", lambda sub, ctx=None: guarded.append(len(sub)) or full_guard(sub, ctx)
-    )
+    guarded, forced = [], []
+    real_guard = process.is_ci
+
+    def guard(sub, ctx, verdicts):
+        guarded.append(len(sub))
+        return forced[0] if forced else real_guard(sub, ctx, verdicts)
+
+    monkeypatch.setattr(process, "is_ci", guard)
     verdicts = table_for(problem.crits, None)
     hs, _ = h_step(HistoricalSubstitution.initial(), problem.crits, None, 0, verdicts)
-    assert verdicts.ci is False and guarded == [0]  # the hand-built initial state
-    monkeypatch.setattr(process, "_step_ci", lambda after, delta, ctx, verdicts: True)
+    # the hand-built initial state, which the table holds no verdict for,
+    # then the state the step made
+    assert verdicts.ci is False and guarded == [0, 1]
+    forced.append(True)
     hs, _ = h_step(hs, problem.crits, None, 1, verdicts)
-    assert verdicts.ci is True and guarded == [0]
+    assert verdicts.ci is True and guarded == [0, 1, 2]
     with pytest.raises(ProcessInvariantError, match="inconsistent"):
         h_step(hs, problem.crits, None, 2, verdicts)
-    assert guarded == [0]
-    # a fresh table, on a state it did not follow, runs the full guard, which
-    # finds the state consistent where the carried verdict said otherwise
+    assert guarded == [0, 1, 2]
+    # a fresh table holds no verdict on the state, so the guard runs on it
+    # and finds it consistent where the carried verdict said otherwise
+    forced.clear()
     fresh = table_for(problem.crits, None)
     h_step(hs, problem.crits, None, 2, fresh)
-    assert guarded == [0, 2]
+    assert fresh.ci is False and guarded == [0, 1, 2, 2, 3]
 
 
 def test_verdict_stays_out_of_construction_equality_and_repr(runs):
@@ -1097,6 +1112,32 @@ def test_a_step_looks_up_a_constant_number_of_verdicts(monkeypatch):
         assert len(per_step) == 1 and per_step.pop() <= bound, check
 
 
+def test_a_ladder_step_refutes_a_constant_number_of_pairs(monkeypatch):
+    """Counted, not timed: on the bench ladders of c = 12 and 48 closures,
+    where rank-Omega steps and rollbacks make up most of the run, the guard
+    asks for at most two refutations a step on average, where rechecking
+    the whole membership layer asked for more the larger the layer; a run
+    that asked for none would mean the count missed the guard."""
+    with bench_imports():
+        import workloads
+
+        ladders = [workloads.omega_ladder(random.Random(1), (c,))[0] for c in (12, 48)]
+    calls = []
+    real_refutes = substitution.refutes
+
+    def counted(*args):
+        calls.append(1)
+        return real_refutes(*args)
+
+    monkeypatch.setattr(substitution, "refutes", counted)
+    for ladder in ladders:
+        problem = parse_problem(ladder.text)
+        calls.clear()
+        outcome = run(problem.crits, problem.ctx)
+        assert outcome.solved and len(outcome.steps) > 200
+        assert len(outcome.steps) <= len(calls) <= 2 * len(outcome.steps), ladder.name
+
+
 def test_witness_line_matches_the_instance_tree_report(runs):
     """On every reached state, decided or not, for every goal."""
     from epsengine.cli import witness_line
@@ -1149,7 +1190,7 @@ def _consistent_mutations(runs):
                 more.append(("unknown-at-plan", plan.e, hs.sub.with_entry(plan.e, UNKNOWN)))
             for kind, _, mutated in [*_mutations(hs.sub, p.ctx), *more]:
                 if (
-                    is_ci(mutated, p.ctx)
+                    reference_is_ci(mutated, p.ctx)
                     or not reference_is_correct(mutated, p.ctx)
                     or reference_is_solving(mutated, p.crits)
                 ):
@@ -1234,21 +1275,25 @@ def test_pending_list_is_the_order_less_what_is_known(runs):
     assert put_back > 0
 
 
+def _row_pairs(rows):
+    return [(e, u) for _, _, e, u in rows]
+
+
 def test_conflict_among_the_changed_rows_matches_the_full_search(runs):
     """On a map made by a change from one without a conflict, the conflicts
-    among the rows the change added are all there are."""
+    among the pairs the change added are all there are."""
     seen = set()
     for name, p, before, after, verdicts in _followed_steps(runs):
-        got = member_conflict(after.sub, p.ctx, verdicts.step.rows)
+        got = member_conflict(after.sub, p.ctx, _row_pairs(verdicts.step.rows))
         assert got == reference_member_conflict(after.sub, p.ctx) is False, name
-        assert member_conflict(after.sub, p.ctx) is False, name
+        assert member_conflict(after.sub, p.ctx, after.sub.items()) is False, name
     for name, p, states in runs:
         for hs in states[1:]:
             for kind, _, mutated in _mutations(hs.sub, p.ctx):
-                rows = change(hs.sub, mutated).rows
+                pairs = _row_pairs(change(hs.sub, mutated).rows)
                 want = reference_member_conflict(mutated, p.ctx)
-                assert member_conflict(mutated, p.ctx, rows) == want, (name, kind)
-                assert member_conflict(mutated, p.ctx) == want, (name, kind)
+                assert member_conflict(mutated, p.ctx, pairs) == want, (name, kind)
+                assert member_conflict(mutated, p.ctx, mutated.items()) == want, (name, kind)
                 seen.add((kind, want))
     assert ("member-witness", True) in seen and ("add-member", False) in seen
 

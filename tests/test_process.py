@@ -47,7 +47,7 @@ def plan_of(hs, crs, ctx):
 
 
 def step(hs, crs, ctx):
-    """One step on a fresh table: the full guard, and a plan from scratch."""
+    """One step on a fresh table: the guard over every pair, and a plan from scratch."""
     return h_step(hs, crs, ctx, 0, table_for(crs, hs.sub.omega_sym))
 
 

@@ -35,6 +35,7 @@ from epsengine.substitution import (
     Substitution,
     compiled,
     correctness,
+    Verdicts,
     first_interval,
     is_ci,
     num_val,
@@ -209,7 +210,7 @@ def test_a_solved_search_evaluates_its_index_formula_a_bounded_number_of_times(
     assert len(calls) == 0
     sub = Substitution({CanonTerm(sym, (big,)): num_val(big)})
     assert correctness(CanonTerm(sym, (big,)), num_val(big), sub) is True
-    assert is_ci(sub) is False
+    assert is_ci(sub, None, Verdicts([])) is False
     assert calls == [big, big]  # the head, once per check
 
     inner = SkolemSymbol(lt(Var(0), Var(1)), 1)

@@ -221,7 +221,7 @@ def correct(sub, ctx=None):
 
 def test_empty_substitution_is_correct_cc_computing():
     assert correct(EMPTY)
-    assert not is_ci(EMPTY)
+    assert not is_ci(EMPTY, None, Verdicts([]))
     assert is_computing(EMPTY)
 
 
@@ -230,7 +230,7 @@ def test_member_witness_conflict_is_ci(ctx):
         {ctx.c_n(1): num_val(1), CanonForm(1): TOP_VAL},
         omega_sym=ctx.omega_sym,
     )
-    assert is_ci(s, ctx)
+    assert is_ci(s, ctx, Verdicts([]))
 
 
 def test_correct_membership_entry(ctx):
