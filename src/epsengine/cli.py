@@ -82,7 +82,7 @@ def summary_record(outcome: Outcome) -> dict:
     }
 
 
-def trace_lines(problem_text: str, problem: Problem, outcome: Outcome) -> list[str]:
+def trace_lines(problem_text: str, outcome: Outcome) -> list[str]:
     header = {
         "type": "header",
         "format": TRACE_FORMAT,
@@ -157,8 +157,8 @@ def _load(path: str, err) -> tuple[str, Problem, tuple[int, int]] | None:
     return None
 
 
-# the empty map's standard extension: maps are immutable, so one serves all
-_EMPTY = Substitution.empty().extended()
+# the empty map: maps are immutable, so one serves all
+_EMPTY = Substitution.empty()
 
 
 def witness_line(sub: Substitution, goal: Goal) -> str:
@@ -230,7 +230,9 @@ def cmd_run(path: str, cfg: RunConfig, out=None, err=None) -> int:
         outcome = run(
             problem.crits, problem.ctx, max_steps=max_steps, check=cfg.check
         )
-        trace = "\n".join(trace_lines(text, problem, outcome)) + "\n"
+        trace = None  # the text format writes it only to --trace
+        if fd is not None or cfg.fmt == "structured":
+            trace = "\n".join(trace_lines(text, outcome)) + "\n"
         if fd is not None:
             try:
                 with open(os.open(cfg.trace, _TRACE_FLAGS, 0o666), "wb") as fh:

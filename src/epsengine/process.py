@@ -281,8 +281,9 @@ def analyze(
 ) -> tuple[Canon, Value] | None:
     """Repair pair for an unsatisfied critical formula, None when satisfied.
 
-    ext is the view of hs's map that the analysis reads, and holds the
-    caller's satisfaction verdict for cf on it.
+    ext is the view of hs's map that the analysis reads (the map itself, or
+    a test's recording of it), and holds the caller's satisfaction verdict
+    for cf on it.
     """
     if holds:
         return None
@@ -349,10 +350,9 @@ def is_solving(
     """Every critical formula holds: each verdict is kept in the table,
     keyed by the formula's index, and only the formulas not known to hold
     are visited."""
-    ext = sub.extended()
-    verdicts.follow(ext)
+    verdicts.follow(sub)
     return all(
-        verdicts.truth(i, ext, lambda v: compiled(crs[i].formula)((), v)) is True
+        verdicts.truth(i, sub, lambda v: compiled(crs[i].formula)((), v)) is True
         for _, i in verdicts.pending_formulas()
     )
 
@@ -385,17 +385,17 @@ def compute_plan(
     uses, and the walk passes over only the formulas it does not know to
     hold: one that holds is never the plan.
     """
-    ext = hs.sub.extended()
-    omega = hs.sub.omega_sym
-    verdicts.follow(ext)
+    sub = hs.sub
+    omega = sub.omega_sym
+    verdicts.follow(sub)
     best: tuple[Rank, int, Canon, Value] | None = None
     for key in verdicts.pending_formulas():
         if best is not None and key > best[:2]:
             break
         i = key[1]
         cf = crs[i]
-        holds = verdicts.truth(i, ext, lambda v: compiled(cf.formula)((), v)) is True
-        pair = analyze(cf, hs, ctx, ext, holds)
+        holds = verdicts.truth(i, sub, lambda v: compiled(cf.formula)((), v)) is True
+        pair = analyze(cf, hs, ctx, sub, holds)
         if pair is None:
             continue
         e, v = pair
@@ -602,9 +602,9 @@ def _check(
     Only the entries the step added or revalued, and those whose verdict it
     made stale, are checked again (see `Verdicts.touched`).  An entry's
     verdict is reused only while every entry its correctness formula read
-    is unchanged, or taken from the guard's when that held on the stored
-    map.  A step that touched no rank-Omega entry and kept P and V keeps
-    the history valid; otherwise only the members past the longest prefix
+    is unchanged, so a pair the guard just evaluated is found in the table.
+    A step that touched no rank-Omega entry and kept P and V keeps the
+    history valid; otherwise only the members past the longest prefix
     shared with ``valid``'s P, and only the snapshots it does not hold, are
     tested again.
     """
@@ -688,9 +688,8 @@ def extract_witness(sub: Substitution, goal: Goal) -> int:
     The template is evaluated at the witness term's value, which reads what
     the template instantiated at the term itself would.
     """
-    ext = sub.extended()
-    n = compiled(goal.term)((), ext)
-    if n is None or compiled(goal.phi)((n,), ext) is not True:
+    n = compiled(goal.term)((), sub)
+    if n is None or compiled(goal.phi)((n,), sub) is not True:
         raise ProcessInvariantError(
             "goal is not satisfied by the final substitution"
         )

@@ -1,10 +1,11 @@
 """Substitutions over canonical expressions and their three-valued semantics.
 
-A substitution is a finite map from canonical expressions to values.  Its
-standard extension treats every unassigned canonical expression as
+A substitution is a finite map from canonical expressions to values, read
+as its standard extension: every unassigned canonical expression is
 indeterminate.  One evaluator walks a term or formula once and answers its
-value, or None when a lookup left it undecided: on the standard extension
-every closed formula is decided, on the stored map an absent entry is not.
+value, or None when a part is left undecided: on a map every closed formula
+is decided, and a view whose lookups may answer None (a test's, for one)
+leaves undecided all that contains such a lookup.
 """
 
 from __future__ import annotations
@@ -135,14 +136,13 @@ class Substitution:
     The optional ``omega_sym`` identifies the rank-Omega witness symbol of
     the ambient problem and is carried through updates.  A map is built
     with its rows in order; one derived from another map takes the
-    parent's rows and checks only the entries it adds.  Its standard
-    extension (`extended`) has ``lazy`` set: lookups outside the stored
-    domain answer ? instead of reporting absence.  ``serialize`` keeps its
-    text in ``_text`` and `digest` its hash in ``_digest``, which the
-    standard extension shares.
+    parent's rows and checks only the entries it adds.  Lookups answer as
+    the standard extension does: ? outside the stored domain (`raw` tells
+    absence apart).  ``serialize`` keeps its text in ``_text`` and `digest`
+    its hash in ``_digest``.
     """
 
-    __slots__ = ("_entries", "_rows", "lazy", "omega_sym", "_text", "_digest")
+    __slots__ = ("_entries", "_rows", "omega_sym", "_text", "_digest")
 
     def __init__(
         self,
@@ -155,7 +155,6 @@ class Substitution:
         self._rows = sorted(
             [_row(e, u, omega_sym) for e, u in self._entries.items()], key=_KEY
         )
-        self.lazy = False
         self.omega_sym = omega_sym
         self._text: str | None = None
         self._digest: str | None = None
@@ -178,7 +177,6 @@ class Substitution:
         s = Substitution.__new__(Substitution)
         s._entries = dict(map(_PAIR, rows)) if entries is None else entries
         s._rows = rows
-        s.lazy = self.lazy
         s.omega_sym = omega
         s._text = None
         s._digest = None
@@ -196,27 +194,14 @@ class Substitution:
         i = bisect_left(rows, rank_sort_key(e, self.omega_sym), key=_KEY)
         return self.derive(rows[:i] + rows[i + 1 :])
 
-    def extended(self) -> "Substitution":
-        """The standard extension: same entries, lazy lookups."""
-        s = Substitution.__new__(Substitution)
-        s._entries = self._entries
-        s._rows = self._rows
-        s.lazy = True
-        s.omega_sym = self.omega_sym
-        s._text = self._text
-        s._digest = self._digest
-        return s
-
     # -- lookup -------------------------------------------------------------
 
-    def get(self, e: Canon) -> Value | None:
-        """Value of e, or None when absent and the map is not lazy."""
-        u = self._entries.get(e)
-        if u is None and self.lazy:
-            return UNKNOWN
-        return u
+    def get(self, e: Canon) -> Value:
+        """Value of e in the standard extension: ? when absent."""
+        return self._entries.get(e, UNKNOWN)
 
     def raw(self, e: Canon) -> Value | None:
+        """Stored value of e, or None when absent."""
         return self._entries.get(e)
 
     def __contains__(self, e: Canon) -> bool:
@@ -349,23 +334,19 @@ class RecordingSubstitution:
     """A view of a substitution that records every canonical lookup.
 
     ``reads`` maps each canonical expression looked up to its stored value,
-    None when absent.  Lookups answer as the standard extension does, or,
-    with ``lazy`` off, as the stored map does (None when absent).
+    None when absent.  Lookups answer as the standard extension does.
     """
 
-    __slots__ = ("base", "lazy", "reads", "_raw")
+    __slots__ = ("base", "reads", "_raw")
 
-    def __init__(self, base: Substitution, lazy: bool = True):
+    def __init__(self, base: Substitution):
         self.base = base
-        self.lazy = lazy
         self.reads: dict[Canon, Value | None] = {}
         self._raw = base._entries.get
 
-    def get(self, e: Canon) -> Value | None:
+    def get(self, e: Canon) -> Value:
         u = self.reads[e] = self._raw(e)
-        if u is None and self.lazy:
-            return UNKNOWN
-        return u
+        return UNKNOWN if u is None else u
 
 
 class Verdicts:
@@ -375,8 +356,9 @@ class Verdicts:
     An evaluation is a deterministic function of the values its lookups
     return, so a stored verdict is returned again only while every
     canonical expression it looked up still holds the same stored value
-    (None for one that was absent).  A key names one evaluation on one kind
-    of view, stored map or standard extension; the caller keeps keys apart.
+    (None for one that was absent).  A key names one evaluation on the
+    standard extension, and its recorded values tell whether every lookup
+    found a stored entry (see `read_stored`).
 
     The table follows one state, the map of the last view it was asked
     about.  ``_current`` holds the keys whose reads are known to agree with
@@ -384,17 +366,18 @@ class Verdicts:
     ``_readers`` maps each canonical expression to the keys whose recorded
     reads include it.  `advance` moves the table along a step whose
     `Change` it is told: exactly the keys that read a changed expression
-    leave ``_current`` and ``known``, and it keeps them in ``stale`` and
-    the change in ``step`` (both None after a map the table did not
-    follow).  The correctness and refutation keys of the entries steps
-    removed leave the table once it holds about three times its live keys
-    (see `_forget`), so its size stays within a constant of theirs.  A key
-    in ``_current`` is answered without re-reading, and callers skip the
-    keys in ``known`` (see `is_correct`); any other key, and any key on a
-    state the table did not follow, is validated by its reads.  ``ci`` is
-    the guard's verdict (`is_ci`) on the followed state, which the step
-    that made it left there (see `process.h_step`), or None: on a map the
-    table did not follow, and after `advance` until the guard runs.
+    leave ``_current`` and ``known``, and it keeps the pairs the table can
+    no longer vouch for in ``_touched`` (see `touched`) and the change in
+    ``step`` (both None after a map the table did not follow).  The
+    correctness keys of the entries steps removed leave the table once it
+    holds about three times its live keys (see `_forget`), so its size
+    stays within a constant of theirs.  A key in ``_current`` is answered
+    without re-reading, and callers skip the keys in ``known`` (see
+    `is_correct`); any other key, and any key on a state the table did not
+    follow, is validated by its reads.  ``ci`` is the guard's verdict
+    (`is_ci`) on the followed state, which the step that made it left there
+    (see `process.h_step`), or None: on a map the table did not follow, and
+    after `advance` until the guard runs.
 
     A table serves one list of critical formulas, whose keys are their
     indices, and is built with their visiting order: ``order``, a sorted
@@ -408,8 +391,8 @@ class Verdicts:
     """
 
     __slots__ = (
-        "_memo", "_readers", "_state", "_current", "known", "ci", "stale", "step",
-        "order", "_pending",
+        "_memo", "_readers", "_state", "_current", "known", "ci", "_touched",
+        "step", "order", "_pending",
     )
 
     def __init__(self, order: Iterable[tuple]) -> None:
@@ -419,7 +402,7 @@ class Verdicts:
         self._current: set = set()
         self.known: set = set()
         self.ci: bool | None = None
-        self.stale: set | None = None
+        self._touched: dict | None = None
         self.step: Change | None = None
         self.order = {key[1]: key for key in order}
         self._pending: list | None = None
@@ -431,7 +414,7 @@ class Verdicts:
             self._state = sub._entries
             self._current.clear()
             self.known.clear()
-            self.ci = self.stale = self.step = self._pending = None
+            self.ci = self._touched = self.step = self._pending = None
         return self.known
 
     def pending_formulas(self) -> Iterator[tuple]:
@@ -476,19 +459,24 @@ class Verdicts:
                         pending.insert(i, key)
         if delta.gone:
             self._forget(after._entries)
+        touched = dict.fromkeys(map(_PAIR, delta.rows))
+        get = after._entries.get
+        for key in stale:
+            if key.__class__ is tuple and get(key[1]) == key[2]:
+                touched[key[1], key[2]] = None
         self._state = after._entries
         self.ci = None
-        self.stale, self.step = stale, delta
+        self._touched, self.step = touched, delta
 
     def _forget(self, entries: dict) -> None:
         """Once the table holds more than three times a key per formula and
-        two per pair of entries, the map it now follows, and a constant,
-        drop the correctness and refutation keys of the pairs not in it.
-        Not at once: a rollback restores the pairs a member displaced, whose
-        verdicts mostly still hold.  A drop follows a growth of the table by
-        twice its live keys, and costs about as much."""
+        per pair of entries, the map it now follows, and a constant, drop
+        the correctness keys of the pairs not in it.  Not at once: a
+        rollback restores the pairs a member displaced, whose verdicts
+        mostly still hold.  A drop follows a growth of the table by twice
+        its live keys, and costs about as much."""
         memo = self._memo
-        if len(memo) <= 3 * (len(self.order) + 2 * len(entries)) + 64:
+        if len(memo) <= 3 * (len(self.order) + len(entries)) + 64:
             return
         readers, get = self._readers, entries.get
         for key in [k for k in memo if k.__class__ is tuple and get(k[1]) != k[-1]]:
@@ -501,22 +489,17 @@ class Verdicts:
             self.known.discard(key)
 
     def touched(self, sub: Substitution) -> Iterable[tuple[Canon, Value]]:
-        """The pairs of sub, the map the table follows, whose verdicts the
-        table cannot vouch for, which the guard and `--check` evaluate:
-        those the step it followed there added or revalued, and those with
-        a correctness or refutation key it made stale; every pair of sub
-        after a map the table did not follow.  A pair the table never
-        evaluated has no reads to go stale, so the others are vouched for
-        only where every pair was evaluated once the table began following,
-        as `run` does by guarding its first state."""
-        if self.stale is None:
+        """The pairs of sub whose verdicts the table cannot vouch for, which
+        the guard and `--check` evaluate: on the map the table followed a
+        step to, those the step added or revalued and those whose
+        correctness key it made stale, as `advance` found them once; every
+        pair of any other map.  A pair the table never evaluated has no
+        reads to go stale, so the others are vouched for only where every
+        pair was evaluated once the table began following, as `run` does by
+        guarding its first state."""
+        if self._touched is None or sub._entries is not self._state:
             return sub._entries.items()
-        pairs = dict.fromkeys(map(_PAIR, self.step.rows))
-        get = sub._entries.get
-        for key in self.stale:
-            if key.__class__ is tuple and get(key[1]) == key[2]:
-                pairs[key[1], key[2]] = None
-        return pairs
+        return self._touched
 
     def truth(
         self, key: object, view: Substitution, evaluate: Callable[[object], bool | None]
@@ -531,7 +514,7 @@ class Verdicts:
         if memo is not None and tuple(map(entries.get, memo[1])) == memo[2]:
             verdict = memo[0]
         else:
-            rec = RecordingSubstitution(view, view.lazy)
+            rec = RecordingSubstitution(view)
             verdict = evaluate(rec)
             reads, old = tuple(rec.reads), () if memo is None else memo[1]
             if reads != old:  # an evaluation mostly reads what it read before
@@ -545,6 +528,11 @@ class Verdicts:
         if verdict is True:
             self.known.add(key)
         return verdict
+
+    def read_stored(self, key: object) -> bool:
+        """Whether every lookup of key's last evaluation, which `truth`
+        made or validated, found a stored entry."""
+        return None not in self._memo[key][2]
 
 
 # ---------------------------------------------------------------------------
@@ -1069,20 +1057,17 @@ def is_correct(
 ) -> bool:
     """Every entry satisfies its correctness formula in the standard extension.
 
-    Each entry's verdict is kept in the table under ("correct", e, u), and
-    the entries known to hold are skipped, as are those whose ("refutes",
-    e, u) the table knows to hold: a condition decided true on the stored
-    map read only stored entries, which the standard extension reads alike.
-    With pairs, only those pairs of sub are visited: the caller vouches for
-    the rest (see `Verdicts.touched`).
+    Each entry's verdict is kept in the table under ("correct", e, u), the
+    key the guard evaluates (see `refutes`), and the entries known to hold
+    are skipped.  With pairs, only those pairs of sub are visited: the
+    caller vouches for the rest (see `Verdicts.touched`).
     """
-    ext = sub.extended()
     held = verdicts.follow(sub)
     keys = [("correct", e, u) for e, u in (sub.items() if pairs is None else pairs)]
     return all(
-        verdicts.truth(k, ext, lambda v: correctness(k[1], k[2], v, ctx)) is True
+        verdicts.truth(k, sub, lambda v: correctness(k[1], k[2], v, ctx)) is True
         for k in keys
-        if k not in held and ("refutes", k[1], k[2]) not in held
+        if k not in held
     )
 
 
@@ -1119,13 +1104,22 @@ def refutes(
 ) -> bool:
     """Whether the stored entries of sub decide the pair (e, u) incorrect.
 
-    The verdict is kept in the table under ("refutes", e, u), and a pair
-    known to hold is not asked about.
+    Evaluation is strict, an undecided part leaving the whole undecided,
+    and a deterministic function of its lookups.  So on the stored entries
+    alone, where an absent entry is undecided, not ?, the condition
+    evaluates as on the standard extension while every lookup finds a
+    stored entry, and is undecided from the first that does not: the stored
+    entries decide it false exactly when the standard extension does and
+    every lookup it made found a stored entry.  Both are read off the
+    pair's correctness key, ("correct", e, u), which `is_correct` then
+    finds in the table; a pair known to hold is not asked about.
     """
-    key = ("refutes", e, u)
-    return key not in verdicts.follow(sub) and verdicts.truth(
-        key, sub, lambda v: correctness(e, u, v, ctx)
-    ) is False
+    key = ("correct", e, u)
+    return (
+        key not in verdicts.follow(sub)
+        and verdicts.truth(key, sub, lambda v: correctness(e, u, v, ctx)) is False
+        and verdicts.read_stored(key)
+    )
 
 
 def is_ci(sub: Substitution, ctx: InductiveContext | None, verdicts: Verdicts) -> bool:

@@ -65,9 +65,7 @@ def _pa_problem(rng: random.Random, idx: int) -> CorpusProblem:
         body = _phi_text(rng)
         phi = parse_problem(f"(crit eps 0 (exists (x) {body}))").crits[0].phi
         for w in range(N_MAX + 1):
-            if models(
-                Substitution.empty().extended(), substitute(phi, {0: num(w)})
-            ):
+            if models(Substitution.empty(), substitute(phi, {0: num(w)})):
                 lines.append(f"(goal (exists (x) {body}) (candidates {w}))")
                 break
     return CorpusProblem(f"pa-{idx:03d}", "\n".join(lines) + "\n", brute_ok=True)
@@ -89,7 +87,7 @@ def _forcer_lines(base_text: str, phi_text: str, member: int) -> list[str]:
         {i + 1: v for i, v in enumerate(vals)},
     )
     lines = []
-    ext = Substitution.empty(omega_sym(draft)).extended()
+    ext = Substitution.empty(omega_sym(draft))
     for w in range(N_MAX + 1):
         if models(ext, substitute(body, {0: num(w)})):
             lines.append(f"(crit eps {w} (exists (v0) {to_sexpr(body)}))")

@@ -29,8 +29,9 @@ builds the fresh table a test hands the engine where it once passed
 none.  Then the admissibility check that builds a map of the whole
 prefix for every member, the correctness condition written out as a
 formula (`correctness_formula`), `models`, and the views of maps and
-recordings that only the tests ask for (`domain`, `sorted_items`,
-`rank_filter`, `positive_omega`, `consulted`, `leaked`); last the small
+recordings that only the tests ask for (the stored-map view `stored` and
+its recording, `domain`, `sorted_items`, `rank_filter`, `positive_omega`,
+`consulted`, `leaked`); last the small
 builders of terms and formulas (`plus`, `succ`, `implies`) and the
 builders and readers of canonical expressions that only the tests use,
 and the step's change and snapshot records computed from the two whole
@@ -107,6 +108,7 @@ from epsengine.process import (
 from epsengine.substitution import (
     TOP_VAL,
     Change,
+    RecordingSubstitution,
     Substitution,
     SubstitutionError,
     Verdicts,
@@ -240,20 +242,21 @@ def decides(sub, phi: Expr) -> bool:
 
 
 def is_computing(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
+    """Every entry's correctness condition is decided by the stored entries."""
+    view = stored(sub)
     return all(
-        decides(sub, correctness_formula(e, u, ctx)) for e, u in sub.items()
+        decides(view, correctness_formula(e, u, ctx)) for e, u in sub.items()
     )
 
 
 def reference_extract_witness(sub: Substitution, goal: Goal) -> int:
     """Numeral witnessing a solved goal, checked on the instance tree."""
-    ext = sub.extended()
     expanded = substitute(goal.phi, {0: skolem(goal.sym, goal.args)})
-    if not models(ext, expanded):
+    if not models(sub, expanded):
         raise ProcessInvariantError(
             "goal is not satisfied by the final substitution"
         )
-    return _reduce_numeral(skolem(goal.sym, goal.args), ext)
+    return _reduce_numeral(skolem(goal.sym, goal.args), sub)
 
 
 def reference_witness_line(sub: Substitution, goal: Goal) -> str:
@@ -263,7 +266,7 @@ def reference_witness_line(sub: Substitution, goal: Goal) -> str:
     except ProcessInvariantError:
         return f"goal {goal.text}: not decided true"
     instance = substitute(goal.phi, {0: num(n)})
-    holds = models(Substitution.empty().extended(), instance)
+    holds = models(Substitution.empty(), instance)
     return (
         f"goal {goal.text}: witness {n}; "
         f"instance {to_sexpr(instance)} is {'true' if holds else 'false'}"
@@ -601,10 +604,10 @@ def table_for(crs, omega) -> Verdicts:
 
 
 def reference_analyze(cf, hs, ctx, ext=None):
-    """`analyze` after its own satisfaction test, on ext (by default the
-    standard extension of hs's map)."""
+    """`analyze` after its own satisfaction test, on ext (by default hs's
+    map)."""
     if ext is None:
-        ext = hs.sub.extended()
+        ext = hs.sub
     return analyze(cf, hs, ctx, ext, truth(cf.formula, ext) is True)
 
 
@@ -613,7 +616,7 @@ def reference_compute_plan(hs, crs, ctx, ext=None) -> StepPlan | None:
     rank bound, until none can win, each tested on ext; ext may be a view
     that records the lookups (`sequents.h_step_applies`)."""
     if ext is None:
-        ext = hs.sub.extended()
+        ext = hs.sub
     omega = hs.sub.omega_sym
     best = None
     for key in formula_order(crs, omega):
@@ -639,20 +642,18 @@ def reference_compute_plan(hs, crs, ctx, ext=None) -> StepPlan | None:
 
 def reference_is_solving(sub: Substitution, crs) -> bool:
     """Every critical formula holds on sub's standard extension."""
-    ext = sub.extended()
-    return all(truth(cf.formula, ext) is True for cf in crs)
+    return all(truth(cf.formula, sub) is True for cf in crs)
 
 
 def reference_is_correct(sub: Substitution, ctx: InductiveContext | None = None):
     """Every entry satisfies its correctness condition in the standard
     extension."""
-    ext = sub.extended()
-    return all(correctness(e, u, ext, ctx) is True for e, u in sub.items())
+    return all(correctness(e, u, sub, ctx) is True for e, u in sub.items())
 
 
 def reference_refutes(sub: Substitution, e, u, ctx: InductiveContext | None = None):
     """The stored entries of sub decide the pair (e, u) incorrect."""
-    return correctness(e, u, sub, ctx) is False
+    return correctness(e, u, stored(sub), ctx) is False
 
 
 def reference_is_ci(sub: Substitution, ctx: InductiveContext | None = None) -> bool:
@@ -675,7 +676,7 @@ def fresh_map_is_admissible(p: tuple[int, ...], ctx: InductiveContext | None) ->
         prefix = Substitution(
             {CanonForm(m): TOP_VAL for m in p[:i]}, omega_sym=ctx.omega_sym
         )
-        if reference_truth(b_formula(ctx, num(0), num(n)), prefix.extended()) is not True:
+        if reference_truth(b_formula(ctx, num(0), num(n)), prefix) is not True:
             return False
     return True
 
@@ -729,6 +730,43 @@ def correctness_formula(
     if ctx is None:
         raise SubstitutionError("membership atoms need an inductive clause")
     return a_formula(ctx, e.n)
+
+
+class _Stored:
+    """The stored-map view of a map: a lookup answers the stored value, and
+    None, undecided, for an absent entry, where the map itself answers ?
+    as its standard extension does.  The engine asks only the standard
+    extension; the paper's guard and its lemmas speak of this view."""
+
+    __slots__ = ("sub", "get")
+
+    def __init__(self, sub: Substitution):
+        self.sub = sub
+        self.get = sub.raw
+
+
+def stored(sub: Substitution) -> _Stored:
+    """sub's stored-map view."""
+    return _Stored(sub)
+
+
+class StoredRecording(RecordingSubstitution):
+    """A `RecordingSubstitution` of the stored-map view: the same reads,
+    and None for an absent entry."""
+
+    __slots__ = ()
+
+    def get(self, e: Canon):
+        u = self.reads[e] = self._raw(e)
+        return u
+
+
+def recording(view) -> RecordingSubstitution:
+    """A recording of view, a map or its `stored` view, that answers as
+    view does."""
+    if isinstance(view, _Stored):
+        return StoredRecording(view.sub)
+    return RecordingSubstitution(view)
 
 
 def domain(sub: Substitution) -> set[Canon]:

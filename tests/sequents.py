@@ -45,14 +45,14 @@ from reference import (
     reference_is_ci,
     reference_is_solving,
     sorted_items,
+    stored,
 )
 
 
 
 def _like(sub: Substitution, entries: dict) -> Substitution:
-    """A map holding entries, lazy and with an Omega symbol as sub is."""
-    like = Substitution(entries, omega_sym=sub.omega_sym)
-    return like.extended() if sub.lazy else like
+    """A map holding entries, with an Omega symbol as sub has."""
+    return Substitution(entries, omega_sym=sub.omega_sym)
 
 class SequentError(Exception):
     pass
@@ -315,7 +315,7 @@ def rho(
     ctx: InductiveContext | None,
 ) -> int:
     fam = formula_family(theta, c, ctx)
-    sub = theta.sub
+    sub = stored(theta.sub)
     return max((simple_rank(reduce_formula(f, sub)) for f in fam), default=0)
 
 
@@ -326,7 +326,7 @@ def nu(
 ) -> MeasureValue:
     """Highest unreduced level plus the work left at that level."""
     fam = formula_family(theta, c, ctx)
-    sub = theta.sub
+    sub = stored(theta.sub)
     reduced = [reduce_formula(f, sub) for f in fam]
     r = max((simple_rank(f) for f in reduced), default=0)
     return MeasureValue(r, sum(d_r(f, r) for f in reduced))

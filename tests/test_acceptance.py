@@ -70,6 +70,7 @@ from reference import (
     rank_filter,
     reduce_formula,
     reduce_term,
+    stored,
 )
 from sequents import Sequent, nu
 
@@ -216,8 +217,8 @@ def test_criterion_4_rank_locality(ctx):
         low = dict(rank_filter(s, "<", r).items())
         high = _junk_entries_at_or_above(rng, r, ctx)
         s2 = Substitution({**low, **high}, omega_sym=ctx.omega_sym)
+        assert reduce_term(t, stored(s)) == reduce_term(t, stored(s2))
         assert reduce_term(t, s) == reduce_term(t, s2)
-        assert reduce_term(t, s.extended()) == reduce_term(t, s2.extended())
         checked += 1
 
     for _ in range(250):
@@ -230,8 +231,8 @@ def test_criterion_4_rank_locality(ctx):
             {**low, **_junk_entries_at_or_above(rng, r, ctx)},
             omega_sym=ctx.omega_sym,
         )
+        assert models(stored(s), phi) == models(stored(s2), phi)
         assert models(s, phi) == models(s2, phi)
-        assert models(s.extended(), phi) == models(s2.extended(), phi)
         checked += 1
 
     # correctness locality for expressions of non-Omega rank
@@ -243,14 +244,14 @@ def test_criterion_4_rank_locality(ctx):
         u = num_val(rng.randint(1, 4)) if rng.random() < 0.8 else UNKNOWN
         s = random_substitution(rng, ctx, n_entries=5, include_omega=True)
         f = correctness_formula(e, u, ctx)
-        if not models(s, f):
+        if not models(stored(s), f):
             continue
         low = dict(rank_filter(s, "<", r).items())
         s2 = Substitution(
             {**low, **_junk_entries_at_or_above(rng, r, ctx)},
             omega_sym=ctx.omega_sym,
         )
-        assert models(s2, f)
+        assert models(stored(s2), f)
         hits += 1
         checked += 1
 
@@ -263,7 +264,7 @@ def test_criterion_4_rank_locality(ctx):
         s = random_substitution(rng, ctx, n_entries=5, include_omega=True)
         s = s.without(ctx.c_n(n))
         f = correctness_formula(CanonForm(n), TOP_VAL, ctx)
-        if not models(s.extended(), f):
+        if not models(s, f):
             continue
         entries = dict(rank_filter(s, "<", OMEGA).items())
         for e, u in rank_filter(s, "=", OMEGA).items():
@@ -271,7 +272,7 @@ def test_criterion_4_rank_locality(ctx):
                 entries[e] = u
         entries[CanonForm(rng.randint(5, 8))] = TOP_VAL  # extra fact
         s2 = Substitution(entries, omega_sym=ctx.omega_sym)
-        assert models(s2.extended(), f)
+        assert models(s2, f)
         hits += 1
         checked += 1
 
@@ -282,7 +283,7 @@ def test_criterion_4_rank_locality(ctx):
         u = num_val(rng.randint(1, 4)) if rng.random() < 0.7 else UNKNOWN
         s = random_substitution(rng, ctx, n_entries=5, include_omega=True)
         f = correctness_formula(ctx.c_n(n), u, ctx)
-        if not models(s.extended(), f):
+        if not models(s, f):
             continue
         entries = dict(rank_filter(s, "<", OMEGA).items())
         for e, w in rank_filter(s, "=", OMEGA).items():
@@ -292,7 +293,7 @@ def test_criterion_4_rank_locality(ctx):
             elif rng.random() < 0.7:
                 entries[e] = w  # negatives are unconstrained here
         s2 = Substitution(entries, omega_sym=ctx.omega_sym)
-        assert models(s2.extended(), f)
+        assert models(s2, f)
         hits += 1
         checked += 1
 
@@ -520,7 +521,7 @@ def test_criterion_7_measure_decrease(ctx):
         level = rho_of(theta, c_set, ctx)
         before = nu(theta, c_set, ctx)
         for phi in fam:
-            red = reduce_formula(phi, sub)
+            red = reduce_formula(phi, stored(sub))
             from epsengine.language import simple_rank
 
             at_top = simple_rank(red) == level
@@ -554,8 +555,8 @@ def test_criterion_8_determinism_and_replay(corpus_outcomes, tmp_path):
     outcomes, _ = corpus_outcomes
     for cp, problem, outcome in outcomes:
         again = run(problem.crits, problem.ctx, max_steps=MAX_STEPS, check=True)
-        assert trace_lines(cp.text, problem, again) == trace_lines(
-            cp.text, problem, outcome
+        assert trace_lines(cp.text, again) == trace_lines(
+            cp.text, outcome
         ), f"{cp.name}: traces differ between runs"
     # full write-then-replay through the command line surface
     n_checked = 0

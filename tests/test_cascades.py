@@ -61,7 +61,7 @@ def test_rebuild_cascade_matches_golden_trace(tmp_path):
     text = CASCADE.read_text()
     p = parse_problem(text)
     out = run(p.crits, p.ctx, max_steps=10**4, check=True)
-    got = trace_lines(text, p, out)
+    got = trace_lines(text, out)
     want = GOLDEN.read_text().splitlines()
     assert got == want
     # and the recorded file still replays through the command line

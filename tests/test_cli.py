@@ -431,6 +431,35 @@ def test_the_trace_file_is_empty_while_the_run_goes_on(tmp_path, capsys, monkeyp
     assert sizes == [0] and trace.read_bytes() == fresh[0]
 
 
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
+def test_the_trace_is_built_only_where_it_is_written(tmp_path, capsys, monkeypatch, path):
+    """`run P` in the text format writes no trace, so it builds none; with
+    --trace or --format structured it builds it once.  The text report is
+    the same with --trace as without, and the structured output is the
+    trace file's bytes."""
+    built = []
+    real_trace_lines = cli.trace_lines
+
+    def counted(*args):
+        built.append(1)
+        return real_trace_lines(*args)
+
+    monkeypatch.setattr(cli, "trace_lines", counted)
+    trace = tmp_path / "t.jsonl"
+    argvs = {
+        "text": ["run", str(path)],
+        "trace": ["run", str(path), "--trace", str(trace)],
+        "structured": ["run", str(path), "--format", "structured"],
+    }
+    got = {}
+    for kind, argv in argvs.items():
+        built.clear()
+        got[kind] = _main(argv, capsys)
+        assert (got[kind][0], len(built)) == (EXIT_SOLVED, kind != "text"), kind
+    assert got["text"] == got["trace"]
+    assert got["structured"][1].encode() == trace.read_bytes()
+
+
 def test_no_handle_on_the_trace_truncates_it(tmp_path, capsys, monkeypatch, fresh):
     """A truncating open followed by a write is what makes ext4 flush the
     file at close; the trace's two opens must not ask for it."""
@@ -798,7 +827,7 @@ def _valid_trace(path: pathlib.Path) -> list[str]:
     problem = parse_problem(text)
     max_steps = problem.max_steps or DEFAULT_MAX_STEPS
     outcome = run(problem.crits, problem.ctx, max_steps=max_steps)
-    return cli.trace_lines(text, problem, outcome)
+    return cli.trace_lines(text, outcome)
 
 
 FIELDS = [

@@ -71,10 +71,10 @@ def test_adding_members_never_falsifies_admissibility(ctx):
         for i, n in enumerate(p):
             base = {CanonForm(m): TOP_VAL for m in p[:i]}
             cond = b_formula(ctx, num(0), num(n))
-            small = Substitution(base, omega_sym=ctx.omega_sym).extended()
+            small = Substitution(base, omega_sym=ctx.omega_sym)
             extra = dict(base)
             extra[CanonForm(5)] = TOP_VAL
-            big = Substitution(extra, omega_sym=ctx.omega_sym).extended()
+            big = Substitution(extra, omega_sym=ctx.omega_sym)
             if models(small, cond):
                 assert models(big, cond)
 

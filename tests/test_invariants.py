@@ -47,6 +47,7 @@ from reference import (
     reference_compute_plan,
     reference_is_correct,
     reference_is_solving,
+    stored,
     table_for,
     to_term,
 )
@@ -103,7 +104,7 @@ def test_d_is_monotone_under_entry_growth(ctx):
             e = random_canon_term(rng, FIN_SYMS)
             if e not in bigger:
                 bigger = bigger.with_entry(e, num_val(rng.randint(1, 4)))
-        assert d(reduce_formula(phi, bigger)) <= d(reduce_formula(phi, s))
+        assert d(reduce_formula(phi, stored(bigger))) <= d(reduce_formula(phi, stored(s)))
 
 
 def test_correct_states_are_never_refutation_axioms(ctx):
@@ -133,7 +134,7 @@ def test_is_computing_examples():
     s = Substitution({e: num_val(2)})
     assert is_computing(s)  # F is the ground sentence 2 = 2 (plus exclusions)
     f = correctness_formula(e, num_val(2))
-    assert decides(s, f)
+    assert decides(stored(s), f)
 
 
 def test_reduction_chain_through_unknown_argument():
@@ -142,9 +143,9 @@ def test_reduction_chain_through_unknown_argument():
     c0 = CanonTerm(SYM_R1A, (0,))
     s = Substitution({d_: UNKNOWN})
     t = SkolemApp(SYM_R1A, (to_term(d_),))
-    assert reduce_term(t, s) == to_term(c0)  # c(0) absent: stays
+    assert reduce_term(t, stored(s)) == to_term(c0)  # c(0) absent: stays
     s2 = s.with_entry(c0, num_val(3))
-    assert reduce_term(t, s2) == num(3)
+    assert reduce_term(t, stored(s2)) == num(3)
 
 
 def test_is_solving_pred_example():

@@ -31,7 +31,6 @@ from epsengine.language import (
 )
 from epsengine.process import ProcessInvariantError, _descent, _least_witness
 from epsengine.substitution import (
-    RecordingSubstitution,
     Substitution,
     compiled,
     correctness,
@@ -41,6 +40,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import FIN_SYMS, random_linear_formula, random_substitution
+from reference import recording, stored
 from test_fast_paths import runs  # noqa: F401  (the fixture)
 
 NEVER = 10**18  # a SCAN_BELOW no bound reaches: every search scans
@@ -52,7 +52,7 @@ def _both(monkeypatch, call, view):
     out = []
     for scan_below in (0, NEVER):
         monkeypatch.setattr(substitution, "SCAN_BELOW", scan_below)
-        rec = RecordingSubstitution(view, view.lazy)
+        rec = recording(view)
         try:
             got = call(rec)
         except ProcessInvariantError as err:
@@ -94,16 +94,16 @@ def test_solver_matches_the_scan_on_random_linear_formulas(monkeypatch, ctx):
         phi = random_linear_formula(rng, FIN_SYMS, depth, 3, fallback)
         env = (0, rng.randint(0, 4), rng.randint(0, 4))
         upper = rng.choice([0, 1, 2, rng.randint(3, 60)])
-        for view in (sub, sub.extended()):
+        for view in (stored(sub), sub):
             monkeypatch.setattr(substitution, "SCAN_BELOW", 0)
-            mine, theirs = (RecordingSubstitution(sub, view.lazy) for _ in range(2))
+            mine, theirs = (recording(view) for _ in range(2))
             got = first_interval(phi, env, upper, mine)
             want = _scanned_first(phi, env, upper, theirs)
-            kinds.add((view.lazy, _kind(phi, got)))
+            kinds.add((view is sub, _kind(phi, got)))
             if got is not None:
                 assert got == want, (to_sexpr(phi), env, upper)
                 assert list(mine.reads.items()) == list(theirs.reads.items())
-            _callers_agree(monkeypatch, rng, phi, env, upper, view, ctx)
+            _callers_agree(monkeypatch, phi, env, upper, sub, view, ctx)
     assert kinds == {
         (lazy, kind)
         for lazy in (False, True)
@@ -111,15 +111,16 @@ def test_solver_matches_the_scan_on_random_linear_formulas(monkeypatch, ctx):
     } - {(True, "undecided")}  # the standard extension decides every part
 
 
-def _callers_agree(monkeypatch, rng, phi, env, upper, view, ctx):
-    """The three callers, solver on and off, on phi at env."""
+def _callers_agree(monkeypatch, phi, env, upper, sub, view, ctx):
+    """The three callers, solver on and off, on phi at env, on view: sub
+    or its stored-map view."""
     sym, args = skolemize_exists(phi)
-    nargs = tuple(compiled(a)(env, view.extended()) for a in args)
+    nargs = tuple(compiled(a)(env, sub) for a in args)
     e = CanonTerm(sym, nargs)
     u = num_val(upper + 1)
     solved, scanned = _both(monkeypatch, lambda v: correctness(e, u, v, ctx), view)
     assert solved == scanned, (to_sexpr(phi), nargs, u)
-    if view.lazy:  # analysis searches the standard extension
+    if view is sub:  # analysis searches the standard extension
         solved, scanned = _both(
             monkeypatch, lambda v: _least_witness(sym, nargs, upper, v), view
         )
@@ -138,7 +139,7 @@ def test_solver_matches_the_scan_on_every_state(monkeypatch, runs):  # noqa: F81
     kinds, checked = set(), 0
     for name, p, states in runs:
         for hs in states:
-            ext = hs.sub.extended()
+            ext = hs.sub
             for cf in p.crits:
                 if cf.kind in ("epsilon", "closure"):
                     sym, args = (
@@ -169,13 +170,13 @@ def test_solver_matches_the_scan_on_every_state(monkeypatch, runs):  # noqa: F81
                 if not isinstance(e, CanonTerm) or u.kind != "num":
                     continue
                 for value in (u, num_val(rng.randint(1, 40))):
-                    for view in (hs.sub, ext):
+                    for view in (stored(hs.sub), ext):
                         solved, scanned = _both(
                             monkeypatch,
                             lambda v: correctness(e, value, v, p.ctx),
                             view,
                         )
-                        assert solved == scanned, (name, e, value, view.lazy)
+                        assert solved == scanned, (name, e, value, view is ext)
                         checked += 1
     assert checked > 5000
     assert kinds == {"solved", "shape"}
@@ -205,7 +206,7 @@ def test_a_solved_search_evaluates_its_index_formula_a_bounded_number_of_times(
     big = 10**8
     sym = SkolemSymbol(eq(Var(0), Var(1)), 1)
     calls = _counted(monkeypatch, sym.index_formula)
-    ext = Substitution.empty().extended()
+    ext = Substitution.empty()
     assert _least_witness(sym, (big,), big, ext) == big
     assert len(calls) == 0
     sub = Substitution({CanonTerm(sym, (big,)): num_val(big)})
@@ -217,7 +218,7 @@ def test_a_solved_search_evaluates_its_index_formula_a_bounded_number_of_times(
     at_hole = SkolemSymbol(lt(Var(1), skolem(inner, (Var(0),))), 1)
     calls = _counted(monkeypatch, at_hole.index_formula)
     sub = Substitution({CanonTerm(inner, (5,)): num_val(3)})
-    assert _least_witness(at_hole, (2,), big, sub.extended()) == 5
+    assert _least_witness(at_hole, (2,), big, sub) == 5
     assert calls == [0, 1, 2, 3, 4, 5]
 
 
@@ -225,7 +226,7 @@ def test_a_solved_search_evaluates_its_index_formula_a_bounded_number_of_times(
 def test_a_search_scans_below_the_least_bound_it_solves_at(upper):
     """A bound below SCAN_BELOW scans without building a solver."""
     phi = eq(Var(0), Var(1))
-    got = first_interval(phi, (0, 3), upper, Substitution.empty().extended())
+    got = first_interval(phi, (0, 3), upper, Substitution.empty())
     if upper < substitution.SCAN_BELOW:
         assert got is None and not hasattr(phi, "_solve")
     else:

@@ -56,6 +56,7 @@ from reference import (
     positive_omega,
     reduce_formula,
     reduce_term,
+    stored,
     succ,
     to_term,
 )
@@ -96,8 +97,8 @@ def test_reduce_canonical_unknown_goes_to_zero():
 
 def test_reduce_canonical_absent_stays_without_extension():
     c = CanonTerm(SYM_R1C, (0,))
-    assert reduce_term(to_term(c), EMPTY) == to_term(c)
-    assert reduce_term(to_term(c), EMPTY.extended()) == num(0)
+    assert reduce_term(to_term(c), stored(EMPTY)) == to_term(c)
+    assert reduce_term(to_term(c), EMPTY) == num(0)
 
 
 def test_reduce_noncanonical_collapses_through_arguments():
@@ -109,7 +110,7 @@ def test_reduce_noncanonical_collapses_through_arguments():
     assert reduce_term(t, s) == num(4)
     # absent after argument collapse: stays at the collapsed canonical form
     t2 = skolem(SYM_R1A, (to_term(inner),))
-    assert reduce_term(t2, s) == skolem(SYM_R1A, (num(3),))
+    assert reduce_term(t2, stored(s)) == skolem(SYM_R1A, (num(3),))
 
 
 def test_reduce_formula_atoms_are_preserved():
@@ -121,28 +122,28 @@ def test_reduce_membership_atom():
     s = EMPTY.with_entry(CanonForm(1), TOP_VAL)
     phi = or_(in_set(num(1)), eq(num(0), num(0)))
     assert reduce_formula(phi, s) == or_(TOP, eq(num(0), num(0)))
-    assert reduce_formula(in_set(num(0)), s.extended()) == BOTTOM
-    # absent and not lazy: the atom stays
-    assert reduce_formula(in_set(num(0)), s) == in_set(num(0))
+    assert reduce_formula(in_set(num(0)), s) == BOTTOM
+    # absent, on the stored map: the atom stays
+    assert reduce_formula(in_set(num(0)), stored(s)) == in_set(num(0))
 
 
 def test_models_examples():
-    assert models(EMPTY.extended(), eq(num(1), num(1)))
-    assert not models(EMPTY.extended(), in_set(num(0)))
-    assert models(EMPTY.extended(), not_(in_set(num(0))))
-    # without the extension neither direction is decided
+    assert models(EMPTY, eq(num(1), num(1)))
     assert not models(EMPTY, in_set(num(0)))
-    assert not models(EMPTY, not_(in_set(num(0))))
-    assert not decides(EMPTY, in_set(num(0)))
-    assert decides(EMPTY.extended(), in_set(num(0)))
-    assert decides(EMPTY, eq(num(0), num(0)))
+    assert models(EMPTY, not_(in_set(num(0))))
+    # without the extension neither direction is decided
+    assert not models(stored(EMPTY), in_set(num(0)))
+    assert not models(stored(EMPTY), not_(in_set(num(0))))
+    assert not decides(stored(EMPTY), in_set(num(0)))
+    assert decides(EMPTY, in_set(num(0)))
+    assert decides(stored(EMPTY), eq(num(0), num(0)))
 
 
 @given(st.integers(0, 10**9))
 @settings(max_examples=60)
 def test_total_extension_decides_everything(seed):
     rng = random.Random(seed)
-    s = random_substitution(rng).extended()
+    s = random_substitution(rng)
     phi = random_formula(rng, FIN_SYMS, depth=3)
     assert decides(s, phi)
 
@@ -151,7 +152,7 @@ def test_total_extension_decides_everything(seed):
 @settings(max_examples=60)
 def test_reduce_term_idempotent(seed):
     rng = random.Random(seed)
-    s = random_substitution(rng)
+    s = stored(random_substitution(rng))
     t = random_term(rng, FIN_SYMS, depth=3)
     once = reduce_term(t, s)
     assert reduce_term(once, s) == once
@@ -161,7 +162,7 @@ def test_reduce_term_idempotent(seed):
 @settings(max_examples=60)
 def test_reduce_formula_commutes_with_connectives(seed):
     rng = random.Random(seed)
-    s = random_substitution(rng)
+    s = stored(random_substitution(rng))
     a = random_formula(rng, FIN_SYMS, depth=2)
     b = random_formula(rng, FIN_SYMS, depth=2)
     assert reduce_formula(and_(a, b), s) == And(
@@ -304,7 +305,7 @@ def test_recording_substitution_tracks_lookups():
     s = EMPTY.with_entry(c, num_val(2))
     rec = RecordingSubstitution(s)
     assert reduce_term(to_term(c), rec) == num(2)
-    assert reduce_term(to_term(d), rec) == num(0)  # lazy view
+    assert reduce_term(to_term(d), rec) == num(0)  # absent: ?
     assert consulted(rec) == {c, d}
     assert leaked(rec) == {d}
 
@@ -314,7 +315,7 @@ def test_recording_substitution_tracks_lookups():
 def test_noncritical_axioms_hold(seed):
     # instances of the equality-style axioms are true under any extension
     rng = random.Random(seed)
-    ext = random_substitution(rng).extended()
+    ext = random_substitution(rng)
     t = random_term(rng, FIN_SYMS, depth=3)
     s_term = random_term(rng, FIN_SYMS, depth=3)
     assert models(ext, eq(t, t))
@@ -338,5 +339,5 @@ def test_plain_truth_implies_extended_truth():
     for _ in range(150):
         s = random_substitution(rng)
         phi = random_formula(rng, FIN_SYMS, depth=3)
-        if models(s, phi):
-            assert models(s.extended(), phi)
+        if models(stored(s), phi):
+            assert models(s, phi)

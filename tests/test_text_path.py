@@ -97,7 +97,7 @@ def test_the_inputs_take_every_step_case(runs):
 
 def test_each_step_line_is_the_encoded_step_record(runs):
     for name, text, problem, outcome in runs:
-        lines = cli.trace_lines(text, problem, outcome)
+        lines = cli.trace_lines(text, outcome)
         assert len(lines) == len(outcome.steps) + 2, name
         header = {"type": "header", "format": cli.TRACE_FORMAT}
         header["problem"] = cli._problem_digest(text)
@@ -120,7 +120,7 @@ def test_step_lines_sort_members_as_text_and_escape_as_the_encoder(runs):
         HStep(1, 0, "omega-neg", odd, odd, odd, odd, odd,
               (), (odd, "b"), (), {}, (10, 9), True),
     ]
-    lines = cli.trace_lines(text, problem, outcome._replace(steps=steps))
+    lines = cli.trace_lines(text, outcome._replace(steps=steps))
     assert '"Vadded":{"10":' in lines[1] and '"9":"0"}' in lines[1]
     for line, s in zip(lines[1:-1], steps):
         assert line == cli._encode(cli.step_record(s))

@@ -64,15 +64,14 @@ SYM_0 = SkolemSymbol(eq(Var(0), Var(0)), 0)  # no arguments: CanonTerm(SYM_0, ()
 def mixed_values() -> list:
     """Values of the kinds that meet in one map or one key set, with items
     that coincide: canonical expressions, values, ranks and verdict keys
-    (integers, and ("correct" | "refutes", e, u)).  A plain tuple equal to
+    (integers, and ("correct", e, u)).  A plain tuple equal to
     one of them, such as (n,) to CanonForm(n), is never used as a key."""
     out: list = [CanonTerm(SYM_0, ()), UNKNOWN, TOP_VAL, OMEGA]
     for n in range(3):
         out += [CanonForm(n), CanonTerm(SYM_R1A, (n,)), CanonTerm(SYM_OMEGA_PLUS, (n,))]
         out += [num_val(n + 1), Rank.fin(n), Rank.omega_plus(n), n]
-    for head in ("correct", "refutes"):
-        for e in (CanonForm(1), CanonTerm(SYM_R1A, (1,))):
-            out += [(head, e, TOP_VAL), (head, e, num_val(1))]
+    for e in (CanonForm(1), CanonTerm(SYM_R1A, (1,))):
+        out += [("correct", e, TOP_VAL), ("correct", e, num_val(1))]
     return out
 
 
