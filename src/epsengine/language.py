@@ -265,10 +265,6 @@ def eq(a: Expr, b: Expr) -> RelAtom:
     return rel("=", a, b)
 
 
-def lt(a: Expr, b: Expr) -> RelAtom:
-    return rel("<", a, b)
-
-
 def in_set(t: Expr) -> InSet:
     if not isinstance(t, _TERM_TYPES):
         raise LanguageError("membership atom needs a term")

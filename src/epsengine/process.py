@@ -46,6 +46,7 @@ from .language import (
 )
 from .history import EMPTY_V, HistoricalSubstitution, validate
 from .substitution import (
+    Change,
     Substitution,
     TOP_VAL,
     Value,
@@ -56,9 +57,10 @@ from .substitution import (
     first_interval,
     is_ci,
     is_correct,
-    layer_change,
+    member_change,
     num_val,
     put_change,
+    rollback_change,
     serialize,
 )
 
@@ -425,12 +427,26 @@ def apply_omega_pos(
         )
     sub = hs.sub
     below, layer = sub.split_omega()
-    positive = [r for r in layer if entry_is_positive(r[2], r[3])]
-    displaced = [r for r in layer if not entry_is_positive(r[2], r[3])]
+    positive, displaced = [], []
+    for r in layer:
+        (positive if entry_is_positive(r[2], r[3]) else displaced).append(r)
     v_map = dict(hs.v)
     v_map[e.n] = sub.derive(displaced)
     after = sub.derive(below + positive, [(e, TOP_VAL)])
     return HistoricalSubstitution._make((after, hs.p + (e.n,), MappingProxyType(v_map)))
+
+
+def rollback_point(
+    hs: HistoricalSubstitution, e: CanonTerm, ctx: InductiveContext
+) -> tuple[tuple[int, ...], Substitution]:
+    """The members a step valuing e keeps and the snapshot it restores: the
+    prefix of P before e's member and the entries displaced when that
+    member entered, or, when e's member is not recorded, all of P and the
+    negative rank-Omega entries."""
+    n = ctx.member_of(e)
+    if n is not None and n in hs.p:
+        return hs.p[: hs.p.index(n)], hs.v[n]
+    return hs.p, hs.sub.negative_omega()
 
 
 def apply_omega_neg(
@@ -447,14 +463,7 @@ def apply_omega_neg(
     added are restored, and the new pair lands last so it wins any
     collision with a restored entry.
     """
-    n = ctx.member_of(e)
-    if n is not None and n in hs.p:
-        cut = hs.p.index(n)
-        p_new = hs.p[:cut]
-        restored = hs.v[n]
-    else:
-        p_new = hs.p
-        restored = hs.sub.negative_omega()
+    p_new, restored = rollback_point(hs, e, ctx)
     keep = set(p_new)
 
     def survives(d: Canon, u: Value) -> bool:
@@ -494,6 +503,28 @@ def apply_plan(
     return apply_omega_neg(hs, plan.e, plan.v, ctx)
 
 
+def step_change(
+    hs: HistoricalSubstitution,
+    hs2: HistoricalSubstitution,
+    plan: StepPlan,
+    e: str,
+    ctx: InductiveContext | None,
+) -> Change:
+    """The change of the step plan made from hs to hs2, built from its case;
+    e is the text of the plan's expression.  A step off rank Omega puts
+    one row and cuts the rows above its rank; omega-pos puts the member's
+    row and cuts the rows it moved into V and those above Omega; omega-neg
+    puts the restored snapshot and the new pair against the rows it cut,
+    less those whose text did not change."""
+    key = (*plan.rank, e)
+    if plan.case == CASE_OMEGA_POS:
+        return member_change(hs.sub, hs2.sub, key, hs2.v[plan.e.n]._rows)
+    if plan.case == CASE_OMEGA_NEG:
+        restored = rollback_point(hs, plan.e, ctx)[1]._rows
+        return rollback_change(hs.sub, hs2.sub, key, restored)
+    return put_change(hs.sub, hs2.sub, key)
+
+
 # ---------------------------------------------------------------------------
 # Step records and the driver
 
@@ -523,17 +554,15 @@ def h_step(
 ) -> tuple[HistoricalSubstitution, HStep]:
     """One step of the process; refuses computationally inconsistent input.
 
-    The step's change is built from the plan: a step off rank Omega puts
-    one row and cuts the rows above its rank, one at rank Omega keeps every
-    row below it.  The table, carried from step to step (one per list of
-    critical formulas), spares the evaluations whose reads the previous
-    step left unchanged: the step tells it the change, so it re-reads
-    nothing the step did not touch.  The guard (`is_ci`) runs on the state
-    the step made, and the table keeps its verdict for the next step; on an
-    input the table holds no verdict for, in a run only the initial state,
-    it runs first on the input, over every pair.  The members whose
-    snapshot the step added or dropped are those past the prefix the two
-    membership orders share.
+    The step's change is built from its case (`step_change`).  The table,
+    carried from step to step (one per list of critical formulas), spares
+    the evaluations whose reads the previous step left unchanged: the step
+    tells it the change, so it re-reads nothing the step did not touch.
+    The guard (`is_ci`) runs on the state the step made, and the table
+    keeps its verdict for the next step; on an input the table holds no
+    verdict for, in a run only the initial state, it runs first on the
+    input, over every pair.  The members whose snapshot the step added or
+    dropped are those past the prefix the two membership orders share.
     """
     verdicts.follow(hs.sub)
     ci = verdicts.ci
@@ -546,10 +575,7 @@ def h_step(
         raise ProcessInvariantError("substitution is already solving")
     hs2 = apply_plan(hs, plan, ctx)
     e = canon_sexpr(plan.e)
-    if plan.rank.is_omega:
-        delta = layer_change(hs.sub, hs2.sub)
-    else:
-        delta = put_change(hs.sub, hs2.sub, (*plan.rank, e))
+    delta = step_change(hs, hs2, plan, e, ctx)
     verdicts.advance(hs.sub, hs2.sub, delta)
     verdicts.ci = is_ci(hs2.sub, ctx, verdicts)
     v_added, v_removed = {}, ()

@@ -15,7 +15,6 @@ import operator
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -109,6 +108,7 @@ def entry_is_positive(e: Canon, u: Value) -> bool:
 _KEY = itemgetter(0)
 _TEXT = itemgetter(1)
 _PAIR = itemgetter(2, 3)
+_READS = itemgetter(1)  # of a verdict's version: (verdict, reads, values)
 
 
 def _row(e: Canon, u: Value, omega_sym: SkolemSymbol | None) -> tuple:
@@ -275,7 +275,7 @@ class Change(NamedTuple):
     ``omega`` tells whether one of them has rank Omega.
 
     A step builds its change from what it did, not from the two whole maps
-    (see `put_change` and `layer_change`).
+    (see `put_change`, `member_change` and `rollback_change`).
     """
 
     added: tuple[str, ...]
@@ -311,19 +311,44 @@ def put_change(before: Substitution, after: Substitution, key: tuple) -> Change:
     )
 
 
-def layer_change(before: Substitution, after: Substitution) -> Change:
-    """The change of a step that keeps every row below rank Omega: the set
-    differences of the texts of the rows from rank Omega on, taken in C;
-    Python work follows only the rows that differ."""
-    b_rows = before._rows[bisect_left(before._rows, OMEGA, key=_KEY) :]
-    a_rows = after._rows[bisect_left(after._rows, OMEGA, key=_KEY) :]
-    b_texts, a_texts = set(map(_TEXT, b_rows)), set(map(_TEXT, a_rows))
-    added, removed = a_texts - b_texts, b_texts - a_texts
-    rows = list(compress(a_rows, map(added.__contains__, map(_TEXT, a_rows))))
-    gone = list(compress(b_rows, map(removed.__contains__, map(_TEXT, b_rows))))
+def member_change(
+    before: Substitution, after: Substitution, key: tuple, displaced: list
+) -> Change:
+    """The change of an omega-pos step, which keeps before's rows below
+    rank Omega and its positive rows at Omega, moves the negative ones,
+    displaced, to the history and puts after's row of key: that row, unless
+    before held it, against the displaced rows and the rows above Omega."""
+    b_rows, a_rows = before._rows, after._rows
+    new = a_rows[bisect_left(a_rows, key, key=_KEY)]
+    gone = displaced + b_rows[bisect_left(b_rows, _above(OMEGA), key=_KEY) :]
+    rows = [new] if before._entries.get(new[2]) != new[3] else []
     return Change(
-        tuple(sorted(added)),
-        tuple(sorted(removed)),
+        tuple(map(_TEXT, rows)),
+        tuple(sorted(map(_TEXT, gone))),
+        rows,
+        gone,
+        bool(rows or displaced),  # the rows above Omega are not of it
+    )
+
+
+def rollback_change(
+    before: Substitution, after: Substitution, key: tuple, restored: list
+) -> Change:
+    """The change of an omega-neg step, which keeps before's rows below
+    rank Omega, cuts some of the rest and puts the restored rows, in order,
+    and after's row of key: the rows it cut against the rows it put, less
+    any row whose text did not change."""
+    b_rows, a_rows = before._rows, after._rows
+    new = a_rows[bisect_left(a_rows, key, key=_KEY)]
+    held, had = after._entries.get, before._entries.get
+    layer = b_rows[bisect_left(b_rows, OMEGA, key=_KEY) :]  # and the rows above
+    gone = [r for r in layer if held(r[2]) != r[3]]
+    put = [r for r in restored if r[0] != key]  # the new pair wins
+    put.insert(bisect_left(put, key, key=_KEY), new)
+    rows = [r for r in put if had(r[2]) != r[3]]
+    return Change(
+        tuple(sorted(map(_TEXT, rows))),
+        tuple(sorted(map(_TEXT, gone))),
         rows,
         gone,
         _is_omega(rows) or _is_omega(gone),
@@ -349,6 +374,17 @@ class RecordingSubstitution:
         return UNKNOWN if u is None else u
 
 
+# Earlier versions a verdict table keeps per key, beside the current one.
+# A rank-Omega step moves entries into the history and a rollback brings
+# them back, so a formula often reads again what it read one or two
+# evaluations before.  Without kept versions, on the bench's omega_ladder,
+# seed 1, 514 of the 742 formula evaluations did (404 one back, 110 two
+# back), on its corpus 421 of 1728 and on eps_chain none.  Counting
+# formula and correctness evaluations, `run` makes 822 on omega_ladder
+# with none kept, 418 with one, 308 with two and 308 with three or four.
+KEPT = 2
+
+
 class Verdicts:
     """Verdicts of three-valued evaluators, each kept with the reads it
     rests on, and what the table knows of the one state it follows.
@@ -360,24 +396,38 @@ class Verdicts:
     standard extension, and its recorded values tell whether every lookup
     found a stored entry (see `read_stored`).
 
+    A version of a key is the triple (verdict, reads, values); ``_memo``
+    holds each key's current one, and ``_versions``, for a key evaluated
+    more than once, its last KEPT + 1 versions in the order they were
+    evaluated, the current one among them.  When the current version's
+    reads fail, a kept version whose reads hold becomes current (as each
+    lookup follows from the values before it, at most one can), and the
+    key is evaluated only when none does.  Two are kept because a rollback
+    brings back the entries a member displaced, and with them the reads of
+    a version one or two evaluations old: that was so for 69% of the
+    formula evaluations on the bench's omega_ladder, 24% on its corpus and
+    none on eps_chain (see KEPT).
+
     The table follows one state, the map of the last view it was asked
     about.  ``_current`` holds the keys whose reads are known to agree with
     that state, ``known`` those of them whose verdict is True, and
-    ``_readers`` maps each canonical expression to the keys whose recorded
-    reads include it.  `advance` moves the table along a step whose
-    `Change` it is told: exactly the keys that read a changed expression
-    leave ``_current`` and ``known``, and it keeps the pairs the table can
-    no longer vouch for in ``_touched`` (see `touched`) and the change in
+    ``_readers`` maps each canonical expression to the keys one of whose
+    kept versions read it, so a version that becomes current is watched
+    already; dropping a version drops the reads no kept version shares.
+    `advance` moves the table along a step whose `Change` it is told: the
+    keys with a kept version that read a changed expression leave
+    ``_current`` and ``known``, and it keeps the pairs the table can no
+    longer vouch for in ``_touched`` (see `touched`) and the change in
     ``step`` (both None after a map the table did not follow).  The
-    correctness keys of the entries steps removed leave the table once it
-    holds about three times its live keys (see `_forget`), so its size
-    stays within a constant of theirs.  A key in ``_current`` is answered
-    without re-reading, and callers skip the keys in ``known`` (see
-    `is_correct`); any other key, and any key on a state the table did not
-    follow, is validated by its reads.  ``ci`` is the guard's verdict
-    (`is_ci`) on the followed state, which the step that made it left there
-    (see `process.h_step`), or None: on a map the table did not follow, and
-    after `advance` until the guard runs.
+    correctness keys of the entries steps removed leave the table, every
+    version at once, once it holds about three times its live keys (see
+    `_forget`), so its size stays within a constant of theirs.  A key in
+    ``_current`` is answered without re-reading, and callers skip the keys
+    in ``known`` (see `is_correct`); any other key, and any key on a state
+    the table did not follow, is validated by its reads.  ``ci`` is the
+    guard's verdict (`is_ci`) on the followed state, which the step that
+    made it left there (see `process.h_step`), or None: on a map the table
+    did not follow, and after `advance` until the guard runs.
 
     A table serves one list of critical formulas, whose keys are their
     indices, and is built with their visiting order: ``order``, a sorted
@@ -391,12 +441,13 @@ class Verdicts:
     """
 
     __slots__ = (
-        "_memo", "_readers", "_state", "_current", "known", "ci", "_touched",
-        "step", "order", "_pending",
+        "_memo", "_versions", "_readers", "_state", "_current", "known", "ci",
+        "_touched", "step", "order", "_pending",
     )
 
     def __init__(self, order: Iterable[tuple]) -> None:
         self._memo: dict[object, tuple[bool | None, tuple, tuple]] = {}
+        self._versions: dict[object, tuple] = {}
         self._readers: defaultdict[Canon, set] = defaultdict(set)
         self._state: dict | None = None
         self._current: set = set()
@@ -479,8 +530,12 @@ class Verdicts:
         if len(memo) <= 3 * (len(self.order) + len(entries)) + 64:
             return
         readers, get = self._readers, entries.get
+        versions = self._versions
         for key in [k for k in memo if k.__class__ is tuple and get(k[1]) != k[-1]]:
-            for d in memo.pop(key)[1]:
+            reads = set(memo.pop(key)[1])
+            for version in versions.pop(key, ()):
+                reads.update(version[1])
+            for d in reads:
                 keys = readers[d]
                 keys.discard(key)
                 if not keys:
@@ -514,24 +569,50 @@ class Verdicts:
         if memo is not None and tuple(map(entries.get, memo[1])) == memo[2]:
             verdict = memo[0]
         else:
-            rec = RecordingSubstitution(view)
-            verdict = evaluate(rec)
-            reads, old = tuple(rec.reads), () if memo is None else memo[1]
-            if reads != old:  # an evaluation mostly reads what it read before
-                readers = self._readers
-                for e in old:
-                    readers[e].discard(key)
-                for e in reads:
-                    readers[e].add(key)
-            self._memo[key] = (verdict, reads, tuple(rec.reads.values()))
+            versions = () if memo is None else self._versions.get(key) or (memo,)
+            for version in versions:  # a kept one whose reads hold: at most one
+                if version is memo:
+                    continue
+                if tuple(map(entries.get, version[1])) == version[2]:
+                    self._memo[key] = version
+                    verdict = version[0]
+                    break
+            else:
+                rec = RecordingSubstitution(view)
+                verdict = evaluate(rec)
+                reads = tuple(rec.reads)
+                self._memo[key] = new = (verdict, reads, tuple(rec.reads.values()))
+                if versions:
+                    self._keep(key, versions, new)
+                else:
+                    readers = self._readers
+                    for e in reads:
+                        readers[e].add(key)
         self._current.add(key)
         if verdict is True:
             self.known.add(key)
         return verdict
 
+    def _keep(self, key: object, versions: tuple, new: tuple) -> None:
+        """Keep new, key's current version, after versions, its earlier
+        ones in the order they were evaluated, dropping the oldest once more
+        than KEPT precede new; the reverse index follows."""
+        reads, readers = new[1], self._readers
+        if reads not in map(_READS, versions):  # often a kept one read the same
+            for e in reads:
+                readers[e].add(key)
+        if len(versions) > KEPT:
+            dropped, versions = versions[0], versions[1:]
+            for e in set(dropped[1]).difference(reads, *map(_READS, versions)):
+                keys = readers[e]
+                keys.discard(key)
+                if not keys:
+                    del readers[e]
+        self._versions[key] = (*versions, new)
+
     def read_stored(self, key: object) -> bool:
-        """Whether every lookup of key's last evaluation, which `truth`
-        made or validated, found a stored entry."""
+        """Whether every lookup of key's current version, which `truth`
+        made, validated or brought back, found a stored entry."""
         return None not in self._memo[key][2]
 
 

@@ -7,7 +7,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from epsengine.language import InductiveContext, Var, in_set, lt, not_, or_
+from epsengine.language import InductiveContext, Var, in_set, not_, or_
+from reference import lt
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -31,7 +31,6 @@ from epsengine.language import (
     eq,
     fn,
     in_set,
-    lt,
     not_,
     num,
     or_,
@@ -39,7 +38,7 @@ from epsengine.language import (
     skolem,
 )
 from epsengine.substitution import Substitution, TOP_VAL, UNKNOWN, num_val
-from reference import implies, succ
+from reference import implies, lt, succ
 
 SYM_R1A = SkolemSymbol(eq(Var(0), Var(1)), 1)
 SYM_R1B = SkolemSymbol(lt(Var(0), Var(1)), 1)

@@ -32,16 +32,18 @@ formula (`correctness_formula`), `models`, and the views of maps and
 recordings that only the tests ask for (the stored-map view `stored` and
 its recording, `domain`, `sorted_items`, `rank_filter`, `positive_omega`,
 `consulted`, `leaked`); last the small
-builders of terms and formulas (`plus`, `succ`, `implies`) and the
+builders of terms and formulas (`plus`, `succ`, `lt`, `implies`) and the
 builders and readers of canonical expressions that only the tests use,
 and the step's change and snapshot records computed from the two whole
-states (`change`, `v_changes`), and the member-witness conflict search
+states (`change`, `v_changes`) or from their rows from rank Omega on
+(`layer_change`), and the member-witness conflict search
 over every entry (`reference_member_conflict`).
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 
 from epsengine.language import (
     And,
@@ -107,6 +109,7 @@ from epsengine.process import (
 )
 from epsengine.substitution import (
     TOP_VAL,
+    _KEY,
     Change,
     RecordingSubstitution,
     Substitution,
@@ -818,6 +821,27 @@ def change(before: Substitution, after: Substitution) -> Change:
     )
 
 
+def layer_change(before: Substitution, after: Substitution) -> Change:
+    """The change of a step that keeps every row below rank Omega, from the
+    set differences of the texts of the rows from rank Omega on: what an
+    Omega step builds from its case (`member_change`, `rollback_change`)
+    must equal it."""
+    b_rows = before._rows[bisect_left(before._rows, OMEGA, key=_KEY) :]
+    a_rows = after._rows[bisect_left(after._rows, OMEGA, key=_KEY) :]
+    b_texts = {text for _, text, _, _ in b_rows}
+    a_texts = {text for _, text, _, _ in a_rows}
+    added, removed = a_texts - b_texts, b_texts - a_texts
+    rows = [r for r in a_rows if r[1] in added]
+    gone = [r for r in b_rows if r[1] in removed]
+    return Change(
+        tuple(sorted(added)),
+        tuple(sorted(removed)),
+        rows,
+        gone,
+        any(r[0][0] == OMEGA.kind for r in rows + gone),
+    )
+
+
 def reference_member_conflict(sub: Substitution, ctx: InductiveContext | None) -> bool:
     """`member_conflict` as it was: the set of members, then every entry."""
     if ctx is None:
@@ -859,6 +883,10 @@ def plus(a: Expr, b: Expr) -> Expr:
 
 def succ(t: Expr) -> Expr:
     return fn("s", t)
+
+
+def lt(a: Expr, b: Expr) -> RelAtom:
+    return rel("<", a, b)
 
 
 def implies(a: Expr, b: Expr) -> Or:

@@ -24,6 +24,7 @@ engine always evaluates through a table; the evaluations without one are
 import gc
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,7 @@ from epsengine.substitution import (
 from genexpr import (
     FIN_SYMS,
     SYM_OMEGA_PLUS,
+    SYM_R1A,
     WIDE_SYMS,
     random_formula,
     random_linear_formula,
@@ -104,6 +106,7 @@ from reference import (
     correctness_formula,
     domain,
     expand,
+    layer_change,
     models,
     omega_sym,
     rank_filter,
@@ -186,6 +189,46 @@ def runs():
             assert len(states) < 10**4, name
         out.append((name, problem, states))
     return out
+
+
+def _carried_steps(p):
+    """(before, after, record, verdicts) for each step `h_step` takes on
+    problem p from the initial state, with one table carried from step to
+    step as `run` carries it; the table is the one the step left."""
+    hs = HistoricalSubstitution.initial(omega_sym(p))
+    verdicts = table_for(p.crits, omega_sym(p))
+    solving, k = is_solving(hs.sub, p.crits, verdicts), 0
+    while not solving:
+        after, record = h_step(hs, p.crits, p.ctx, k, verdicts)
+        yield hs, after, record, verdicts
+        hs, solving, k = after, record.solving, k + 1
+
+
+@pytest.fixture(scope="module")
+def bench_ladders():
+    """(c, problem) for the bench's omega_ladder of c = 3 .. 24 closures,
+    seed 1, of which the bench runs c = 3 .. 6.  Each run rolls back once,
+    dropping c of its c + 1 members, and adds each of them again."""
+    with bench_imports():
+        import workloads
+
+        return [
+            (c, parse_problem(workloads.omega_ladder(random.Random(1), (c,))[0].text))
+            for c in range(3, 25)
+        ]
+
+
+def _ladder_runs(bench_ladders, sizes):
+    """(name, problem, states) for the bench ladders of the given sizes, as
+    `runs` gives them, the states taken with a carried table."""
+    return [
+        (f"ladder-{c}", p, [
+            HistoricalSubstitution.initial(omega_sym(p)),
+            *[after for _, after, _, _ in _carried_steps(p)],
+        ])
+        for c, p in bench_ladders
+        if c in sizes
+    ]
 
 
 def test_canon_sexpr_matches_the_serialized_expression(runs):
@@ -432,9 +475,14 @@ def _evaluator(formula):
     return lambda view: truth(formula(), view)
 
 
-def test_verdict_table_in_run_order_matches_plain_evaluation(runs):
+def test_verdict_table_in_run_order_matches_plain_evaluation(runs, bench_ladders):
+    """One table per problem, asked about every state in run order, as
+    plain evaluation answers; on the bench ladders of c = 3 .. 6, 12 and 24
+    closures too, where a rollback brings back the reads of versions the
+    table kept."""
+    ladders = _ladder_runs(bench_ladders, (3, 4, 5, 6, 12, 24))
     outcomes = set()
-    for name, p, states in runs:
+    for name, p, states in [*runs, *ladders]:
         verdicts = table_for(p.crits, omega_sym(p))
         for k, hs in enumerate(states):
             sub, where = hs.sub, (name, k)
@@ -535,6 +583,81 @@ def test_a_changed_read_forces_a_new_evaluation(runs):
                     assert verdict == truth(phi, mutated), (name, kind)
                     built[kind] += 1
     assert min(built.values()) > 100
+
+
+def test_a_key_brings_back_a_kept_version_until_it_is_dropped():
+    """One key whose reads alternate A, B, A, C, D, A: a selector entry
+    names the entry the evaluation reads next.  A is brought back after B
+    without an evaluation, and evaluated again once C and D have pushed it
+    out of the KEPT earlier versions; after each drop the reverse index
+    holds exactly the kept versions' reads, and `_forget` leaves no reader
+    of the key."""
+    assert substitution.KEPT == 2
+    selector = CanonTerm(SYM_R1A, (0,))
+    key = ("correct", CanonTerm(SYM_R1A, (99,)), num_val(1))  # not in any map
+    calls = []
+
+    def evaluate(view):
+        calls.append(1)
+        k = view.get(selector).n
+        return view.get(CanonTerm(SYM_R1A, (k,))).n == k
+
+    def state(k):  # the selector names entry k, which holds k
+        return Substitution(
+            {selector: num_val(k), CanonTerm(SYM_R1A, (k,)): num_val(k)}
+        )
+
+    def watched():
+        readers = verdicts._readers
+        assert all(readers.values())
+        return {e for e, keys in readers.items() if key in keys}
+
+    verdicts = Verdicts([])
+    evaluated = []
+    for k in (1, 2, 1, 3, 4, 1):  # A, B, A, C, D, A
+        calls.clear()
+        assert verdicts.truth(key, state(k), evaluate) is True
+        evaluated.append(len(calls))
+        kept = verdicts._versions.get(key, (verdicts._memo[key],))
+        assert len(kept) <= substitution.KEPT + 1
+        assert verdicts._memo[key] in kept
+        assert watched() == {e for version in kept for e in version[1]}
+    assert evaluated == [1, 1, 0, 1, 1, 1]
+    for filler in range(64):  # int keys, which `_forget` keeps
+        verdicts.truth(filler, state(1), lambda view: True)
+    verdicts._forget({})
+    assert key not in verdicts._memo and key not in verdicts._versions
+    assert watched() == set() and all(verdicts._readers.values())
+    assert len(verdicts._memo) == 64
+
+
+def test_kept_versions_spare_the_ladder_evaluations(monkeypatch):
+    """Counted, not timed: `run` on the bench's omega_ladder, seed 1,
+    evaluates at most 330 times (formula and correctness keys alike), where
+    a table without kept versions evaluated 822 times; on eps_chain, where
+    nothing is read again, it still evaluates 360 times."""
+    made = []
+
+    class Counted(RecordingSubstitution):
+        __slots__ = ()
+
+        def __init__(self, base):
+            made.append(1)
+            super().__init__(base)
+
+    monkeypatch.setattr(substitution, "RecordingSubstitution", Counted)
+    with bench_imports():
+        import workloads
+
+        families = {w: workloads.generate(w, 1) for w in ("omega_ladder", "eps_chain")}
+    counts = {}
+    for w, bench in families.items():
+        made.clear()
+        for problem in bench:
+            p = parse_problem(problem.text)
+            assert run(p.crits, p.ctx).solved, problem.name
+        counts[w] = len(made)
+    assert counts["omega_ladder"] <= 330 and counts["eps_chain"] == 360, counts
 
 
 # ---------------------------------------------------------------------------
@@ -1337,6 +1460,69 @@ def test_step_built_change_matches_the_whole_map_change(runs):
     kinds = {kind for kind, _ in stepped}
     assert {"drop-top", "unknown-at-plan"} <= kinds
     assert {CASE_LOW, CASE_HIGH, CASE_OMEGA_POS} <= {case for _, case in stepped}
+
+
+def test_omega_step_change_matches_the_layer_change(runs, bench_ladders):
+    """The change an Omega step builds from its case (`member_change`,
+    `rollback_change`) against the set differences of the two maps' rows
+    from rank Omega on (`layer_change`), on every Omega step of the
+    samples, the corpus, the tiny bench sets and the bench ladders of
+    c = 3 .. 24 closures, every omega-neg step among them, and members
+    added, rolled back and added again."""
+    problems = [(name, p) for name, p, _ in runs]
+    problems += [(f"ladder-{c}", p) for c, p in bench_ladders]
+    cases, readded = Counter(), 0
+    for name, p in problems:
+        dropped = set()
+        for before, after, record, verdicts in _carried_steps(p):
+            if record.case in (CASE_OMEGA_POS, CASE_OMEGA_NEG):
+                want = layer_change(before.sub, after.sub)
+                _assert_same_change(verdicts.step, want, (name, record.index))
+                cases[record.case] += 1
+            if record.case == CASE_OMEGA_NEG:
+                dropped |= set(before.p) - set(after.p)
+            elif record.case == CASE_OMEGA_POS and after.p[-1] in dropped:
+                dropped.discard(after.p[-1])
+                readded += 1
+    # one rollback per ladder, and more on the other problems; each ladder
+    # of c closures adds c members again
+    assert cases[CASE_OMEGA_NEG] > len(bench_ladders) and cases[CASE_OMEGA_POS] > 5000
+    assert readded > sum(range(3, 25))
+
+
+def test_change_of_every_rank_omega_case_matches_the_layer_change(runs, bench_ladders):
+    """`step_change` on plans built by hand, some of which the planner
+    never makes, against `layer_change`: on every reached state of a
+    problem with a clause (the samples, the corpus, the tiny bench sets
+    and the bench ladders of c = 3 .. 6), omega-pos for a member not in P,
+    and omega-neg valuing the witness term of each member of P and of the
+    member outside it, which restores the negative layer the step cuts, so
+    that most rows it puts cancel; states with rows above Omega among
+    them."""
+    seen = Counter()
+    for name, p, states in [*runs, *_ladder_runs(bench_ladders, (3, 4, 5, 6))]:
+        if p.ctx is None:
+            continue
+        for hs in states:
+            above = len(hs.sub.up_to(OMEGA)) < len(hs.sub)
+            outside = max(hs.p, default=0) + 1
+            pairs = [(CanonForm(outside), TOP_VAL)]
+            pairs += [(p.ctx.c_n(n), num_val(1)) for n in (*hs.p, outside)]
+            for e, v in pairs:
+                case = CASE_OMEGA_POS if isinstance(e, CanonForm) else CASE_OMEGA_NEG
+                plan = StepPlan(0, e, v, rank_of(e, omega_sym(p)), case)
+                after = process.apply_plan(hs, plan, p.ctx)
+                got = process.step_change(hs, after, plan, canon_sexpr(e), p.ctx)
+                want = layer_change(hs.sub, after.sub)
+                _assert_same_change(got, want, (name, case, canon_sexpr(e)))
+                seen[case, above] += 1
+                if case == CASE_OMEGA_NEG:  # rows put: the restored and the new
+                    put = len(process.rollback_point(hs, e, p.ctx)[1]) + 1
+                    seen["cancelled"] += put > len(want.rows)
+    assert seen.keys() >= {
+        (case, above) for case in (CASE_OMEGA_POS, CASE_OMEGA_NEG) for above in (0, 1)
+    }
+    assert seen["cancelled"] > 20
 
 
 def test_step_records_the_snapshots_of_the_members_it_changed(runs):

@@ -25,7 +25,6 @@ from epsengine.language import (
     expand_exists,
     expand_forall,
     in_set,
-    lt,
     not_,
     num,
     or_,
@@ -39,7 +38,7 @@ from epsengine.language import (
 from epsengine.problems import parse_problem
 from epsengine.process import run
 from genexpr import FIN_SYMS, SYM_OMEGA_PLUS, SYM_R1C, SYM_R2, random_formula
-from reference import a_formula, mentions_inductive, plus, succ
+from reference import a_formula, lt, mentions_inductive, plus, succ
 
 SYM_EQ = SkolemSymbol(eq(Var(0), Var(1)), 1)
 

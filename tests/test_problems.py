@@ -1,6 +1,6 @@
 import pytest
 
-from epsengine.language import Var, eq, lt, num
+from epsengine.language import Var, eq, num
 from epsengine.problems import ParseError, parse_problem, read_forms, shape_check
 from epsengine.process import (
     ClosureCF,
@@ -11,7 +11,7 @@ from epsengine.process import (
     make_epsilon,
     run,
 )
-from reference import serialize_problem
+from reference import lt, serialize_problem
 
 BOUNDED = "(clause (y x X) (or (not (< y x)) (in y X)))\n"
 

@@ -9,7 +9,6 @@ from epsengine.language import (
     Var,
     eq,
     in_set,
-    lt,
     not_,
     num,
     or_,
@@ -37,7 +36,7 @@ from epsengine.substitution import (
     serialize,
 )
 from genexpr import SYM_R1C
-from reference import domain, reference_analyze, succ, table_for
+from reference import domain, lt, reference_analyze, succ, table_for
 
 HS0 = HistoricalSubstitution.initial()
 

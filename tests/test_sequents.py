@@ -8,7 +8,6 @@ from epsengine.language import (
     and_,
     eq,
     in_set,
-    lt,
     not_,
     num,
     or_,
@@ -40,7 +39,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import SYM_R1A, SYM_R1C
-from reference import domain, leaked, omega_sym, to_term
+from reference import domain, leaked, lt, omega_sym, to_term
 
 
 def sequent_of(ctx, entries, p=(), v=None, flags=None):

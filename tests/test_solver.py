@@ -22,7 +22,6 @@ from epsengine.language import (
     SkolemSymbol,
     Var,
     eq,
-    lt,
     num,
     skolem,
     skolemize_exists,
@@ -40,7 +39,7 @@ from epsengine.substitution import (
     num_val,
 )
 from genexpr import FIN_SYMS, random_linear_formula, random_substitution
-from reference import recording, stored
+from reference import lt, recording, stored
 from test_fast_paths import runs  # noqa: F401  (the fixture)
 
 NEVER = 10**18  # a SCAN_BELOW no bound reaches: every search scans

@@ -16,7 +16,6 @@ from epsengine.language import (
     and_,
     eq,
     in_set,
-    lt,
     not_,
     num,
     or_,
@@ -51,6 +50,7 @@ from reference import (
     domain,
     is_computing,
     leaked,
+    lt,
     models,
     plus,
     positive_omega,

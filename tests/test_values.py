@@ -31,7 +31,6 @@ from epsengine.language import (
     Var,
     canon_sexpr,
     eq,
-    lt,
     num,
 )
 from epsengine.problems import parse_problem
@@ -54,7 +53,7 @@ from epsengine.substitution import (
     serialize,
 )
 from genexpr import SYM_OMEGA_PLUS, SYM_R1A
-from reference import reference_compute_plan, table_for
+from reference import lt, reference_compute_plan, table_for
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CASCADE = ROOT / "problems" / "rebuild_cascade.eps"
